@@ -1,6 +1,9 @@
 package timecache
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // TestAttackWrapperSweep exercises every public attack entry point at small
 // sizes; the detailed behavioral assertions live in internal/attack — here
@@ -80,37 +83,51 @@ func TestLimitedPointerConfig(t *testing.T) {
 	}
 }
 
-// TestBookkeepingScalingPublic covers the public wrapper.
-func TestBookkeepingScalingPublic(t *testing.T) {
-	rows, err := ReproduceBookkeepingScaling([]uint64{150_000, 600_000},
-		ExperimentOptions{InstrsPerProc: 40_000, WarmupInstrs: 60_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[1].BookkeepingPct >= rows[0].BookkeepingPct {
-		t.Fatalf("bookkeeping rows: %+v", rows)
-	}
-}
-
-// TestDefenseAblationPublic covers the public wrapper.
+// TestDefenseAblationPublic covers the ablation job through the public
+// seam: one row per registry defense in canonical order, and an unknown
+// pair label is an error.
 func TestDefenseAblationPublic(t *testing.T) {
-	rows, err := ReproduceDefenseAblation("2Xnamd",
+	tab, err := RunJob(Job{Experiment: "ablation", Pairs: []string{"2Xnamd"}},
 		ExperimentOptions{InstrsPerProc: 30_000, WarmupInstrs: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ablation rows come from the defense registry in canonical order,
-	// with the historical display names for the first five.
+	// Columns: defense, normalized-time.
 	want := []string{"baseline", "timecache", "ftm", "partitioned", "flush-on-switch", "clepsydra", "fase"}
-	if len(rows) != len(want) {
-		t.Fatalf("expected %d defenses, got %d", len(want), len(rows))
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("expected %d defenses, got %d:\n%s", len(want), len(tab.Rows), tab.CSV())
 	}
-	for i, r := range rows {
-		if r.Defense != want[i] {
-			t.Fatalf("row %d defense = %q, want %q", i, r.Defense, want[i])
+	for i, r := range tab.Rows {
+		if r[0] != want[i] {
+			t.Fatalf("row %d defense = %q, want %q", i, r[0], want[i])
 		}
 	}
-	if _, err := ReproduceDefenseAblation("nope", ExperimentOptions{}); err == nil {
+	if _, err := RunJob(Job{Experiment: "ablation", Pairs: []string{"nope"}}, ExperimentOptions{}); err == nil {
 		t.Fatal("unknown workload must error")
+	}
+}
+
+// TestBookkeepingScalingPublic covers the bookkeeping job through the
+// public seam: the s-bit bookkeeping share shrinks as the slice grows.
+func TestBookkeepingScalingPublic(t *testing.T) {
+	tab, err := RunJob(Job{Experiment: "bookkeeping", SliceCycles: []uint64{150_000, 600_000}},
+		ExperimentOptions{InstrsPerProc: 40_000, WarmupInstrs: 60_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: slice-cycles, bookkeeping-pct, total-overhead-pct.
+	if len(tab.Rows) != 2 || tab.Rows[0][0] != "150000" || tab.Rows[1][0] != "600000" {
+		t.Fatalf("bookkeeping rows:\n%s", tab.CSV())
+	}
+	short, err := strconv.ParseFloat(tab.Rows[0][1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := strconv.ParseFloat(tab.Rows[1][1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if long >= short {
+		t.Fatalf("longer slices must shrink the bookkeeping share:\n%s", tab.CSV())
 	}
 }

@@ -4,14 +4,16 @@ package timecache
 // runs the corresponding experiment at a reduced (but calibrated)
 // instruction budget and reports the headline quantity through
 // b.ReportMetric, so `go test -bench=. -benchmem` regenerates the paper's
-// numbers alongside the runtime cost of producing them. The `reproduce`
-// command runs the same experiments at full scale with paper-side-by-side
-// tables.
+// numbers alongside the runtime cost of producing them. The experiments run
+// as jobs through RunJob and the metrics are read off the job tables — the
+// same tables the `reproduce` command writes at full scale.
 
 import (
-	"fmt"
-	"math"
+	"strconv"
 	"testing"
+
+	"timecache/internal/harness"
+	"timecache/internal/stats"
 )
 
 // benchOpts trades statistical tightness for bench runtime.
@@ -19,21 +21,47 @@ func benchOpts() ExperimentOptions {
 	return ExperimentOptions{InstrsPerProc: 100_000, WarmupInstrs: 150_000}
 }
 
+// benchJob runs one job at bench scale and returns its table.
+func benchJob(b *testing.B, j Job) *Table {
+	b.Helper()
+	tab, err := RunJob(j, benchOpts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tab
+}
+
+// column reads one numeric column of a job table.
+func column(b *testing.B, tab *Table, col int) []float64 {
+	b.Helper()
+	out := make([]float64, len(tab.Rows))
+	for i, r := range tab.Rows {
+		v, err := strconv.ParseFloat(r[col], 64)
+		if err != nil {
+			b.Fatalf("%s row %d: %v", tab.Header[col], i, err)
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// The table2 and parsec columns: workload, normalized, mpki-base, mpki-tc,
+// fa-l1i, fa-l1d, fa-llc.
+const (
+	colNormalized = 1
+	colMPKIBase   = 2
+	colMPKITC     = 3
+	colFAL1I      = 4
+	colFAL1D      = 5
+	colFALLC      = 6
+)
+
 // BenchmarkFig7SpecNormalizedTime reproduces Fig. 7: normalized execution
 // time of SPEC2006 pairs on one core (paper geomean: 1.13% overhead).
 func BenchmarkFig7SpecNormalizedTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceTableII(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		prod, n := 1.0, 0
-		for _, r := range rows {
-			prod *= r.Normalized
-			n++
-		}
-		gm := pow(prod, 1/float64(n))
-		b.ReportMetric((gm-1)*100, "overhead-%")
+		tab := benchJob(b, Job{Experiment: "table2"})
+		b.ReportMetric(stats.OverheadPct(stats.GeoMean(column(b, tab, colNormalized))), "overhead-%")
 	}
 }
 
@@ -41,20 +69,10 @@ func BenchmarkFig7SpecNormalizedTime(b *testing.B) {
 // cache level for the single-core SPEC runs.
 func BenchmarkFig8FirstAccessMPKI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceTableII(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var l1i, l1d, llc float64
-		for _, r := range rows {
-			l1i += r.FirstAccessL1I
-			l1d += r.FirstAccessL1D
-			llc += r.FirstAccessLLC
-		}
-		n := float64(len(rows))
-		b.ReportMetric(l1i/n, "L1I-faMPKI")
-		b.ReportMetric(l1d/n, "L1D-faMPKI")
-		b.ReportMetric(llc/n, "LLC-faMPKI")
+		tab := benchJob(b, Job{Experiment: "table2"})
+		b.ReportMetric(stats.Mean(column(b, tab, colFAL1I)), "L1I-faMPKI")
+		b.ReportMetric(stats.Mean(column(b, tab, colFAL1D)), "L1D-faMPKI")
+		b.ReportMetric(stats.Mean(column(b, tab, colFALLC)), "LLC-faMPKI")
 	}
 }
 
@@ -62,17 +80,8 @@ func BenchmarkFig8FirstAccessMPKI(b *testing.B) {
 // 2-core normalized execution time (paper geomean: 0.8% overhead).
 func BenchmarkFig9aParsecNormalizedTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceParsec(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		prod, n := 1.0, 0
-		for _, r := range rows {
-			prod *= r.Normalized
-			n++
-		}
-		gm := pow(prod, 1/float64(n))
-		b.ReportMetric((gm-1)*100, "overhead-%")
+		tab := benchJob(b, Job{Experiment: "parsec"})
+		b.ReportMetric(stats.OverheadPct(stats.GeoMean(column(b, tab, colNormalized))), "overhead-%")
 	}
 }
 
@@ -81,17 +90,9 @@ func BenchmarkFig9aParsecNormalizedTime(b *testing.B) {
 // structurally zero and all first accesses land at the LLC.
 func BenchmarkFig9bParsecMPKI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceParsec(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var l1, llc float64
-		for _, r := range rows {
-			l1 += r.FirstAccessL1I + r.FirstAccessL1D
-			llc += r.FirstAccessLLC
-		}
-		b.ReportMetric(l1/float64(len(rows)), "L1-faMPKI")
-		b.ReportMetric(llc/float64(len(rows)), "LLC-faMPKI")
+		tab := benchJob(b, Job{Experiment: "parsec"})
+		b.ReportMetric(stats.Mean(column(b, tab, colFAL1I))+stats.Mean(column(b, tab, colFAL1D)), "L1-faMPKI")
+		b.ReportMetric(stats.Mean(column(b, tab, colFALLC)), "LLC-faMPKI")
 	}
 }
 
@@ -100,18 +101,9 @@ func BenchmarkFig9bParsecMPKI(b *testing.B) {
 // (paper averages: 7.26 and 7.51).
 func BenchmarkTableIIOverheadMPKI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceTableII(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var base, tc float64
-		for _, r := range rows {
-			base += r.MPKIBaseline
-			tc += r.MPKITimeCache
-		}
-		n := float64(len(rows))
-		b.ReportMetric(base/n, "MPKI-base")
-		b.ReportMetric(tc/n, "MPKI-timecache")
+		tab := benchJob(b, Job{Experiment: "table2"})
+		b.ReportMetric(stats.Mean(column(b, tab, colMPKIBase)), "MPKI-base")
+		b.ReportMetric(stats.Mean(column(b, tab, colMPKITC)), "MPKI-timecache")
 	}
 }
 
@@ -121,12 +113,10 @@ func BenchmarkTableIIOverheadMPKI(b *testing.B) {
 // runs show the same decreasing shape at 2/4/8 MB).
 func BenchmarkFig10LLCSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceLLCSensitivity([]int{512 << 10, 1 << 20, 2 << 20}, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.OverheadPct, byteLabel(r.LLCSizeBytes)+"-overhead-%")
+		tab := benchJob(b, Job{Experiment: "llc-sweep", LLCSizes: []int{512 << 10, 1 << 20, 2 << 20}})
+		// Columns: llc, geomean-normalized, overhead-pct.
+		for j, v := range column(b, tab, 2) {
+			b.ReportMetric(v, tab.Rows[j][0]+"-overhead-%")
 		}
 	}
 }
@@ -172,13 +162,12 @@ func BenchmarkRSAAttack(b *testing.B) {
 // slice grows toward realistic lengths (paper: ~0.02%).
 func BenchmarkSbitSaveRestore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceBookkeepingScaling([]uint64{100_000, 800_000}, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].BookkeepingPct, "short-slice-%")
-		b.ReportMetric(rows[len(rows)-1].BookkeepingPct, "long-slice-%")
-		costs := ComputeSbitCosts(benchOpts())
+		tab := benchJob(b, Job{Experiment: "bookkeeping", SliceCycles: []uint64{100_000, 800_000}})
+		// Columns: slice-cycles, bookkeeping-pct, total-overhead-pct.
+		pct := column(b, tab, 1)
+		b.ReportMetric(pct[0], "short-slice-%")
+		b.ReportMetric(pct[len(pct)-1], "long-slice-%")
+		costs := harness.SbitCost(benchOpts())
 		b.ReportMetric(float64(costs.DMACyclesPerSwitch), "DMA-cycles/switch")
 	}
 }
@@ -255,12 +244,10 @@ func BenchmarkOtherAttacks(b *testing.B) {
 // way-partitioning, and flush-on-switch baselines from DESIGN.md.
 func BenchmarkDefenseAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceDefenseAblation("2Xgobmk", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric((r.Normalized-1)*100, r.Defense+"-overhead-%")
+		tab := benchJob(b, Job{Experiment: "ablation"})
+		// Columns: defense, normalized-time.
+		for j, v := range column(b, tab, 1) {
+			b.ReportMetric(stats.OverheadPct(v), tab.Rows[j][0]+"-overhead-%")
 		}
 	}
 }
@@ -272,25 +259,10 @@ func BenchmarkDefenseAblation(b *testing.B) {
 func BenchmarkGateLevelComparator(b *testing.B) {
 	opts := ExperimentOptions{InstrsPerProc: 40_000, WarmupInstrs: 60_000, GateLevel: true}
 	for i := 0; i < b.N; i++ {
-		if _, err := ReproduceSpecPair("2Xspecrand", opts); err != nil {
+		if _, err := RunJob(Job{Experiment: "table2", Pairs: []string{"2Xspecrand"}}, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// pow computes x^y for the geomean reductions.
-func pow(x, y float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Pow(x, y)
-}
-
-func byteLabel(n int) string {
-	if n >= 1<<20 {
-		return fmt.Sprintf("%dMB", n>>20)
-	}
-	return fmt.Sprintf("%dKB", n>>10)
 }
 
 // BenchmarkLimitedPointerTracker compares the paper's full per-context

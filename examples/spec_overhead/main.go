@@ -5,6 +5,7 @@
 //	go run ./examples/spec_overhead            # 2Xwrf
 //	go run ./examples/spec_overhead 2Xlbm
 //	go run ./examples/spec_overhead perl+wrf
+//	go run ./examples/spec_overhead 2Xzeusmp   # 2X<profile> for any SPEC profile
 package main
 
 import (
@@ -23,18 +24,22 @@ func main() {
 	opts := timecache.ExperimentOptions{InstrsPerProc: 300_000, WarmupInstrs: 250_000}
 	fmt.Printf("running %s (%d measured instructions per process after %d warmup)...\n\n",
 		label, opts.InstrsPerProc, opts.WarmupInstrs)
-	row, err := timecache.ReproduceSpecPair(label, opts)
+	tab, err := timecache.RunJob(timecache.Job{Experiment: "table2", Pairs: []string{label}}, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// One row: workload, normalized, mpki-base, mpki-tc, fa-l1i, fa-l1d, fa-llc.
+	row := tab.Rows[0]
+	paper, ok := timecache.PaperReference(label)
 
 	fmt.Printf("%-22s %12s %12s\n", "", "measured", "paper")
-	fmt.Printf("%-22s %12.4f %12.4f\n", "normalized exec time", row.Normalized, row.PaperNormalized)
-	fmt.Printf("%-22s %12.4f %12.4f\n", "LLC MPKI (baseline)", row.MPKIBaseline, row.PaperMPKIBase)
-	fmt.Printf("%-22s %12.4f %12.4f\n", "LLC MPKI (timecache)", row.MPKITimeCache, row.PaperMPKITC)
+	for i, name := range []string{"normalized exec time", "LLC MPKI (baseline)", "LLC MPKI (timecache)"} {
+		ref := "-"
+		if ok {
+			ref = fmt.Sprintf("%.4f", []float64{paper.Normalized, paper.MPKIBase, paper.MPKITimeCache}[i])
+		}
+		fmt.Printf("%-22s %12s %12s\n", name, row[i+1], ref)
+	}
 	fmt.Println()
-	fmt.Printf("delayed first accesses: L1I %.4f, L1D %.4f, LLC %.4f MPKI\n",
-		row.FirstAccessL1I, row.FirstAccessL1D, row.FirstAccessLLC)
-	fmt.Printf("s-bit bookkeeping     : %.4f%% of execution (shrinks with slice length;\n", row.BookkeepingPct)
-	fmt.Println("                        the paper reports ~0.02% at Linux-scale slices)")
+	fmt.Printf("delayed first accesses: L1I %s, L1D %s, LLC %s MPKI\n", row[4], row[5], row[6])
 }

@@ -10,10 +10,10 @@
 //     selective flushing), installed with Hierarchy.SetDefense.
 //
 // The historical modes (baseline/timecache/ftm and the ablation's
-// partitioned and flush-on-switch variants) are pure-static kinds: selecting
-// them through this registry configures the machine exactly as the legacy
-// flags did, so their results are byte-identical and their per-access path
-// still pays only a nil check.
+// partitioned and flush-on-switch variants) are pure-static kinds: their
+// per-access path pays only a nil check, and the three s-bit modes configure
+// the machine exactly as the equivalent machine.Config.Mode does, so their
+// results are byte-identical.
 package defense
 
 import (

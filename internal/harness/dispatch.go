@@ -1,14 +1,16 @@
 // Job dispatch: a declarative description of one experiment, attack, or
 // sweep run, decoupled from any CLI flag parsing, plus the renderers that
-// turn results into the exact tables cmd/reproduce and the golden artifacts
-// use. The HTTP job service (internal/server) and the golden tests both
-// funnel through this layer, so a job submitted over the network is
-// byte-identical to one run in-process.
+// turn results into tables. RunJob (and RunJobLeg, its sharded form) is the
+// only way to run an experiment: cmd/reproduce, the HTTP job service
+// (internal/server), the golden tests, and the benchmark all funnel through
+// it, so a job submitted over the network is byte-identical to one run
+// in-process or written by the CLI.
 package harness
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"timecache/internal/attack"
@@ -44,7 +46,8 @@ type Job struct {
 	// Experiment is one of the Exp* names.
 	Experiment string
 	// Pairs selects Table II / sweep / ablation workload pairs by label
-	// ("2Xlbm", "leslie+gobmk"). Empty selects the experiment's default:
+	// ("2Xlbm", "leslie+gobmk", or "2X<profile>" for any SPEC profile, e.g.
+	// "2Xzeusmp"). Empty selects the experiment's default:
 	// every pair for table2, the same-benchmark pairs for llc-sweep, and
 	// 2Xgobmk for ablation (which takes exactly one pair).
 	Pairs []string
@@ -126,10 +129,12 @@ func (j Job) Validate() error {
 	}
 }
 
-// selectPairs resolves pair labels against the Table II list, preserving
-// request order. Empty labels select every pair. The lookup is a linear scan
-// over the 24-entry list — it sits on the fingerprint/admission path, where
-// a map would cost an allocation per call for no measurable speedup.
+// selectPairs resolves pair labels, preserving request order: a Table II
+// label selects that pair, and "2X<profile>" outside the list selects an
+// ad-hoc same-benchmark pair of any SPEC profile. Empty labels select every
+// Table II pair. The lookup is a linear scan over the 24-entry list — it
+// sits on the fingerprint/admission path, where a map would cost an
+// allocation per call for no measurable speedup.
 func selectPairs(labels []string) ([]workload.Pair, error) {
 	all := workload.SpecPairs()
 	if len(labels) == 0 {
@@ -142,6 +147,12 @@ lookup:
 			if p.Label == l {
 				out = append(out, p)
 				continue lookup
+			}
+		}
+		if name, ok := strings.CutPrefix(l, "2X"); ok {
+			if _, err := workload.Spec(name); err == nil {
+				out = append(out, workload.Pair{Label: l, A: name, B: name})
+				continue
 			}
 		}
 		return nil, fmt.Errorf("harness: unknown workload pair %q", l)
@@ -165,22 +176,22 @@ func RunJob(j Job, opts Options) (*stats.Table, error) {
 	switch j.Experiment {
 	case ExpTableII:
 		pairs, _ := selectPairs(j.Pairs)
-		return TableIITable(pairs, opts)
+		return pairTable(runSpecPairs(pairs, opts))
 	case ExpParsec:
-		return ParsecTable(j.Workloads, opts)
+		return pairTable(runParsecSet(j.Workloads, opts))
 	case ExpLLCSweep:
 		pairs, _ := selectPairs(j.Pairs)
-		return LLCSweepTable(j.LLCSizes, pairs, opts)
+		return llcSweepTable(j.LLCSizes, pairs, opts)
 	case ExpAblation:
 		pairs, _ := selectPairs(j.Pairs)
-		return AblationTable(pairs[0], opts)
+		return ablationTable(pairs[0], opts)
 	case ExpBookkeeping:
-		return BookkeepingTable(j.SliceCycles, opts)
+		return bookkeepingTable(j.SliceCycles, opts)
 	case ExpSecurity:
-		return SecurityTable(j.KeyBits, j.Seed, opts)
+		return securityTable(j.KeyBits, j.Seed, opts)
 	case ExpMatrix:
 		pairs, _ := selectPairs(j.Pairs)
-		return MatrixTable(j.Defenses, j.Attacks, pairs, j.AttackBits, j.Seed, opts)
+		return matrixTable(j.Defenses, j.Attacks, pairs, j.AttackBits, j.Seed, opts)
 	}
 	// Unreachable: Validate rejected everything else.
 	return nil, fmt.Errorf("harness: unknown experiment %q", j.Experiment)
@@ -196,12 +207,12 @@ func samePairs(pairs []workload.Pair) []workload.Pair {
 	return out
 }
 
-// TableIITable runs the given pairs and renders them in the golden Table II
-// slice format (results/golden/table2_slice.csv): one row per pair with
-// normalized time, LLC MPKI under both modes, and per-level first-access
-// MPKI. The golden tests diff this exact rendering.
-func TableIITable(pairs []workload.Pair, opts Options) (*stats.Table, error) {
-	rows, err := RunSpecPairs(pairs, opts)
+// pairTable renders paired-run rows — the SPEC pairs of table2 and the
+// PARSEC workloads alike — in the golden Table II slice format
+// (results/golden/table2_slice.csv): one row per workload with normalized
+// time, LLC MPKI under both modes, and per-level first-access MPKI. It takes
+// the runner's error so call sites can chain it directly.
+func pairTable(rows []pairResult, err error) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -213,25 +224,10 @@ func TableIITable(pairs []workload.Pair, opts Options) (*stats.Table, error) {
 	return tab, nil
 }
 
-// ParsecTable runs the named PARSEC workloads and renders them in the Table
-// II slice format.
-func ParsecTable(names []string, opts Options) (*stats.Table, error) {
-	rows, err := RunParsecSet(names, opts)
-	if err != nil {
-		return nil, err
-	}
-	tab := stats.NewTable("workload", "normalized", "mpki-base", "mpki-tc", "fa-l1i", "fa-l1d", "fa-llc")
-	for _, r := range rows {
-		tab.Add(r.Label, r.Normalized, r.MPKIBase, r.MPKITC,
-			r.FirstAccess.L1I, r.FirstAccess.L1D, r.FirstAccess.LLC)
-	}
-	return tab, nil
-}
-
-// LLCSweepTable runs the Fig. 10 sweep over the given sizes and pairs and
+// llcSweepTable runs the Fig. 10 sweep over the given sizes and pairs and
 // renders it in the golden sweep format (results/golden/llc_sweep.csv).
-func LLCSweepTable(sizes []int, pairs []workload.Pair, opts Options) (*stats.Table, error) {
-	pts, err := RunLLCSensitivity(sizes, pairs, opts)
+func llcSweepTable(sizes []int, pairs []workload.Pair, opts Options) (*stats.Table, error) {
+	pts, err := runLLCSensitivity(sizes, pairs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -242,10 +238,10 @@ func LLCSweepTable(sizes []int, pairs []workload.Pair, opts Options) (*stats.Tab
 	return tab, nil
 }
 
-// AblationTable runs the defense ablation on one pair and renders it in
-// cmd/reproduce's ablation format.
-func AblationTable(pair workload.Pair, opts Options) (*stats.Table, error) {
-	rows, err := RunDefenseAblation(pair, opts)
+// ablationTable runs the defense ablation on one pair: one normalized-time
+// row per registry kind.
+func ablationTable(pair workload.Pair, opts Options) (*stats.Table, error) {
+	rows, err := runDefenseAblation(pair, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -256,10 +252,10 @@ func AblationTable(pair workload.Pair, opts Options) (*stats.Table, error) {
 	return tab, nil
 }
 
-// BookkeepingTable runs the §VI-D slice-length scaling and renders it in
-// cmd/reproduce's bookkeeping format.
-func BookkeepingTable(slices []uint64, opts Options) (*stats.Table, error) {
-	pts, err := RunBookkeepingScaling(workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, slices, opts)
+// bookkeepingTable runs the §VI-D slice-length scaling on 2Xnamd: the
+// s-bit bookkeeping share and total overhead per slice length.
+func bookkeepingTable(slices []uint64, opts Options) (*stats.Table, error) {
+	pts, err := runBookkeepingScaling(workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, slices, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -270,11 +266,10 @@ func BookkeepingTable(slices []uint64, opts Options) (*stats.Table, error) {
 	return tab, nil
 }
 
-// SecurityTable runs the §VI-A security evaluation (microbenchmark and RSA
-// flush+reload under baseline and TimeCache) and renders it in
-// cmd/reproduce's security format. The four runs are short and sequential;
-// Progress is reported after each.
-func SecurityTable(keyBits int, seed uint64, opts Options) (*stats.Table, error) {
+// securityTable runs the §VI-A security evaluation (microbenchmark and RSA
+// flush+reload under baseline and TimeCache). The four runs are short and
+// sequential; Progress is reported after each.
+func securityTable(keyBits int, seed uint64, opts Options) (*stats.Table, error) {
 	opts = opts.withDefaults()
 	tab := stats.NewTable("experiment", "mode", "result")
 	modes := []cache.SecMode{cache.SecOff, cache.SecTimeCache}

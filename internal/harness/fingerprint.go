@@ -53,7 +53,7 @@ const (
 	defaultSeed    = 12345
 )
 
-// defaultAblationPair is the pair RunDefenseAblation uses when none is named.
+// defaultAblationPair is the ablation pair when none is named.
 const defaultAblationPair = "2Xgobmk"
 
 // defaultAttackBits is the matrix experiment's default secret length.

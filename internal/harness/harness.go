@@ -45,19 +45,17 @@ type Options struct {
 	// configured output paths are suffixed with the workload label and mode
 	// so one config fans out over a whole sweep.
 	Telemetry *telemetry.Config
-	// Jobs is the number of simulation runs executed concurrently by the
-	// sweep entry points (RunAllSpecPairs, RunAllParsec, RunLLCSensitivity,
-	// RunDefenseAblation, RunBookkeepingScaling). Each run builds its own
-	// machine, so results are bit-identical to sequential execution; see
-	// internal/runner. Zero or negative selects runtime.GOMAXPROCS(0);
-	// 1 is strictly sequential.
+	// Jobs is the number of simulation runs a job executes concurrently.
+	// Each run builds its own machine, so results are bit-identical to
+	// sequential execution; see internal/runner. Zero or negative selects
+	// runtime.GOMAXPROCS(0); 1 is strictly sequential.
 	Jobs int
 	// Progress, when non-nil, is called after each completed run of a sweep
 	// with (done, total). Calls are serialized.
 	Progress func(done, total int)
 	// Ctx, when non-nil, bounds every run: cancellation stops the simulated
 	// machine within a few thousand instructions and surfaces as Ctx.Err()
-	// from the sweep entry point. Nil means never cancelled.
+	// from RunJob. Nil means never cancelled.
 	Ctx context.Context
 	// Pool, when non-nil, supplies (and receives back) the machines for
 	// every run instead of per-worker private pools. machine.Pool is safe
@@ -256,14 +254,14 @@ func (m measurement) sub(start measurement) measurement {
 	}
 }
 
-// LevelMPKI holds per-cache-level first-access (delayed access) MPKI, the
+// levelMPKI holds per-cache-level first-access (delayed access) MPKI, the
 // quantity of Figures 8 and 9b.
-type LevelMPKI struct {
+type levelMPKI struct {
 	L1I, L1D, LLC float64
 }
 
-// PairResult is one workload row across both configurations.
-type PairResult struct {
+// pairResult is one workload row across both configurations.
+type pairResult struct {
 	Label string
 
 	BaselineCycles  uint64
@@ -277,7 +275,7 @@ type PairResult struct {
 
 	// FirstAccess is the delayed-access MPKI per level under TimeCache
 	// (Fig. 8 / 9b).
-	FirstAccess LevelMPKI
+	FirstAccess levelMPKI
 
 	// BookkeepingPct is the share of total TimeCache cycles spent on s-bit
 	// save/restore (the paper reports ~0.02%).
@@ -587,15 +585,15 @@ func maxClock(k *kernel.Kernel) uint64 {
 	return m
 }
 
-// result reduces two steady-state measurements to a PairResult.
-func result(label string, mb, mt measurement) PairResult {
-	res := PairResult{
+// result reduces two steady-state measurements to a pairResult.
+func result(label string, mb, mt measurement) pairResult {
+	res := pairResult{
 		Label:           label,
 		BaselineCycles:  mb.cycles,
 		TimeCacheCycles: mt.cycles,
 		MPKIBase:        stats.MPKI(mb.llc.Misses+mb.llc.FirstAccess, mb.instrs),
 		MPKITC:          stats.MPKI(mt.llc.Misses+mt.llc.FirstAccess, mt.instrs),
-		FirstAccess: LevelMPKI{
+		FirstAccess: levelMPKI{
 			L1I: stats.MPKI(mt.l1i.FirstAccess, mt.instrs),
 			L1D: stats.MPKI(mt.l1d.FirstAccess, mt.instrs),
 			LLC: stats.MPKI(mt.llc.FirstAccess, mt.instrs),
@@ -609,41 +607,29 @@ func result(label string, mb, mt measurement) PairResult {
 	return res
 }
 
-// RunSpecPair measures one Fig. 7 / Table II row: the same pair under the
-// baseline and under TimeCache. Machines come from Options.Pool when set
-// (which also enables warm-snapshot reuse across repeated calls).
-func RunSpecPair(pair workload.Pair, opts Options) (PairResult, error) {
-	return runSpecPair(opts.Pool, pair, opts)
-}
-
-// runSpecPair is RunSpecPair drawing machines from pool.
-func runSpecPair(pool *machine.Pool, pair workload.Pair, opts Options) (PairResult, error) {
+// runSpecPair measures one Fig. 7 / Table II row: the same pair under the
+// baseline and under TimeCache, on machines drawn from pool (nil builds
+// fresh; a shared pool also enables warm-snapshot reuse across calls).
+func runSpecPair(pool *machine.Pool, pair workload.Pair, opts Options) (pairResult, error) {
 	opts = opts.withDefaults()
 	mb, err := runSpecPairOnce(pool, pair, cache.SecOff, opts)
 	if err != nil {
-		return PairResult{}, err
+		return pairResult{}, err
 	}
 	mt, err := runSpecPairOnce(pool, pair, cache.SecTimeCache, opts)
 	if err != nil {
-		return PairResult{}, err
+		return pairResult{}, err
 	}
 	return result(pair.Label, mb, mt), nil
 }
 
-// RunAllSpecPairs reproduces Figures 7 and 8 and the SPEC half of Table II.
-// Pairs are fully independent, so they fan out across Options.Jobs workers
-// with results in paper order; each worker reuses one pooled machine per
+// runSpecPairs measures a selection of Fig. 7 / Table II pairs. Pairs are
+// fully independent, so they fan out across Options.Jobs workers with
+// results in request order; each worker reuses one pooled machine per
 // configuration (Reset between runs) instead of rebuilding.
-func RunAllSpecPairs(opts Options) ([]PairResult, error) {
-	pairs := workload.SpecPairs()
-	return RunSpecPairs(pairs, opts)
-}
-
-// RunSpecPairs measures an arbitrary selection of Fig. 7 / Table II pairs,
-// fanned out across Options.Jobs workers with pooled machines.
-func RunSpecPairs(pairs []workload.Pair, opts Options) ([]PairResult, error) {
+func runSpecPairs(pairs []workload.Pair, opts Options) ([]pairResult, error) {
 	opts = opts.withDefaults()
-	return runner.MapWorkersCtx(opts.ctx(), len(pairs), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (PairResult, error) {
+	return runner.MapWorkersCtx(opts.ctx(), len(pairs), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (pairResult, error) {
 		return runSpecPair(pool, pairs[i], opts)
 	})
 }
@@ -683,55 +669,42 @@ func runParsecOnce(pool *machine.Pool, name string, mode cache.SecMode, opts Opt
 	return runLeg(pool, opts, l)
 }
 
-// RunParsec measures one Fig. 9 row. Machines come from Options.Pool when
-// set (which also enables warm-snapshot reuse across repeated calls).
-func RunParsec(name string, opts Options) (PairResult, error) {
-	return runParsec(opts.Pool, name, opts)
-}
-
-// runParsec is RunParsec drawing machines from pool.
-func runParsec(pool *machine.Pool, name string, opts Options) (PairResult, error) {
+// runParsec measures one Fig. 9 row on machines drawn from pool.
+func runParsec(pool *machine.Pool, name string, opts Options) (pairResult, error) {
 	opts = opts.withDefaults()
 	mb, err := runParsecOnce(pool, name, cache.SecOff, opts)
 	if err != nil {
-		return PairResult{}, err
+		return pairResult{}, err
 	}
 	mt, err := runParsecOnce(pool, name, cache.SecTimeCache, opts)
 	if err != nil {
-		return PairResult{}, err
+		return pairResult{}, err
 	}
 	return result(name, mb, mt), nil
 }
 
-// RunAllParsec reproduces Figures 9a/9b and the PARSEC rows of Table II,
-// fanned out across Options.Jobs workers with per-worker machine pools.
-func RunAllParsec(opts Options) ([]PairResult, error) {
-	names := workload.ParsecNames()
-	return RunParsecSet(names, opts)
-}
-
-// RunParsecSet measures an arbitrary selection of Fig. 9 workloads, fanned
-// out across Options.Jobs workers with pooled machines.
-func RunParsecSet(names []string, opts Options) ([]PairResult, error) {
+// runParsecSet measures a selection of Fig. 9 workloads, fanned out across
+// Options.Jobs workers with pooled machines.
+func runParsecSet(names []string, opts Options) ([]pairResult, error) {
 	opts = opts.withDefaults()
-	return runner.MapWorkersCtx(opts.ctx(), len(names), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (PairResult, error) {
+	return runner.MapWorkersCtx(opts.ctx(), len(names), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (pairResult, error) {
 		return runParsec(pool, names[i], opts)
 	})
 }
 
-// SensitivityPoint is one Fig. 10 sweep point.
-type SensitivityPoint struct {
+// sensitivityPoint is one Fig. 10 sweep point.
+type sensitivityPoint struct {
 	LLCSize     int
 	GeoMeanNorm float64
 	OverheadPct float64
 }
 
-// RunLLCSensitivity reproduces Fig. 10: geometric-mean overhead of the
+// runLLCSensitivity reproduces Fig. 10: geometric-mean overhead of the
 // same-benchmark pairs at each LLC size. The whole size×pair grid is
 // flattened into one job list so small sweeps still saturate the pool, and
 // each worker keeps one machine per (mode, LLC size) shape, Reset between
 // runs, instead of rebuilding the hierarchy per grid cell.
-func RunLLCSensitivity(sizes []int, pairs []workload.Pair, opts Options) ([]SensitivityPoint, error) {
+func runLLCSensitivity(sizes []int, pairs []workload.Pair, opts Options) ([]sensitivityPoint, error) {
 	opts = opts.withDefaults()
 	norms, err := runner.MapWorkersCtx(opts.ctx(), len(sizes)*len(pairs), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (float64, error) {
 		o := opts
@@ -745,16 +718,16 @@ func RunLLCSensitivity(sizes []int, pairs []workload.Pair, opts Options) ([]Sens
 	if err != nil {
 		return nil, err
 	}
-	var out []SensitivityPoint
+	var out []sensitivityPoint
 	for si, size := range sizes {
 		gm := stats.GeoMean(norms[si*len(pairs) : (si+1)*len(pairs)])
-		out = append(out, SensitivityPoint{LLCSize: size, GeoMeanNorm: gm, OverheadPct: stats.OverheadPct(gm)})
+		out = append(out, sensitivityPoint{LLCSize: size, GeoMeanNorm: gm, OverheadPct: stats.OverheadPct(gm)})
 	}
 	return out, nil
 }
 
-// DefenseResult is one row of the defense-ablation comparison.
-type DefenseResult struct {
+// defenseResult is one row of the defense-ablation comparison.
+type defenseResult struct {
 	Defense    string
 	Normalized float64
 }
@@ -784,20 +757,32 @@ func ablationConfigs() []ablationConfig {
 	return out
 }
 
-// RunDefenseAblation compares the overhead of TimeCache against the
+// runDefenseLeg runs one spec pair on a single core under a defense
+// registry kind and returns its measured cycles. The ablation and the
+// matrix's slowdown columns both normalize these against the "none" kind.
+func runDefenseLeg(pool *machine.Pool, pair workload.Pair, kind, label string, opts Options) (uint64, error) {
+	frames, err := specFrames(pair)
+	if err != nil {
+		return 0, err
+	}
+	mcfg := machineConfig(cache.SecOff, 1, opts, frames)
+	mcfg.Defense = kind
+	l, err := specLeg(pair, mcfg, label, opts, nil)
+	if err != nil {
+		return 0, err
+	}
+	m, err := runLeg(pool, opts, l)
+	if err != nil {
+		return 0, err
+	}
+	return m.cycles, nil
+}
+
+// runDefenseAblation compares the overhead of TimeCache against the
 // alternative defenses DESIGN.md catalogs (FTM, DAWG-lite way partitioning,
 // flush-on-context-switch) on one workload pair.
-func RunDefenseAblation(pair workload.Pair, opts Options) ([]DefenseResult, error) {
+func runDefenseAblation(pair workload.Pair, opts Options) ([]defenseResult, error) {
 	opts = opts.withDefaults()
-	pa, err := workload.Spec(pair.A)
-	if err != nil {
-		return nil, err
-	}
-	pb, err := workload.Spec(pair.B)
-	if err != nil {
-		return nil, err
-	}
-	frames := workload.FramesNeeded(pa) + workload.FramesNeeded(pb) + 1024
 
 	// The rows come from the defense registry: the historical display names
 	// are kept for the first five (their kinds configure machines identical
@@ -807,52 +792,41 @@ func RunDefenseAblation(pair workload.Pair, opts Options) ([]DefenseResult, erro
 	// Each defense configuration is an independent machine; run them all
 	// concurrently and normalize against the baseline's cycles afterwards.
 	cyclesFor, err := runner.MapWorkersCtx(opts.ctx(), len(configs), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (uint64, error) {
-		cfgDef := configs[i]
-		mcfg := machineConfig(cache.SecOff, 1, opts, frames)
-		mcfg.Mode, mcfg.Defense = cache.SecOff, cfgDef.kind
-		l, err := specLeg(pair, mcfg, cfgDef.name, opts, nil)
-		if err != nil {
-			return 0, err
-		}
-		m, err := runLeg(pool, opts, l)
-		if err != nil {
-			return 0, err
-		}
-		return m.cycles, nil
+		return runDefenseLeg(pool, pair, configs[i].kind, configs[i].name, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
 	baseline := cyclesFor[0] // configs[0] is the baseline
-	var out []DefenseResult
+	var out []defenseResult
 	for i, cfgDef := range configs {
-		out = append(out, DefenseResult{Defense: cfgDef.name, Normalized: stats.Normalized(cyclesFor[i], baseline)})
+		out = append(out, defenseResult{Defense: cfgDef.name, Normalized: stats.Normalized(cyclesFor[i], baseline)})
 	}
 	return out, nil
 }
 
-// BookkeepingPoint relates scheduler time-slice length to the share of
+// bookkeepingPoint relates scheduler time-slice length to the share of
 // execution time spent on s-bit save/restore.
-type BookkeepingPoint struct {
+type bookkeepingPoint struct {
 	SliceCycles    uint64
 	BookkeepingPct float64
 	OverheadPct    float64
 }
 
-// RunBookkeepingScaling reproduces the §VI-D argument quantitatively: the
+// runBookkeepingScaling reproduces the §VI-D argument quantitatively: the
 // fixed per-switch DMA cost (1.08 µs = 2160 cycles at 2 GHz) shrinks as a
 // fraction of execution time as the time slice grows toward realistic
 // 1–10 ms scheduler quanta, converging on the paper's ~0.02% figure.
-func RunBookkeepingScaling(pair workload.Pair, slices []uint64, opts Options) ([]BookkeepingPoint, error) {
+func runBookkeepingScaling(pair workload.Pair, slices []uint64, opts Options) ([]bookkeepingPoint, error) {
 	opts = opts.withDefaults()
-	return runner.MapWorkersCtx(opts.ctx(), len(slices), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (BookkeepingPoint, error) {
+	return runner.MapWorkersCtx(opts.ctx(), len(slices), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (bookkeepingPoint, error) {
 		o := opts
 		o.SliceCycles = slices[i]
 		r, err := runSpecPair(pool, pair, o)
 		if err != nil {
-			return BookkeepingPoint{}, err
+			return bookkeepingPoint{}, err
 		}
-		return BookkeepingPoint{
+		return bookkeepingPoint{
 			SliceCycles:    slices[i],
 			BookkeepingPct: r.BookkeepingPct,
 			OverheadPct:    stats.OverheadPct(r.Normalized),

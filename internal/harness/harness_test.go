@@ -16,7 +16,7 @@ func smallOpts() Options {
 
 func TestRunSpecPairProducesSaneRow(t *testing.T) {
 	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
-	r, err := RunSpecPair(pair, smallOpts())
+	r, err := runSpecPair(nil, pair, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestRunSpecPairProducesSaneRow(t *testing.T) {
 }
 
 func TestStreamingPairHasHigherMPKI(t *testing.T) {
-	low, err := RunSpecPair(workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, smallOpts())
+	low, err := runSpecPair(nil, workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := RunSpecPair(workload.Pair{Label: "2Xlbm", A: "lbm", B: "lbm"}, smallOpts())
+	high, err := runSpecPair(nil, workload.Pair{Label: "2Xlbm", A: "lbm", B: "lbm"}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestStreamingPairHasHigherMPKI(t *testing.T) {
 }
 
 func TestRunParsecNoL1FirstAccesses(t *testing.T) {
-	r, err := RunParsec("blackscholes", smallOpts())
+	r, err := runParsec(nil, "blackscholes", smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLLCSensitivityTrend(t *testing.T) {
 		{Label: "2Xwrf", A: "wrf", B: "wrf"},
 		{Label: "2Xperlbench", A: "perlbench", B: "perlbench"},
 	}
-	pts, err := RunLLCSensitivity([]int{512 << 10, 2 << 20}, pairs, smallOpts())
+	pts, err := runLLCSensitivity([]int{512 << 10, 2 << 20}, pairs, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +93,20 @@ func TestLLCSensitivityTrend(t *testing.T) {
 }
 
 func TestDefenseAblationOrdering(t *testing.T) {
-	rows, err := RunDefenseAblation(workload.Pair{Label: "2Xgobmk", A: "gobmk", B: "gobmk"}, smallOpts())
+	rows, err := runDefenseAblation(workload.Pair{Label: "2Xgobmk", A: "gobmk", B: "gobmk"}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The rows come from the defense registry in canonical order, with the
+	// historical display names for the first five.
+	want := []string{"baseline", "timecache", "ftm", "partitioned", "flush-on-switch", "clepsydra", "fase"}
+	if len(rows) != len(want) {
+		t.Fatalf("expected %d defenses, got %d", len(want), len(rows))
+	}
+	for i, r := range rows {
+		if r.Defense != want[i] {
+			t.Fatalf("row %d defense = %q, want %q", i, r.Defense, want[i])
+		}
 	}
 	norm := map[string]float64{}
 	for _, r := range rows {
@@ -120,7 +131,7 @@ func TestDefenseAblationOrdering(t *testing.T) {
 }
 
 func TestBookkeepingScalesDownWithSlice(t *testing.T) {
-	pts, err := RunBookkeepingScaling(
+	pts, err := runBookkeepingScaling(
 		workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"},
 		[]uint64{100_000, 400_000}, smallOpts())
 	if err != nil {
@@ -149,13 +160,13 @@ func TestSbitCostMatchesPaper(t *testing.T) {
 func TestGateLevelMatchesFastPath(t *testing.T) {
 	pair := workload.Pair{Label: "2Xspecrand", A: "specrand", B: "specrand"}
 	opts := Options{InstrsPerProc: 30_000, WarmupInstrs: 50_000}
-	fast, err := RunSpecPair(pair, opts)
+	fast, err := runSpecPair(nil, pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gopts := opts
 	gopts.GateLevel = true
-	gate, err := RunSpecPair(pair, gopts)
+	gate, err := runSpecPair(nil, pair, gopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +187,8 @@ func TestSnapshotShelfReuse(t *testing.T) {
 	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
 	pool := machine.NewPool()
 	opts := smallOpts()
-	opts.Pool = pool
 
-	first, err := RunSpecPair(pair, opts)
+	first, err := runSpecPair(pool, pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +196,7 @@ func TestSnapshotShelfReuse(t *testing.T) {
 	if s.SnapshotHits != 0 {
 		t.Fatalf("first run already hit the shelf: %+v", s)
 	}
-	second, err := RunSpecPair(pair, opts)
+	second, err := runSpecPair(pool, pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +216,11 @@ func TestSnapshotModesAgree(t *testing.T) {
 	pair := workload.Pair{Label: "2Xlbm", A: "lbm", B: "lbm"}
 	base := smallOpts()
 
-	var results []PairResult
+	var results []pairResult
 	for _, mode := range []SnapshotMode{SnapshotOff, SnapshotAuto, SnapshotOn} {
 		opts := base
 		opts.Snapshot = mode
-		r, err := RunSpecPair(pair, opts)
+		r, err := runSpecPair(nil, pair, opts)
 		if err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
@@ -218,7 +228,7 @@ func TestSnapshotModesAgree(t *testing.T) {
 	}
 	check := base
 	check.SnapshotCheck = true
-	r, err := RunSpecPair(pair, check)
+	r, err := runSpecPair(nil, pair, check)
 	if err != nil {
 		t.Fatalf("snapshot-check: %v", err)
 	}
@@ -237,11 +247,10 @@ func TestSnapshotTelemetryForcesCold(t *testing.T) {
 	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
 	pool := machine.NewPool()
 	opts := smallOpts()
-	opts.Pool = pool
 	opts.Snapshot = SnapshotOn
 	opts.Telemetry = &telemetry.Config{}
 
-	if _, err := RunSpecPair(pair, opts); err != nil {
+	if _, err := runSpecPair(pool, pair, opts); err != nil {
 		t.Fatal(err)
 	}
 	if s := pool.Stats(); s.SnapshotHits != 0 || s.SnapshotMisses != 0 {

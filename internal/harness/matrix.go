@@ -86,14 +86,14 @@ type matrixCell struct {
 	pair    workload.Pair
 }
 
-// MatrixTable runs the defenses×(attacks ∪ pairs) grid and renders it with
+// matrixTable runs the defenses×(attacks ∪ pairs) grid and renders it with
 // one row per defense: a leaked-bits column per attack (the binary-channel
 // capacity of the attacker's recovery, 0 = defended) and a normalized-
 // slowdown column per workload pair (against the "none" baseline, which is
 // run implicitly when not among the requested rows). Cells are fanned out
 // across opts.Jobs workers in flat declaration order, so -j1 and -jN render
 // byte-identical tables.
-func MatrixTable(defenses, attacks []string, pairs []workload.Pair, attackBits int, seed uint64, opts Options) (*stats.Table, error) {
+func matrixTable(defenses, attacks []string, pairs []workload.Pair, attackBits int, seed uint64, opts Options) (*stats.Table, error) {
 	opts = opts.withDefaults()
 
 	// The overhead columns normalize against "none"; run its legs even when
@@ -120,7 +120,9 @@ func MatrixTable(defenses, attacks []string, pairs []workload.Pair, attackBits i
 		if c.attack != "" {
 			return runMatrixAttack(c.defense, c.attack, attackBits, seed, opts)
 		}
-		return runMatrixPerf(pool, c.defense, c.pair, opts)
+		// A perf cell's measured cycles; normalized against "none" below.
+		cycles, err := runDefenseLeg(pool, c.pair, c.defense, "matrix-"+c.defense, opts)
+		return float64(cycles), err
 	})
 	if err != nil {
 		return nil, err
@@ -168,7 +170,7 @@ func MatrixTable(defenses, attacks []string, pairs []workload.Pair, attackBits i
 
 // runMatrixAttack mounts one attack under one defense. The attack scenarios
 // assemble their own machines, so the leg is accounted by count and span
-// only, mirroring SecurityTable.
+// only, mirroring securityTable.
 func runMatrixAttack(def, att string, bits int, seed uint64, opts Options) (float64, error) {
 	a := matrixAttackByName(att)
 	if a == nil {
@@ -186,31 +188,6 @@ func runMatrixAttack(def, att string, bits int, seed uint64, opts Options) (floa
 		opts.Spans.Span("matrix/"+def+"/"+att, "leg", start, opts.wallNow(), nil)
 	}
 	return acc, nil
-}
-
-// runMatrixPerf runs one workload pair under one defense and returns its
-// measured cycles (the caller normalizes against the "none" cell).
-func runMatrixPerf(pool *machine.Pool, def string, pair workload.Pair, opts Options) (float64, error) {
-	pa, err := workload.Spec(pair.A)
-	if err != nil {
-		return 0, err
-	}
-	pb, err := workload.Spec(pair.B)
-	if err != nil {
-		return 0, err
-	}
-	frames := workload.FramesNeeded(pa) + workload.FramesNeeded(pb) + 1024
-	mcfg := machineConfig(cache.SecOff, 1, opts, frames)
-	mcfg.Defense = def
-	l, err := specLeg(pair, mcfg, "matrix-"+def, opts, nil)
-	if err != nil {
-		return 0, err
-	}
-	m, err := runLeg(pool, opts, l)
-	if err != nil {
-		return 0, err
-	}
-	return float64(m.cycles), nil
 }
 
 func containsString(ss []string, s string) bool { return indexOfString(ss, s) >= 0 }

@@ -32,7 +32,6 @@ package harness
 import (
 	"fmt"
 
-	"timecache/internal/cache"
 	"timecache/internal/stats"
 	"timecache/internal/workload"
 )
@@ -81,22 +80,22 @@ func RunJobLeg(j Job, leg int, opts Options) (*stats.Table, error) {
 	switch j.Experiment {
 	case ExpTableII:
 		pairs, _ := selectPairs(j.Pairs)
-		return TableIITable(pairs[leg:leg+1], opts)
+		return pairTable(runSpecPairs(pairs[leg:leg+1], opts))
 	case ExpParsec:
-		return ParsecTable(j.Workloads[leg:leg+1], opts)
+		return pairTable(runParsecSet(j.Workloads[leg:leg+1], opts))
 	case ExpLLCSweep:
 		pairs, _ := selectPairs(j.Pairs)
-		return LLCSweepTable(j.LLCSizes[leg:leg+1], pairs, opts)
+		return llcSweepTable(j.LLCSizes[leg:leg+1], pairs, opts)
 	case ExpAblation:
 		pairs, _ := selectPairs(j.Pairs)
 		return ablationRow(pairs[0], leg, opts)
 	case ExpBookkeeping:
-		return BookkeepingTable(j.SliceCycles[leg:leg+1], opts)
+		return bookkeepingTable(j.SliceCycles[leg:leg+1], opts)
 	case ExpSecurity:
-		return SecurityTable(j.KeyBits, j.Seed, opts)
+		return securityTable(j.KeyBits, j.Seed, opts)
 	case ExpMatrix:
 		pairs, _ := selectPairs(j.Pairs)
-		return MatrixTable(j.Defenses[leg:leg+1], j.Attacks, pairs, j.AttackBits, j.Seed, opts)
+		return matrixTable(j.Defenses[leg:leg+1], j.Attacks, pairs, j.AttackBits, j.Seed, opts)
 	}
 	return nil, fmt.Errorf("harness: unknown experiment %q", j.Experiment)
 }
@@ -136,16 +135,6 @@ func MergeLegTables(j Job, parts []*stats.Table) (*stats.Table, error) {
 // table because both runs are deterministic.
 func ablationRow(pair workload.Pair, idx int, opts Options) (*stats.Table, error) {
 	opts = opts.withDefaults()
-	pa, err := workload.Spec(pair.A)
-	if err != nil {
-		return nil, err
-	}
-	pb, err := workload.Spec(pair.B)
-	if err != nil {
-		return nil, err
-	}
-	frames := workload.FramesNeeded(pa) + workload.FramesNeeded(pb) + 1024
-
 	configs := ablationConfigs()
 	cfg := configs[idx]
 	pool := opts.newPool()
@@ -153,17 +142,7 @@ func ablationRow(pair workload.Pair, idx int, opts Options) (*stats.Table, error
 		if err := opts.ctx().Err(); err != nil {
 			return 0, err
 		}
-		mcfg := machineConfig(cache.SecOff, 1, opts, frames)
-		mcfg.Mode, mcfg.Defense = cache.SecOff, c.kind
-		l, err := specLeg(pair, mcfg, c.name, opts, nil)
-		if err != nil {
-			return 0, err
-		}
-		m, err := runLeg(pool, opts, l)
-		if err != nil {
-			return 0, err
-		}
-		return m.cycles, nil
+		return runDefenseLeg(pool, pair, c.kind, c.name, opts)
 	}
 	baseline, err := run(configs[0])
 	if err != nil {

@@ -6,41 +6,52 @@ import (
 
 	"timecache/internal/cache"
 	"timecache/internal/defense"
+	"timecache/internal/kernel"
 )
 
 // TestDefenseConfigMapping pins the Config.Defense routing (static()): each
-// registry kind maps to exactly the hierarchy/kernel configuration its
-// legacy per-field spelling produced, a set Defense overrides the legacy
-// structural fields entirely, and New installs a runtime defense for — and
-// only for — the kinds that declare one.
+// registry kind maps to exactly its structural hierarchy/kernel knobs (s-bit
+// mode, way partitioning, flush-on-switch), a set Defense overrides Mode
+// entirely, and New installs a runtime defense for — and only for — the
+// kinds that declare one.
 func TestDefenseConfigMapping(t *testing.T) {
-	legacy := map[string]Config{
+	type knobs struct {
+		mode        cache.SecMode
+		partitioned bool
+		flush       bool
+	}
+	structural := map[string]knobs{
 		defense.None:          {},
-		defense.TimeCache:     {Mode: cache.SecTimeCache},
-		defense.FTM:           {Mode: cache.SecFTM},
-		defense.DAWGLite:      {Partitioned: true},
-		defense.FlushOnSwitch: {FlushOnSwitch: true},
+		defense.TimeCache:     {mode: cache.SecTimeCache},
+		defense.FTM:           {mode: cache.SecFTM},
+		defense.DAWGLite:      {partitioned: true},
+		defense.FlushOnSwitch: {flush: true},
 		defense.Clepsydra:     {},
 		defense.FASE:          {},
 	}
-	for kind, want := range legacy {
+	for kind, want := range structural {
 		cfg := Config{Defense: kind}
-		if got, w := cfg.HierarchyConfig(), want.HierarchyConfig(); got != w {
-			t.Errorf("%s: HierarchyConfig\n got %+v\nwant %+v", kind, got, w)
+		h := cache.DefaultHierarchyConfig()
+		h.Mode, h.Partitioned = want.mode, want.partitioned
+		if got := cfg.HierarchyConfig(); got != h {
+			t.Errorf("%s: HierarchyConfig\n got %+v\nwant %+v", kind, got, h)
 		}
-		if got, w := cfg.KernelConfig(), want.KernelConfig(); got != w {
-			t.Errorf("%s: KernelConfig\n got %+v\nwant %+v", kind, got, w)
+		k := kernel.DefaultConfig()
+		k.FlushOnSwitch = want.flush
+		if got := cfg.KernelConfig(); got != k {
+			t.Errorf("%s: KernelConfig\n got %+v\nwant %+v", kind, got, k)
 		}
 	}
 
-	// A set Defense is authoritative: the legacy structural fields are
-	// ignored, never merged.
-	over := Config{Defense: defense.None, Mode: cache.SecTimeCache, Partitioned: true, FlushOnSwitch: true}
-	if got, want := over.HierarchyConfig(), (Config{}).HierarchyConfig(); got != want {
-		t.Errorf("Defense did not override legacy fields:\n got %+v\nwant %+v", got, want)
-	}
-	if got, want := over.KernelConfig(), (Config{}).KernelConfig(); got != want {
-		t.Errorf("Defense did not override FlushOnSwitch:\n got %+v\nwant %+v", got, want)
+	// A set Defense is authoritative: Mode is ignored, never merged.
+	for _, kind := range []string{defense.None, defense.DAWGLite, defense.FlushOnSwitch} {
+		over := Config{Defense: kind, Mode: cache.SecTimeCache}
+		if got, want := over.HierarchyConfig(), (Config{Defense: kind}).HierarchyConfig(); got != want {
+			t.Errorf("%s: Defense did not override Mode:\n got %+v\nwant %+v", kind, got, want)
+		}
+		if got, want := over.KernelConfig(), (Config{Defense: kind}).KernelConfig(); got != want {
+			t.Errorf("%s: Defense did not override Mode:\n got %+v\nwant %+v", kind, got, want)
+		}
 	}
 
 	runtime := map[string]bool{defense.Clepsydra: true, defense.FASE: true}
@@ -60,29 +71,36 @@ func TestDefenseConfigMapping(t *testing.T) {
 	}
 }
 
-// TestDefenseConfigEquivalence is the tentpole's byte-identity claim at the
-// machine layer: for every pure-static kind, a machine configured through
-// the registry spelling runs cycle- and counter-identical to one configured
-// through the legacy flags.
+// TestDefenseConfigEquivalence is the byte-identity claim at the machine
+// layer: a mode-based kind configured through the registry runs cycle- and
+// counter-identical to the same machine configured through Mode, and the
+// kinds with no Mode spelling (dawg-lite, flush-on-switch) run
+// deterministically and actually change the run relative to none.
 func TestDefenseConfigEquivalence(t *testing.T) {
-	cases := []struct {
-		kind   string
-		legacy Config
-	}{
-		{defense.None, Config{Mode: cache.SecOff}},
-		{defense.TimeCache, Config{Mode: cache.SecTimeCache}},
-		{defense.FTM, Config{Mode: cache.SecFTM}},
-		{defense.DAWGLite, Config{Partitioned: true}},
-		{defense.FlushOnSwitch, Config{FlushOnSwitch: true}},
+	run := func(cfg Config) string {
+		cfg.PhysFrames = 8192
+		return runWorkloadPair(t, New(cfg))
 	}
-	for _, tc := range cases {
-		t.Run(tc.kind, func(t *testing.T) {
-			lcfg := tc.legacy
-			lcfg.PhysFrames = 8192
-			want := runWorkloadPair(t, New(lcfg))
-			got := runWorkloadPair(t, New(Config{Defense: tc.kind, PhysFrames: 8192}))
-			if got != want {
-				t.Errorf("registry spelling diverged from legacy flags:\n got %s\nwant %s", got, want)
+	none := run(Config{Defense: defense.None})
+	modes := map[string]cache.SecMode{
+		defense.None:      cache.SecOff,
+		defense.TimeCache: cache.SecTimeCache,
+		defense.FTM:       cache.SecFTM,
+	}
+	for _, kind := range []string{defense.None, defense.TimeCache, defense.FTM, defense.DAWGLite, defense.FlushOnSwitch} {
+		t.Run(kind, func(t *testing.T) {
+			got := run(Config{Defense: kind})
+			if mode, ok := modes[kind]; ok {
+				if want := run(Config{Mode: mode}); got != want {
+					t.Errorf("registry spelling diverged from Mode:\n got %s\nwant %s", got, want)
+				}
+				return
+			}
+			if again := run(Config{Defense: kind}); again != got {
+				t.Errorf("two fresh machines disagree:\n got %s\nwant %s", again, got)
+			}
+			if got == none {
+				t.Errorf("%s ran identically to none: the defense never engaged", kind)
 			}
 		})
 	}

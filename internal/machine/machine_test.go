@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"timecache/internal/cache"
+	"timecache/internal/defense"
 	"timecache/internal/kernel"
 	"timecache/internal/telemetry"
 	"timecache/internal/workload"
@@ -32,7 +33,6 @@ func TestHierarchyConfigMapping(t *testing.T) {
 		GateLevel:         true,
 		MaxSharers:        3,
 		ConstantTimeFlush: true,
-		Partitioned:       true,
 		RandomizedIndex:   0xABCD,
 		CoherenceCheck:    true,
 		NextLinePrefetch:  true,
@@ -50,7 +50,6 @@ func TestHierarchyConfigMapping(t *testing.T) {
 	want.Sec.GateLevel = true
 	want.Sec.MaxSharers = 3
 	want.ConstantTimeFlush = true
-	want.Partitioned = true
 	want.IndexRand = 0xABCD
 	want.CoherenceCheck = true
 	want.NextLinePrefetch = true
@@ -59,6 +58,14 @@ func TestHierarchyConfigMapping(t *testing.T) {
 	want.PolicySeed = 99
 	if got := full.HierarchyConfig(); got != want {
 		t.Fatalf("full Config mapping:\n got %+v\nwant %+v", got, want)
+	}
+
+	// Way partitioning is a defense kind, and the kind keeps every other
+	// field's mapping.
+	full.Mode, full.Defense = cache.SecOff, defense.DAWGLite
+	want.Mode, want.Partitioned = cache.SecOff, true
+	if got := full.HierarchyConfig(); got != want {
+		t.Fatalf("dawg-lite Config mapping:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -70,7 +77,7 @@ func TestKernelConfigMapping(t *testing.T) {
 	want := kernel.DefaultConfig()
 	want.SliceCycles = 12345
 	want.FlushOnSwitch = true
-	if got := (Config{SliceCycles: 12345, FlushOnSwitch: true}).KernelConfig(); got != want {
+	if got := (Config{SliceCycles: 12345, Defense: defense.FlushOnSwitch}).KernelConfig(); got != want {
 		t.Fatalf("kernel mapping:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -25,7 +25,8 @@ type Spec struct {
 	// "llc-sweep", "ablation", "bookkeeping", "security", "matrix").
 	Experiment string `json:"experiment"`
 	// Pairs selects SPEC workload pairs by Table II label ("2Xlbm",
-	// "leslie+gobmk"). Empty runs the experiment's default set.
+	// "leslie+gobmk") or as "2X<profile>" for any SPEC profile ("2Xzeusmp").
+	// Empty runs the experiment's default set.
 	Pairs []string `json:"pairs,omitempty"`
 	// Workloads selects PARSEC workloads by name. Empty runs all.
 	Workloads []string `json:"workloads,omitempty"`

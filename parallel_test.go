@@ -2,92 +2,47 @@ package timecache
 
 import (
 	"testing"
-
-	"timecache/internal/stats"
 )
 
-// quickOpts returns experiment options scaled down far enough for CI while
-// still crossing the warmup threshold on every process.
-func quickOpts(jobs int) ExperimentOptions {
-	return ExperimentOptions{InstrsPerProc: 20_000, WarmupInstrs: 20_000, Jobs: jobs}
+// assertJobDeterministic runs job sequentially and with 8 workers and
+// asserts both renderings reproduce writes — CSV and markdown — are
+// byte-identical: the pool may change when runs execute, never what they
+// compute.
+func assertJobDeterministic(t *testing.T, job Job) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("multi-run sweep")
+	}
+	render := func(workers int) (string, string) {
+		tab, err := RunJob(job, ExperimentOptions{InstrsPerProc: 20_000, WarmupInstrs: 20_000, Jobs: workers})
+		if err != nil {
+			t.Fatalf("jobs=%d: %v", workers, err)
+		}
+		return tab.CSV(), tab.Markdown()
+	}
+	seqCSV, seqMD := render(1)
+	parCSV, parMD := render(8)
+	if seqCSV != parCSV {
+		t.Fatalf("CSV output differs between -j1 and -j8:\n--- j1 ---\n%s\n--- j8 ---\n%s", seqCSV, parCSV)
+	}
+	if seqMD != parMD {
+		t.Fatalf("markdown output differs between -j1 and -j8:\n--- j1 ---\n%s\n--- j8 ---\n%s", seqMD, parMD)
+	}
 }
 
-// TestParallelLLCSensitivityDeterminism runs the Fig. 10 sweep sequentially
-// and with 8 workers and asserts the rendered CSV — the artifact
-// `reproduce` writes — is byte-identical: the pool may change when runs
-// execute, never what they compute.
+// TestParallelLLCSensitivityDeterminism covers the Fig. 10 LLC-size sweep.
 func TestParallelLLCSensitivityDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
-	sizes := []int{512 << 10, 1 << 20}
-	render := func(jobs int) string {
-		rows, err := ReproduceLLCSensitivity(sizes, quickOpts(jobs))
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		tab := stats.NewTable("llc", "geomean-normalized", "overhead-pct")
-		for _, r := range rows {
-			tab.Add(r.LLCSizeBytes, r.GeoMeanNorm, r.OverheadPct)
-		}
-		return tab.CSV()
-	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
-		t.Fatalf("CSV output differs between -j1 and -j8:\n--- j1 ---\n%s\n--- j8 ---\n%s", seq, par)
-	}
+	assertJobDeterministic(t, Job{Experiment: "llc-sweep", LLCSizes: []int{512 << 10, 1 << 20}})
 }
 
-// TestParallelAblationDeterminism exercises the trickiest rewiring: the
-// defense ablation normalizes every configuration against the baseline
-// run, which sequential code computed first. The parallel version must
-// produce the identical table (markdown here, covering the second output
-// format).
+// TestParallelAblationDeterminism covers the trickiest case: the defense
+// ablation normalizes every configuration against the baseline run, which
+// sequential code computed first.
 func TestParallelAblationDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
-	render := func(jobs int) string {
-		rows, err := ReproduceDefenseAblation("2Xgobmk", quickOpts(jobs))
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		tab := stats.NewTable("defense", "normalized-time")
-		for _, r := range rows {
-			tab.Add(r.Defense, r.Normalized)
-		}
-		return tab.Markdown()
-	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
-		t.Fatalf("markdown output differs between -j1 and -j8:\n--- j1 ---\n%s\n--- j8 ---\n%s", seq, par)
-	}
+	assertJobDeterministic(t, Job{Experiment: "ablation", Pairs: []string{"2Xgobmk"}})
 }
 
-// TestParallelBookkeepingDeterminism covers the slice-length sweep with a
-// row-by-row comparison (struct equality, stricter than the rendered
-// table).
+// TestParallelBookkeepingDeterminism covers the slice-length sweep.
 func TestParallelBookkeepingDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
-	slices := []uint64{50_000, 100_000}
-	seq, err := ReproduceBookkeepingScaling(slices, quickOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ReproduceBookkeepingScaling(slices, quickOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("row counts differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("row %d differs: %+v vs %+v", i, seq[i], par[i])
-		}
-	}
+	assertJobDeterministic(t, Job{Experiment: "bookkeeping", SliceCycles: []uint64{50_000, 100_000}})
 }

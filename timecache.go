@@ -16,8 +16,9 @@
 //     (*System).SpawnSpec, (*System).Run) for building custom experiments.
 //   - Attack scenarios (RunRSAAttack, RunMicrobenchmark, ...) matching the
 //     paper's security evaluation.
-//   - Experiment reproduction (ReproduceTableII, ReproduceParsec,
-//     ReproduceLLCSensitivity, ...) regenerating every table and figure.
+//   - Experiment jobs (RunJob over a Job such as {Experiment: "table2"})
+//     regenerating every table and figure as a Table, with PaperReference
+//     supplying the paper's numbers to compare against.
 package timecache
 
 import (
@@ -96,8 +97,6 @@ type Config struct {
 	// ConstantTimeFlush makes clflush constant-time (the §VII-C
 	// mitigation).
 	ConstantTimeFlush bool
-	// Partitioned enables the DAWG-lite way-partitioning baseline.
-	Partitioned bool
 	// RandomizedIndex enables CEASER-lite LLC index randomization with the
 	// given nonzero key.
 	RandomizedIndex uint64
@@ -132,7 +131,6 @@ func (c Config) machineConfig() machine.Config {
 		GateLevel:         c.GateLevel,
 		MaxSharers:        c.MaxSharers,
 		ConstantTimeFlush: c.ConstantTimeFlush,
-		Partitioned:       c.Partitioned,
 		RandomizedIndex:   c.RandomizedIndex,
 		CoherenceCheck:    c.CoherenceCheck,
 		SliceCycles:       c.SliceCycles,
@@ -376,3 +374,12 @@ func SpecWorkloads() []string { return workload.SpecNames() }
 
 // ParsecWorkloads lists the available PARSEC workload model names.
 func ParsecWorkloads() []string { return workload.ParsecNames() }
+
+// SpecPairLabels lists the Table II workload labels in paper order.
+func SpecPairLabels() []string {
+	var out []string
+	for _, p := range workload.SpecPairs() {
+		out = append(out, p.Label)
+	}
+	return out
+}

@@ -1,6 +1,7 @@
 package timecache
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -192,38 +193,32 @@ func TestPublicRSAAttack(t *testing.T) {
 	}
 }
 
+// TestExperimentSinglePair runs one Table II row through the public job
+// seam and finds the paper's numbers for it. Pair-label resolution (ad-hoc
+// "2X<profile>" pairs, unknown labels) is tested in internal/harness.
 func TestExperimentSinglePair(t *testing.T) {
-	opts := ExperimentOptions{InstrsPerProc: 40_000, WarmupInstrs: 80_000}
-	row, err := ReproduceSpecPair("2Xnamd", opts)
+	tab, err := RunJob(Job{Experiment: "table2", Pairs: []string{"2Xnamd"}},
+		ExperimentOptions{InstrsPerProc: 40_000, WarmupInstrs: 80_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Normalized <= 0 {
-		t.Fatal("normalized time missing")
+	if len(tab.Rows) != 1 || tab.Rows[0][0] != "2Xnamd" {
+		t.Fatalf("want one 2Xnamd row:\n%s", tab.CSV())
 	}
-	if row.PaperNormalized == 0 {
+	if norm, err := strconv.ParseFloat(tab.Rows[0][1], 64); err != nil || norm <= 0 {
+		t.Fatalf("normalized time missing: %q (%v)", tab.Rows[0][1], err)
+	}
+	if p, ok := PaperReference("2Xnamd"); !ok || p.Normalized == 0 {
 		t.Fatal("paper reference missing for 2Xnamd")
 	}
-	// Ad-hoc pair of a profile name not in the Table II list.
-	row2, err := ReproduceSpecPair("zeusmp", opts)
-	if err != nil {
-		t.Fatal(err)
+	if p, ok := PaperReference("facesim"); !ok || p.MPKIBase == 0 {
+		t.Fatal("paper reference missing for PARSEC facesim")
 	}
-	if row2.Workload != "2Xzeusmp" {
-		t.Fatalf("ad-hoc pair label %q", row2.Workload)
+	if _, ok := PaperReference("2Xzeusmp"); ok {
+		t.Fatal("the paper reports no 2Xzeusmp row")
 	}
-	if _, err := ReproduceSpecPair("nonsense", opts); err == nil {
+	if _, err := RunJob(Job{Experiment: "table2", Pairs: []string{"nonsense"}}, ExperimentOptions{}); err == nil {
 		t.Fatal("unknown workload must error")
-	}
-}
-
-func TestComputeSbitCosts(t *testing.T) {
-	c := ComputeSbitCosts(ExperimentOptions{})
-	if c.L1Transfers != 1 || c.LLCTransfers != 64 {
-		t.Fatalf("transfers: %+v", c)
-	}
-	if c.DMACyclesPerSwitch != 2160 {
-		t.Fatalf("DMA cycles %d, want 2160 (1.08us at 2GHz)", c.DMACyclesPerSwitch)
 	}
 }
 
