@@ -32,8 +32,6 @@ import (
 
 	"timecache"
 	"timecache/internal/harness"
-	"timecache/internal/machine"
-	"timecache/internal/runner"
 	"timecache/internal/stats"
 	"timecache/internal/telemetry"
 )
@@ -44,7 +42,7 @@ func main() {
 		workloads = flag.String("workloads", "2Xlbm", "comma-separated SPEC profile names, or 2X<name> for a pair")
 		instrs    = flag.Uint64("instrs", 300_000, "instructions per process")
 		llc       = flag.Int("llc", 2<<20, "LLC size in bytes")
-		llcSweep  = flag.String("llc-sweep", "", "comma-separated LLC sizes (e.g. 512K,1M,2M,4M): run baseline+timecache at each size and report normalized time")
+		llcSweep  = flag.String("llc-sweep", "", "comma-separated LLC sizes (e.g. 512K,1M,2M,4M): run the llc-sweep job over the -workloads pairs and report the geomean normalized time per size")
 		matrixRun = flag.Bool("matrix", false, "run the defense×attack evaluation matrix and print the leakage/overhead grid")
 		defenses  = flag.String("defenses", "", "comma-separated defense kinds for -matrix (default: every registered defense)")
 		attacks   = flag.String("attacks", "", "comma-separated attack names for -matrix (default: the full corpus)")
@@ -53,7 +51,7 @@ func main() {
 		compare   = flag.Bool("compare", false, "run baseline and timecache and report normalized time")
 		gate      = flag.Bool("gatelevel", false, "use the gate-level bit-serial comparator")
 		cohCheck  = flag.Bool("coherence-check", false, "cross-check the LLC sharer directory against brute-force L1 probes on every coherence event (debug; slow)")
-		jobs      = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent runs in the -llc-sweep path (-j1 = sequential)")
+		jobs      = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent legs for -llc-sweep and -matrix (-j1 = sequential)")
 		timeout   = flag.Duration("timeout", 0, "overall deadline (e.g. 30s); on expiry the run stops cleanly mid-simulation")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
@@ -110,14 +108,33 @@ func main() {
 		defer cancel()
 	}
 
+	// -matrix and -llc-sweep dispatch harness jobs — the same job kinds
+	// cmd/reproduce and the job service's POST /v1/jobs run.
+	jobOpts := harness.Options{InstrsPerProc: *instrs, GateLevel: *gate, CoherenceCheck: *cohCheck, Jobs: *jobs, Ctx: ctx}
 	if *matrixRun {
-		if err := runMatrix(ctx, *defenses, *attacks, *workloads, *attackBit, *instrs, *cohCheck, *jobs); err != nil {
+		j := harness.Job{
+			Experiment: harness.ExpMatrix,
+			Pairs:      splitList(*workloads),
+			Defenses:   splitList(*defenses),
+			Attacks:    splitList(*attacks),
+			AttackBits: *attackBit,
+		}
+		if err := runJob("Defense × attack matrix (leaked bits per attack; slowdown vs none):", j, jobOpts); err != nil {
 			fatalCtx(err, *timeout)
 		}
 		return
 	}
 	if *llcSweep != "" {
-		if err := runLLCSweep(ctx, *llcSweep, *workloads, *instrs, *cores, *gate, *cohCheck, *jobs); err != nil {
+		if *cores != 1 {
+			fatal(fmt.Errorf("-llc-sweep runs each pair on one core; -cores %d is not supported", *cores))
+		}
+		sizes, err := parseSizes(*llcSweep)
+		if err != nil {
+			fatal(err)
+		}
+		j := harness.Job{Experiment: harness.ExpLLCSweep, Pairs: splitList(*workloads), LLCSizes: sizes}
+		title := fmt.Sprintf("LLC sweep (%s, %d instrs/proc, warm-up excluded):", *workloads, *instrs)
+		if err := runJob(title, j, jobOpts); err != nil {
 			fatalCtx(err, *timeout)
 		}
 		return
@@ -132,7 +149,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cycles, st, col, err := runOnce(ctx, nil, mode, *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn)
+	cycles, st, col, err := runOnce(ctx, mode, *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn)
 	if err != nil {
 		fatalCtx(err, *timeout)
 	}
@@ -170,8 +187,8 @@ func expand(list string) []string {
 	return out
 }
 
-func runOnce(ctx context.Context, pool *machine.Pool, mode timecache.Mode, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry bool) (uint64, timecache.Stats, *telemetry.Collector, error) {
-	sys, err := timecache.NewFromPool(pool, timecache.Config{
+func runOnce(ctx context.Context, mode timecache.Mode, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry bool) (uint64, timecache.Stats, *telemetry.Collector, error) {
+	sys, err := timecache.New(timecache.Config{
 		Mode: mode, LLCSize: llc, Cores: cores, GateLevel: gate,
 		CoherenceCheck: cohCheck,
 	})
@@ -232,57 +249,20 @@ func parseSize(s string) (int, error) {
 	return n * mult, nil
 }
 
-func sizeLabel(n int) string {
-	switch {
-	case n >= 1<<20 && n%(1<<20) == 0:
-		return fmt.Sprintf("%dMB", n>>20)
-	case n >= 1<<10 && n%(1<<10) == 0:
-		return fmt.Sprintf("%dKB", n>>10)
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
-}
-
-// runLLCSweep runs baseline and timecache legs of the given workload mix at
-// each LLC size, fanning the independent runs out across -j workers. Each
-// worker keeps a machine.Pool so legs with the same shape reuse one Reset
-// machine; a reset machine is indistinguishable from a fresh one, so the
-// table is byte-identical at any -j.
-func runLLCSweep(ctx context.Context, sweep, workloads string, instrs uint64, cores int, gate, cohCheck bool, jobs int) error {
+// parseSizes parses a comma-separated list of sizes (see parseSize).
+func parseSizes(list string) ([]int, error) {
 	var sizes []int
-	for _, f := range strings.Split(sweep, ",") {
-		if strings.TrimSpace(f) == "" {
-			continue
-		}
+	for _, f := range splitList(list) {
 		n, err := parseSize(f)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sizes = append(sizes, n)
 	}
 	if len(sizes) == 0 {
-		return fmt.Errorf("llc-sweep: no sizes given")
+		return nil, fmt.Errorf("llc-sweep: no sizes given")
 	}
-	// One job per (size, mode) leg; leg order is fixed so results regroup
-	// deterministically.
-	modes := []timecache.Mode{timecache.Baseline, timecache.TimeCache}
-	cycles, err := runner.MapWorkersCtx(ctx, len(sizes)*len(modes), runner.Options{Workers: jobs}, machine.NewPool, func(pool *machine.Pool, i int) (uint64, error) {
-		size, mode := sizes[i/len(modes)], modes[i%len(modes)]
-		c, _, _, err := runOnce(ctx, pool, mode, workloads, instrs, size, cores, gate, cohCheck, telemetry.Config{}, false)
-		return c, err
-	})
-	if err != nil {
-		return err
-	}
-	tb := stats.NewTable("llc", "baseline-cycles", "timecache-cycles", "normalized", "overhead-pct")
-	for si, size := range sizes {
-		b, t := cycles[si*len(modes)], cycles[si*len(modes)+1]
-		norm := float64(t) / float64(b)
-		tb.Add(sizeLabel(size), b, t, norm, (norm-1)*100)
-	}
-	fmt.Printf("LLC sweep (%s, %d instrs/proc, cold start included):\n", workloads, instrs)
-	fmt.Print(tb.String())
-	return nil
+	return sizes, nil
 }
 
 // splitList splits a comma-separated flag value, dropping empties.
@@ -296,37 +276,23 @@ func splitList(s string) []string {
 	return out
 }
 
-// runMatrix dispatches the defense×attack matrix job — the same job kind
-// cmd/reproduce's -only matrix and the job service's POST /v1/jobs run —
-// and prints the leakage/overhead grid.
-func runMatrix(ctx context.Context, defenses, attacks, pairs string, attackBits int, instrs uint64, cohCheck bool, jobs int) error {
-	j := harness.Job{
-		Experiment: harness.ExpMatrix,
-		Pairs:      splitList(pairs),
-		Defenses:   splitList(defenses),
-		Attacks:    splitList(attacks),
-		AttackBits: attackBits,
-	}
-	tab, err := harness.RunJob(j, harness.Options{
-		InstrsPerProc:  instrs,
-		CoherenceCheck: cohCheck,
-		Jobs:           jobs,
-		Ctx:            ctx,
-	})
+// runJob runs a harness job and prints its table under title.
+func runJob(title string, j harness.Job, opts harness.Options) error {
+	tab, err := harness.RunJob(j, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Defense × attack matrix (leaked bits per attack; slowdown vs none):")
+	fmt.Println(title)
 	fmt.Print(tab.String())
 	return nil
 }
 
 func runCompare(ctx context.Context, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry, showHist bool) error {
-	bCycles, _, _, err := runOnce(ctx, nil, timecache.Baseline, workloads, instrs, llc, cores, gate, cohCheck, telemetry.Config{}, false)
+	bCycles, _, _, err := runOnce(ctx, timecache.Baseline, workloads, instrs, llc, cores, gate, cohCheck, telemetry.Config{}, false)
 	if err != nil {
 		return err
 	}
-	tCycles, st, col, err := runOnce(ctx, nil, timecache.TimeCache, workloads, instrs, llc, cores, gate, cohCheck, tcfg, withTelemetry)
+	tCycles, st, col, err := runOnce(ctx, timecache.TimeCache, workloads, instrs, llc, cores, gate, cohCheck, tcfg, withTelemetry)
 	if err != nil {
 		return err
 	}

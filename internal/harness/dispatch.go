@@ -1,21 +1,29 @@
 // Job dispatch: a declarative description of one experiment, attack, or
-// sweep run, decoupled from any CLI flag parsing, plus the renderers that
-// turn results into tables. RunJob (and RunJobLeg, its sharded form) is the
-// only way to run an experiment: cmd/reproduce, the HTTP job service
+// sweep run, decoupled from any CLI flag parsing, and the registry of
+// experiment kinds that runs it. RunJob (and RunJobLeg, its sharded form) is
+// the only way to run an experiment: cmd/reproduce, the HTTP job service
 // (internal/server), the golden tests, and the benchmark all funnel through
 // it, so a job submitted over the network is byte-identical to one run
 // in-process or written by the CLI.
+//
+// Every per-experiment decision lives in one entry of kinds: validation,
+// defaults (Canonical), the leg count, and how one leg runs and renders its
+// rows. The public entry points are lookups in that table, and RunJob is a
+// single fan-out over the legs followed by MergeLegTables — the same legs
+// the job service and the benchmark schedule one at a time.
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"timecache/internal/attack"
 	"timecache/internal/cache"
 	"timecache/internal/defense"
+	"timecache/internal/machine"
+	"timecache/internal/runner"
 	"timecache/internal/stats"
 	"timecache/internal/workload"
 )
@@ -30,13 +38,6 @@ const (
 	ExpSecurity    = "security"    // §VI-A microbenchmark + RSA attack
 	ExpMatrix      = "matrix"      // defense×attack leakage/overhead grid
 )
-
-// Experiments lists the dispatchable experiment names, sorted.
-func Experiments() []string {
-	out := []string{ExpTableII, ExpParsec, ExpLLCSweep, ExpAblation, ExpBookkeeping, ExpSecurity, ExpMatrix}
-	sort.Strings(out)
-	return out
-}
 
 // Job describes one dispatchable run. Zero-valued selection fields fall back
 // to each experiment's full default set, so {Experiment: "table2"} runs the
@@ -75,58 +76,189 @@ type Job struct {
 	AttackBits int
 }
 
+// kind is one experiment's registry entry.
+type kind struct {
+	// validate checks the experiment-specific fields (nil: nothing to
+	// check beyond the experiment name).
+	validate func(Job) error
+	// canonical resolves the defaults and drops the ignored fields (see
+	// Canonical).
+	canonical func(Job) Job
+	// legs is the leg count of a canonical job.
+	legs func(Job) int
+	// runLeg runs one leg of a canonical job — its machine runs one after
+	// another on pool, in a fixed order — and renders that leg's rows under
+	// the experiment's full header.
+	runLeg func(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error)
+}
+
+// kinds is the experiment registry, keyed by Exp* name.
+var kinds = map[string]kind{
+	ExpTableII: {
+		validate:  validatePairs,
+		canonical: func(j Job) Job { return Job{Experiment: ExpTableII, Pairs: orDefault(j.Pairs, specPairLabels)} },
+		legs:      func(j Job) int { return len(j.Pairs) },
+		runLeg: func(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error) {
+			pair, err := pairAt(j.Pairs, leg)
+			if err != nil {
+				return nil, err
+			}
+			return pairTable(runSpecPair(pool, pair, opts))
+		},
+	},
+	ExpParsec: {
+		validate: func(j Job) error {
+			for _, name := range j.Workloads {
+				if _, err := workload.Parsec(name); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		canonical: func(j Job) Job {
+			return Job{Experiment: ExpParsec, Workloads: orDefault(j.Workloads, workload.ParsecNames)}
+		},
+		legs: func(j Job) int { return len(j.Workloads) },
+		runLeg: func(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error) {
+			return pairTable(runParsec(pool, j.Workloads[leg], opts))
+		},
+	},
+	ExpLLCSweep: {
+		validate: validatePairs,
+		canonical: func(j Job) Job {
+			return Job{
+				Experiment: ExpLLCSweep,
+				// Fig. 10 default: the same-benchmark pairs only.
+				Pairs:    orDefault(j.Pairs, func() []string { return pairLabels(samePairs(workload.SpecPairs())) }),
+				LLCSizes: orDefault(j.LLCSizes, defaultLLCSizes),
+			}
+		},
+		legs:   func(j Job) int { return len(j.LLCSizes) },
+		runLeg: llcSweepLeg,
+	},
+	ExpAblation: {
+		validate: func(j Job) error {
+			if err := validatePairs(j); err != nil {
+				return err
+			}
+			if len(j.Pairs) > 1 {
+				// Report the requested count, not the resolved one: with
+				// empty labels selectPairs resolves to the full default
+				// set, which would misstate what the client asked for.
+				return fmt.Errorf("harness: ablation takes exactly one pair, got %d", len(j.Pairs))
+			}
+			return nil
+		},
+		canonical: func(j Job) Job { return Job{Experiment: ExpAblation, Pairs: orDefault(j.Pairs, defaultPerfPairs)} },
+		legs:      func(Job) int { return len(ablationConfigs()) },
+		runLeg:    ablationLeg,
+	},
+	ExpBookkeeping: {
+		canonical: func(j Job) Job {
+			return Job{Experiment: ExpBookkeeping, SliceCycles: orDefault(j.SliceCycles, defaultSliceLadder)}
+		},
+		legs:   func(j Job) int { return len(j.SliceCycles) },
+		runLeg: bookkeepingLeg,
+	},
+	ExpSecurity: {
+		canonical: func(j Job) Job {
+			return Job{Experiment: ExpSecurity, KeyBits: cmp.Or(j.KeyBits, defaultKeyBits), Seed: cmp.Or(j.Seed, defaultSeed)}
+		},
+		legs:   func(Job) int { return 1 },
+		runLeg: securityLeg,
+	},
+	ExpMatrix: {
+		validate: func(j Job) error {
+			if err := validatePairs(j); err != nil {
+				return err
+			}
+			for _, d := range j.Defenses {
+				if !defense.Valid(d) {
+					return fmt.Errorf("harness: unknown defense %q (want one of %v)", d, defense.Kinds())
+				}
+			}
+			for _, a := range j.Attacks {
+				if matrixAttackByName(a) == nil {
+					return fmt.Errorf("harness: unknown attack %q (want one of %v)", a, MatrixAttacks())
+				}
+			}
+			if j.AttackBits < 0 {
+				return fmt.Errorf("harness: matrix attack bits must be non-negative, got %d", j.AttackBits)
+			}
+			return nil
+		},
+		canonical: func(j Job) Job {
+			return Job{
+				Experiment: ExpMatrix,
+				Pairs:      orDefault(j.Pairs, defaultPerfPairs),
+				Defenses:   orDefault(j.Defenses, defense.Kinds),
+				Attacks:    orDefault(j.Attacks, MatrixAttacks),
+				AttackBits: cmp.Or(j.AttackBits, defaultAttackBits),
+				Seed:       cmp.Or(j.Seed, defaultSeed),
+			}
+		},
+		legs:   func(j Job) int { return len(j.Defenses) },
+		runLeg: matrixLeg,
+	},
+}
+
+// Experiments lists the dispatchable experiment names, sorted.
+func Experiments() []string {
+	out := make([]string, 0, len(kinds))
+	for name := range kinds {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // Validate checks the job before it is queued: the experiment must exist and
 // every named pair/workload must resolve. It is intentionally strict so the
 // job service can reject bad specs with a 400 instead of failing at run time.
 func (j Job) Validate() error {
-	switch j.Experiment {
-	case ExpTableII, ExpLLCSweep:
-		_, err := selectPairs(j.Pairs)
-		return err
-	case ExpAblation:
-		if _, err := selectPairs(j.Pairs); err != nil {
-			return err
-		}
-		if len(j.Pairs) > 1 {
-			// Report the requested count, not the resolved one: with empty
-			// labels selectPairs resolves to the full default set, and the
-			// resolved count would misstate what the client actually asked
-			// for.
-			return fmt.Errorf("harness: ablation takes exactly one pair, got %d", len(j.Pairs))
-		}
-		return nil
-	case ExpParsec:
-		for _, name := range j.Workloads {
-			if _, err := workload.Parsec(name); err != nil {
-				return err
-			}
-		}
-		return nil
-	case ExpBookkeeping, ExpSecurity:
-		return nil
-	case ExpMatrix:
-		if _, err := selectPairs(j.Pairs); err != nil {
-			return err
-		}
-		for _, d := range j.Defenses {
-			if !defense.Valid(d) {
-				return fmt.Errorf("harness: unknown defense %q (want one of %v)", d, defense.Kinds())
-			}
-		}
-		for _, a := range j.Attacks {
-			if matrixAttackByName(a) == nil {
-				return fmt.Errorf("harness: unknown attack %q (want one of %v)", a, MatrixAttacks())
-			}
-		}
-		if j.AttackBits < 0 {
-			return fmt.Errorf("harness: matrix attack bits must be non-negative, got %d", j.AttackBits)
-		}
-		return nil
-	case "":
+	k, ok := kinds[j.Experiment]
+	switch {
+	case j.Experiment == "":
 		return fmt.Errorf("harness: job has no experiment (want one of %v)", Experiments())
-	default:
+	case !ok:
 		return fmt.Errorf("harness: unknown experiment %q (want one of %v)", j.Experiment, Experiments())
+	case k.validate == nil:
+		return nil
 	}
+	return k.validate(j)
+}
+
+// resolve validates the job and returns its kind and canonical form.
+func resolve(j Job) (kind, Job, error) {
+	if err := j.Validate(); err != nil {
+		return kind{}, Job{}, err
+	}
+	k := kinds[j.Experiment]
+	return k, k.canonical(j), nil
+}
+
+// RunJob validates and runs a job, returning its rendered result table. The
+// legs fan out across opts.Jobs workers, each with its own machine pool
+// (or the shared opts.Pool), and merge positionally; opts.Progress is
+// reported once per completed leg and opts.Ctx bounds every run.
+//
+// The job is canonicalized first (Canonical is the single source of truth
+// for every defaulted selection), so the result depends only on the
+// canonical form — which is exactly what Fingerprint hashes and what the
+// result cache in front of the job service keys on.
+func RunJob(j Job, opts Options) (*stats.Table, error) {
+	k, j, err := resolve(j)
+	if err != nil {
+		return nil, err
+	}
+	opts = opts.withDefaults()
+	parts, err := runner.MapWorkersCtx(opts.ctx(), k.legs(j),
+		runner.Options{Workers: opts.Jobs, Progress: opts.Progress}, opts.newPool,
+		func(pool *machine.Pool, leg int) (*stats.Table, error) { return k.runLeg(j, leg, pool, opts) })
+	if err != nil {
+		return nil, err
+	}
+	return MergeLegTables(j, parts)
 }
 
 // selectPairs resolves pair labels, preserving request order: a Table II
@@ -160,41 +292,19 @@ lookup:
 	return out, nil
 }
 
-// RunJob validates and runs a job, returning its rendered result table. The
-// run obeys opts.Ctx (cancellation, deadlines), draws machines from
-// opts.Pool when set, and reports opts.Progress after each completed leg.
-//
-// The job is canonicalized first (Canonical is the single source of truth
-// for every defaulted selection), so the result depends only on the
-// canonical form — which is exactly what Fingerprint hashes and what the
-// result cache in front of the job service keys on.
-func RunJob(j Job, opts Options) (*stats.Table, error) {
-	if err := j.Validate(); err != nil {
-		return nil, err
+// validatePairs checks that every pair label resolves.
+func validatePairs(j Job) error {
+	_, err := selectPairs(j.Pairs)
+	return err
+}
+
+// pairAt resolves the i-th pair label.
+func pairAt(labels []string, i int) (workload.Pair, error) {
+	pairs, err := selectPairs(labels[i : i+1])
+	if err != nil {
+		return workload.Pair{}, err
 	}
-	j = j.Canonical()
-	switch j.Experiment {
-	case ExpTableII:
-		pairs, _ := selectPairs(j.Pairs)
-		return pairTable(runSpecPairs(pairs, opts))
-	case ExpParsec:
-		return pairTable(runParsecSet(j.Workloads, opts))
-	case ExpLLCSweep:
-		pairs, _ := selectPairs(j.Pairs)
-		return llcSweepTable(j.LLCSizes, pairs, opts)
-	case ExpAblation:
-		pairs, _ := selectPairs(j.Pairs)
-		return ablationTable(pairs[0], opts)
-	case ExpBookkeeping:
-		return bookkeepingTable(j.SliceCycles, opts)
-	case ExpSecurity:
-		return securityTable(j.KeyBits, j.Seed, opts)
-	case ExpMatrix:
-		pairs, _ := selectPairs(j.Pairs)
-		return matrixTable(j.Defenses, j.Attacks, pairs, j.AttackBits, j.Seed, opts)
-	}
-	// Unreachable: Validate rejected everything else.
-	return nil, fmt.Errorf("harness: unknown experiment %q", j.Experiment)
+	return pairs[0], nil
 }
 
 func samePairs(pairs []workload.Pair) []workload.Pair {
@@ -207,88 +317,91 @@ func samePairs(pairs []workload.Pair) []workload.Pair {
 	return out
 }
 
-// pairTable renders paired-run rows — the SPEC pairs of table2 and the
-// PARSEC workloads alike — in the golden Table II slice format
-// (results/golden/table2_slice.csv): one row per workload with normalized
-// time, LLC MPKI under both modes, and per-level first-access MPKI. It takes
-// the runner's error so call sites can chain it directly.
-func pairTable(rows []pairResult, err error) (*stats.Table, error) {
+// pairTable renders one paired-run row — a SPEC pair of table2 or a PARSEC
+// workload alike — in the golden Table II slice format
+// (results/golden/table2_slice.csv): normalized time, LLC MPKI under both
+// modes, and per-level first-access MPKI. It takes the runner's error so
+// call sites can chain it directly.
+func pairTable(r pairResult, err error) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("workload", "normalized", "mpki-base", "mpki-tc", "fa-l1i", "fa-l1d", "fa-llc")
-	for _, r := range rows {
-		tab.Add(r.Label, r.Normalized, r.MPKIBase, r.MPKITC,
-			r.FirstAccess.L1I, r.FirstAccess.L1D, r.FirstAccess.LLC)
-	}
+	tab.Add(r.Label, r.Normalized, r.MPKIBase, r.MPKITC,
+		r.FirstAccess.L1I, r.FirstAccess.L1D, r.FirstAccess.LLC)
 	return tab, nil
 }
 
-// llcSweepTable runs the Fig. 10 sweep over the given sizes and pairs and
-// renders it in the golden sweep format (results/golden/llc_sweep.csv).
-func llcSweepTable(sizes []int, pairs []workload.Pair, opts Options) (*stats.Table, error) {
-	pts, err := runLLCSensitivity(sizes, pairs, opts)
+// llcSweepLeg renders one Fig. 10 point (results/golden/llc_sweep.csv):
+// every pair at one LLC size, reduced to the geometric-mean normalized time.
+func llcSweepLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error) {
+	pairs, err := selectPairs(j.Pairs)
 	if err != nil {
 		return nil, err
 	}
+	opts.LLCSize = j.LLCSizes[leg]
+	norms := make([]float64, len(pairs))
+	for i, p := range pairs {
+		r, err := runSpecPair(pool, p, opts)
+		if err != nil {
+			return nil, err
+		}
+		norms[i] = r.Normalized
+	}
+	gm := stats.GeoMean(norms)
 	tab := stats.NewTable("llc", "geomean-normalized", "overhead-pct")
-	for _, p := range pts {
-		tab.Add(fmt.Sprintf("%dKB", p.LLCSize>>10), p.GeoMeanNorm, p.OverheadPct)
-	}
+	tab.Add(fmt.Sprintf("%dKB", opts.LLCSize>>10), gm, stats.OverheadPct(gm))
 	return tab, nil
 }
 
-// ablationTable runs the defense ablation on one pair: one normalized-time
-// row per registry kind.
-func ablationTable(pair workload.Pair, opts Options) (*stats.Table, error) {
-	rows, err := runDefenseAblation(pair, opts)
+// ablationLeg renders one row of the defense ablation: the pair under one
+// registry kind, normalized against the baseline. Every leg runs the
+// baseline first (leg 0 is the baseline itself), so a leg needs nothing
+// from its siblings.
+func ablationLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error) {
+	pair, err := pairAt(j.Pairs, 0)
 	if err != nil {
 		return nil, err
+	}
+	configs := ablationConfigs()
+	baseline, err := runDefense(pool, pair, configs[0].kind, configs[0].name, opts)
+	if err != nil {
+		return nil, err
+	}
+	cycles, cfg := baseline, configs[leg]
+	if leg != 0 {
+		if cycles, err = runDefense(pool, pair, cfg.kind, cfg.name, opts); err != nil {
+			return nil, err
+		}
 	}
 	tab := stats.NewTable("defense", "normalized-time")
-	for _, r := range rows {
-		tab.Add(r.Defense, r.Normalized)
-	}
+	tab.Add(cfg.name, stats.Normalized(cycles, baseline))
 	return tab, nil
 }
 
-// bookkeepingTable runs the §VI-D slice-length scaling on 2Xnamd: the
-// s-bit bookkeeping share and total overhead per slice length.
-func bookkeepingTable(slices []uint64, opts Options) (*stats.Table, error) {
-	pts, err := runBookkeepingScaling(workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, slices, opts)
+// bookkeepingPair is the §VI-D scaling workload.
+var bookkeepingPair = workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
+
+// bookkeepingLeg renders one §VI-D point: the fixed per-switch DMA cost
+// (1.08 µs = 2160 cycles at 2 GHz) as a share of execution time at one
+// slice length, which shrinks toward the paper's ~0.02% as the slice grows
+// toward realistic 1–10 ms scheduler quanta.
+func bookkeepingLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error) {
+	opts.SliceCycles = j.SliceCycles[leg]
+	r, err := runSpecPair(pool, bookkeepingPair, opts)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("slice-cycles", "bookkeeping-pct", "total-overhead-pct")
-	for _, p := range pts {
-		tab.Add(fmt.Sprintf("%d", p.SliceCycles), p.BookkeepingPct, p.OverheadPct)
-	}
+	tab.Add(fmt.Sprintf("%d", opts.SliceCycles), r.BookkeepingPct, stats.OverheadPct(r.Normalized))
 	return tab, nil
 }
 
-// securityTable runs the §VI-A security evaluation (microbenchmark and RSA
-// flush+reload under baseline and TimeCache). The four runs are short and
-// sequential; Progress is reported after each.
-func securityTable(keyBits int, seed uint64, opts Options) (*stats.Table, error) {
-	opts = opts.withDefaults()
+// securityLeg runs the §VI-A security evaluation (microbenchmark and RSA
+// flush+reload under baseline and TimeCache): four short sequential runs.
+func securityLeg(j Job, _ int, _ *machine.Pool, opts Options) (*stats.Table, error) {
 	tab := stats.NewTable("experiment", "mode", "result")
 	modes := []cache.SecMode{cache.SecOff, cache.SecTimeCache}
-	total := 2 * len(modes)
-	done := 0
-	step := func() {
-		done++
-		if opts.Progress != nil {
-			opts.Progress(done, total)
-		}
-	}
-	// The attack scenarios own their machines internally, so these legs are
-	// accounted by count and span only (no kernel counters to read).
-	leg := func(name string, start time.Time) {
-		opts.Account.AddLeg()
-		if opts.Spans != nil {
-			opts.Spans.Span(name, "leg", start, opts.wallNow(), nil)
-		}
-	}
 	for _, mode := range modes {
 		if err := opts.ctx().Err(); err != nil {
 			return nil, err
@@ -298,25 +411,23 @@ func securityTable(keyBits int, seed uint64, opts Options) (*stats.Table, error)
 		if err != nil {
 			return nil, err
 		}
-		leg("microbenchmark/"+mode.String(), start)
+		opts.finishLeg("microbenchmark/"+mode.String(), start, nil)
 		tab.Add("microbenchmark (§VI-A1)", mode.String(),
 			fmt.Sprintf("%d/%d lines hit", mb.Hits, mb.Lines))
-		step()
 	}
 	for _, mode := range modes {
 		if err := opts.ctx().Err(); err != nil {
 			return nil, err
 		}
 		start := opts.legStart()
-		rsa, err := attack.RunRSA(mode, keyBits, seed)
+		rsa, err := attack.RunRSA(mode, j.KeyBits, j.Seed)
 		if err != nil {
 			return nil, err
 		}
-		leg("rsa/"+mode.String(), start)
+		opts.finishLeg("rsa/"+mode.String(), start, nil)
 		tab.Add("RSA flush+reload (§VI-A2)", mode.String(),
 			fmt.Sprintf("%.0f%% of key bits, %d hits, victim correct=%v",
 				rsa.Accuracy*100, rsa.Hits, rsa.VictimCorrect))
-		step()
 	}
 	return tab, nil
 }

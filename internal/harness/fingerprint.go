@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"timecache/internal/defense"
 	"timecache/internal/workload"
 )
 
@@ -53,11 +52,24 @@ const (
 	defaultSeed    = 12345
 )
 
-// defaultAblationPair is the ablation pair when none is named.
+// defaultAblationPair is the ablation and matrix pair when none is named.
 const defaultAblationPair = "2Xgobmk"
+
+func defaultPerfPairs() []string { return []string{defaultAblationPair} }
 
 // defaultAttackBits is the matrix experiment's default secret length.
 const defaultAttackBits = 32
+
+// specPairLabels is every Table II pair label, the table2 default.
+func specPairLabels() []string { return pairLabels(workload.SpecPairs()) }
+
+// orDefault copies xs, or returns def() when xs is empty.
+func orDefault[T any](xs []T, def func() []T) []T {
+	if len(xs) == 0 {
+		return def()
+	}
+	return append([]T(nil), xs...)
+}
 
 // pairLabels projects a pair list back to its labels.
 func pairLabels(pairs []workload.Pair) []string {
@@ -74,67 +86,10 @@ func pairLabels(pairs []workload.Pair) []string {
 // RunJob(j.Canonical()) produce byte-identical results (RunJob canonicalizes
 // internally). The result is only meaningful for jobs that pass Validate.
 func (j Job) Canonical() Job {
-	c := Job{Experiment: j.Experiment}
-	switch j.Experiment {
-	case ExpTableII:
-		pairs, _ := selectPairs(j.Pairs)
-		c.Pairs = pairLabels(pairs)
-	case ExpLLCSweep:
-		pairs, _ := selectPairs(j.Pairs)
-		if len(j.Pairs) == 0 {
-			// Fig. 10 default: the same-benchmark pairs only.
-			pairs = samePairs(pairs)
-		}
-		c.Pairs = pairLabels(pairs)
-		c.LLCSizes = append([]int(nil), j.LLCSizes...)
-		if len(c.LLCSizes) == 0 {
-			c.LLCSizes = defaultLLCSizes()
-		}
-	case ExpAblation:
-		c.Pairs = append([]string(nil), j.Pairs...)
-		if len(c.Pairs) == 0 {
-			c.Pairs = []string{defaultAblationPair}
-		}
-	case ExpParsec:
-		c.Workloads = append([]string(nil), j.Workloads...)
-		if len(c.Workloads) == 0 {
-			c.Workloads = workload.ParsecNames()
-		}
-	case ExpBookkeeping:
-		c.SliceCycles = append([]uint64(nil), j.SliceCycles...)
-		if len(c.SliceCycles) == 0 {
-			c.SliceCycles = defaultSliceLadder()
-		}
-	case ExpSecurity:
-		c.KeyBits, c.Seed = j.KeyBits, j.Seed
-		if c.KeyBits == 0 {
-			c.KeyBits = defaultKeyBits
-		}
-		if c.Seed == 0 {
-			c.Seed = defaultSeed
-		}
-	case ExpMatrix:
-		c.Pairs = append([]string(nil), j.Pairs...)
-		if len(c.Pairs) == 0 {
-			c.Pairs = []string{defaultAblationPair}
-		}
-		c.Defenses = append([]string(nil), j.Defenses...)
-		if len(c.Defenses) == 0 {
-			c.Defenses = defense.Kinds()
-		}
-		c.Attacks = append([]string(nil), j.Attacks...)
-		if len(c.Attacks) == 0 {
-			c.Attacks = MatrixAttacks()
-		}
-		c.AttackBits, c.Seed = j.AttackBits, j.Seed
-		if c.AttackBits == 0 {
-			c.AttackBits = defaultAttackBits
-		}
-		if c.Seed == 0 {
-			c.Seed = defaultSeed
-		}
+	if k, ok := kinds[j.Experiment]; ok {
+		return k.canonical(j)
 	}
-	return c
+	return Job{Experiment: j.Experiment}
 }
 
 // Fingerprint returns the job's content address: a hex SHA-256 over a

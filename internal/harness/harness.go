@@ -14,7 +14,6 @@ import (
 	"timecache/internal/defense"
 	"timecache/internal/kernel"
 	"timecache/internal/machine"
-	"timecache/internal/runner"
 	"timecache/internal/stats"
 	"timecache/internal/telemetry"
 	"timecache/internal/workload"
@@ -45,13 +44,15 @@ type Options struct {
 	// configured output paths are suffixed with the workload label and mode
 	// so one config fans out over a whole sweep.
 	Telemetry *telemetry.Config
-	// Jobs is the number of simulation runs a job executes concurrently.
-	// Each run builds its own machine, so results are bit-identical to
-	// sequential execution; see internal/runner. Zero or negative selects
-	// runtime.GOMAXPROCS(0); 1 is strictly sequential.
+	// Jobs is the number of legs RunJob executes concurrently (see
+	// JobLegs: a job's parallelism is bounded by its leg count, e.g. the
+	// number of sizes of an llc-sweep). Each worker draws machines from its
+	// own pool, so results are bit-identical to sequential execution; see
+	// internal/runner. Zero or negative selects runtime.GOMAXPROCS(0); 1 is
+	// strictly sequential. RunJobLeg runs one leg and ignores it.
 	Jobs int
-	// Progress, when non-nil, is called after each completed run of a sweep
-	// with (done, total). Calls are serialized.
+	// Progress, when non-nil, is called by RunJob after each completed leg
+	// with (done, total). Calls are serialized. RunJobLeg ignores it.
 	Progress func(done, total int)
 	// Ctx, when non-nil, bounds every run: cancellation stops the simulated
 	// machine within a few thousand instructions and surfaces as Ctx.Err()
@@ -111,11 +112,6 @@ const (
 	SnapshotOff
 )
 
-// pool builds the runner options for this configuration.
-func (o Options) pool() runner.Options {
-	return runner.Options{Workers: o.Jobs, Progress: o.Progress}
-}
-
 // ctx returns the configured context, never nil.
 func (o Options) ctx() context.Context {
 	if o.Ctx != nil {
@@ -174,18 +170,23 @@ func (o Options) legStart() time.Time {
 // finishLeg accounts one completed machine run and records its span. Both
 // hooks are leg-granularity: nothing here runs on the per-access or
 // per-instruction hot paths, so an attached account or sink costs one
-// counter snapshot per leg and a disabled one costs two nil checks.
+// counter snapshot per leg and a disabled one costs two nil checks. A nil
+// kernel marks an attack scenario that owns its machines internally: it is
+// accounted by count and span only.
 func (o Options) finishLeg(name string, start time.Time, k *kernel.Kernel) {
 	if o.Account == nil && o.Spans == nil {
 		return
 	}
-	m := snapCounters(k)
-	o.Account.add(m)
+	var args map[string]any
+	if k == nil {
+		o.Account.AddLeg()
+	} else {
+		m := snapCounters(k)
+		o.Account.add(m)
+		args = map[string]any{"sim_cycles": m.cycles, "instructions": m.instrs}
+	}
 	if o.Spans != nil {
-		o.Spans.Span(name, "leg", start, o.wallNow(), map[string]any{
-			"sim_cycles":   m.cycles,
-			"instructions": m.instrs,
-		})
+		o.Spans.Span(name, "leg", start, o.wallNow(), args)
 	}
 }
 
@@ -325,27 +326,27 @@ type snapKey struct {
 	total  uint64
 }
 
-// leg describes one machine run: how to build its machine, how to populate
-// it, and how to label its outputs. runLeg executes it cold, from a
-// snapshot fork, or cold-with-capture depending on Options.Snapshot.
-type leg struct {
+// machineRun describes one machine run: how to build its machine, how to
+// populate it, and how to label its outputs. runMachine executes it cold,
+// from a snapshot fork, or cold-with-capture depending on Options.Snapshot.
+type machineRun struct {
 	label string         // span name and error-message subject, e.g. "2Xlbm/timecache"
 	mcfg  machine.Config // machine shape (includes mode and overrides)
 	key   snapKey        // warmup-prefix identity on the snapshot shelf
 	// attach, when non-nil, attaches telemetry to the kernel (cold path
 	// only; telemetry disables snapshotting).
 	attach func(*kernel.Kernel) *telemetry.Collector
-	// spawn installs the leg's processes with their warmup set and OnWarm
+	// spawn installs the run's processes with their warmup set and OnWarm
 	// wired to onWarm, returning how many processes must warm before the
 	// measurement window starts.
 	spawn func(k *kernel.Kernel, onWarm func()) (int, error)
 }
 
-// runLeg runs one leg and returns its steady-state measurement, routing
-// through the snapshot shelf per opts.Snapshot. Telemetry runs always take
+// runMachine executes one run and returns its steady-state measurement,
+// routing through the snapshot shelf per opts.Snapshot. Telemetry runs always take
 // the cold path: a collector observes the whole run, warmup included, so a
 // forked run would change its outputs.
-func runLeg(pool *machine.Pool, opts Options, l leg) (measurement, error) {
+func runMachine(pool *machine.Pool, opts Options, l machineRun) (measurement, error) {
 	mode := opts.Snapshot
 	if opts.SnapshotCheck && mode != SnapshotOff {
 		mode = SnapshotOn
@@ -354,17 +355,17 @@ func runLeg(pool *machine.Pool, opts Options, l leg) (measurement, error) {
 		mode = SnapshotOff
 	}
 	if mode == SnapshotOff {
-		return runLegCold(pool, opts, l)
+		return runCold(pool, opts, l)
 	}
 	if s := pool.Snapshot(l.key); s != nil {
-		return runLegFork(pool, opts, l, s)
+		return runFork(pool, opts, l, s)
 	}
-	return runLegCapture(pool, opts, l, mode)
+	return runCapture(pool, opts, l, mode)
 }
 
-// runLegCold is the pre-snapshot behavior: pooled machine, full run, warm
+// runCold is the pre-snapshot behavior: pooled machine, full run, warm
 // subtraction.
-func runLegCold(pool *machine.Pool, opts Options, l leg) (measurement, error) {
+func runCold(pool *machine.Pool, opts Options, l machineRun) (measurement, error) {
 	legStart := opts.legStart()
 	m := pool.Get(l.mcfg)
 	defer pool.Put(m)
@@ -403,12 +404,12 @@ func runLegCold(pool *machine.Pool, opts Options, l leg) (measurement, error) {
 	return snapCounters(k).sub(warm), nil
 }
 
-// runLegCapture is the shelf-miss path: run from cold, pause at the warm
+// runCapture is the shelf-miss path: run from cold, pause at the warm
 // point (Interrupt stops Run between scheduler steps within a poll stride),
 // shelve a snapshot for later same-key legs, then either resume in place
 // (SnapshotAuto — the pause and capture are invisible to the simulation) or
 // measure on a fork of the snapshot just taken (SnapshotOn).
-func runLegCapture(pool *machine.Pool, opts Options, l leg, mode SnapshotMode) (measurement, error) {
+func runCapture(pool *machine.Pool, opts Options, l machineRun, mode SnapshotMode) (measurement, error) {
 	legStart := opts.legStart()
 	m := pool.Get(l.mcfg)
 	defer pool.Put(m)
@@ -447,7 +448,7 @@ func runLegCapture(pool *machine.Pool, opts Options, l leg, mode SnapshotMode) (
 		// Put; forking resets nothing it does not overwrite) and the
 		// measurement happens on a fork, exercising the exact path a
 		// shelf hit takes.
-		return runLegFork(pool, opts, l, snap)
+		return runFork(pool, opts, l, snap)
 	}
 	k.RunCtx(opts.ctx(), 1<<62)
 	if err := opts.ctx().Err(); err != nil {
@@ -463,10 +464,10 @@ func runLegCapture(pool *machine.Pool, opts Options, l leg, mode SnapshotMode) (
 	return snapCounters(k).sub(warm), nil
 }
 
-// runLegFork is the shelf-hit path: fork the snapshot into a pooled machine
+// runFork is the shelf-hit path: fork the snapshot into a pooled machine
 // and run only the measured remainder. Under SnapshotCheck the same leg is
 // re-run cold and the two measurements must agree exactly.
-func runLegFork(pool *machine.Pool, opts Options, l leg, s *machine.Snapshot) (measurement, error) {
+func runFork(pool *machine.Pool, opts Options, l machineRun, s *machine.Snapshot) (measurement, error) {
 	warm, ok := s.Tag.(measurement)
 	if !ok {
 		return measurement{}, fmt.Errorf("harness: snapshot for %s carries no warm measurement", l.label)
@@ -491,7 +492,7 @@ func runLegFork(pool *machine.Pool, opts Options, l leg, s *machine.Snapshot) (m
 		cold.Telemetry = nil
 		cold.Spans = nil
 		cold.Account = nil
-		ref, err := runLegCold(pool, cold, l)
+		ref, err := runCold(pool, cold, l)
 		if err != nil {
 			return measurement{}, fmt.Errorf("harness: snapshot-check cold rerun of %s: %w", l.label, err)
 		}
@@ -502,22 +503,25 @@ func runLegFork(pool *machine.Pool, opts Options, l leg, s *machine.Snapshot) (m
 	return got, nil
 }
 
-// specLeg builds the leg for one Fig. 7 workload (two processes, one core)
-// under the given mode. labelSuffix names the leg's span/error label
-// ("<pair>/<suffix>"); it is the mode name for the paired runs and the
-// defense name for ablation legs.
-func specLeg(pair workload.Pair, mcfg machine.Config, labelSuffix string, opts Options,
-	attach func(*kernel.Kernel) *telemetry.Collector) (leg, error) {
+// runSpec runs one Fig. 7 workload (two processes, one core) on a machine
+// from pool (nil builds fresh) configured for mode and the defense registry
+// kind, and returns its steady-state measurement. labelSuffix names the
+// run's span/error label ("<pair>/<suffix>"): the mode name for the paired
+// runs, the row name for ablation and matrix runs.
+func runSpec(pool *machine.Pool, pair workload.Pair, mode cache.SecMode, kind, labelSuffix string, opts Options,
+	attach func(*kernel.Kernel) *telemetry.Collector) (measurement, error) {
 	pa, err := workload.Spec(pair.A)
 	if err != nil {
-		return leg{}, err
+		return measurement{}, err
 	}
 	pb, err := workload.Spec(pair.B)
 	if err != nil {
-		return leg{}, err
+		return measurement{}, err
 	}
+	mcfg := machineConfig(mode, 1, opts, workload.FramesNeeded(pa)+workload.FramesNeeded(pb)+1024)
+	mcfg.Defense = kind
 	total := opts.WarmupInstrs + opts.InstrsPerProc
-	return leg{
+	return runMachine(pool, opts, machineRun{
 		label:  pair.Label + "/" + labelSuffix,
 		mcfg:   mcfg,
 		key:    snapKey{cfg: mcfg, kind: "spec", a: pair.A, b: pair.B, warmup: opts.WarmupInstrs, total: total},
@@ -535,36 +539,7 @@ func specLeg(pair workload.Pair, mcfg machine.Config, labelSuffix string, opts O
 			procB.Warmup, procB.OnWarm = opts.WarmupInstrs, onWarm
 			return 2, nil
 		},
-	}, nil
-}
-
-// specFrames is the frame budget for a two-process spec pair.
-func specFrames(pair workload.Pair) (int, error) {
-	pa, err := workload.Spec(pair.A)
-	if err != nil {
-		return 0, err
-	}
-	pb, err := workload.Spec(pair.B)
-	if err != nil {
-		return 0, err
-	}
-	return workload.FramesNeeded(pa) + workload.FramesNeeded(pb) + 1024, nil
-}
-
-// runSpecPairOnce runs one Fig. 7 workload (two processes, one core) under
-// the given mode and returns the steady-state measurement. The machine
-// comes from pool (nil builds fresh).
-func runSpecPairOnce(pool *machine.Pool, pair workload.Pair, mode cache.SecMode, opts Options) (measurement, error) {
-	frames, err := specFrames(pair)
-	if err != nil {
-		return measurement{}, err
-	}
-	l, err := specLeg(pair, machineConfig(mode, 1, opts, frames), mode.String(), opts,
-		func(k *kernel.Kernel) *telemetry.Collector { return opts.attachTelemetry(k, pair.Label, mode) })
-	if err != nil {
-		return measurement{}, err
-	}
-	return runLeg(pool, opts, l)
+	})
 }
 
 func totalInstructions(k *kernel.Kernel) uint64 {
@@ -607,30 +582,28 @@ func result(label string, mb, mt measurement) pairResult {
 	return res
 }
 
-// runSpecPair measures one Fig. 7 / Table II row: the same pair under the
-// baseline and under TimeCache, on machines drawn from pool (nil builds
-// fresh; a shared pool also enables warm-snapshot reuse across calls).
-func runSpecPair(pool *machine.Pool, pair workload.Pair, opts Options) (pairResult, error) {
-	opts = opts.withDefaults()
-	mb, err := runSpecPairOnce(pool, pair, cache.SecOff, opts)
+// runPaired measures one row: a workload under the baseline and then under
+// TimeCache, once per mode.
+func runPaired(label string, once func(cache.SecMode) (measurement, error)) (pairResult, error) {
+	mb, err := once(cache.SecOff)
 	if err != nil {
 		return pairResult{}, err
 	}
-	mt, err := runSpecPairOnce(pool, pair, cache.SecTimeCache, opts)
+	mt, err := once(cache.SecTimeCache)
 	if err != nil {
 		return pairResult{}, err
 	}
-	return result(pair.Label, mb, mt), nil
+	return result(label, mb, mt), nil
 }
 
-// runSpecPairs measures a selection of Fig. 7 / Table II pairs. Pairs are
-// fully independent, so they fan out across Options.Jobs workers with
-// results in request order; each worker reuses one pooled machine per
-// configuration (Reset between runs) instead of rebuilding.
-func runSpecPairs(pairs []workload.Pair, opts Options) ([]pairResult, error) {
+// runSpecPair measures one Fig. 7 / Table II row on machines drawn from pool
+// (nil builds fresh; a shared pool also enables warm-snapshot reuse across
+// calls).
+func runSpecPair(pool *machine.Pool, pair workload.Pair, opts Options) (pairResult, error) {
 	opts = opts.withDefaults()
-	return runner.MapWorkersCtx(opts.ctx(), len(pairs), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (pairResult, error) {
-		return runSpecPair(pool, pairs[i], opts)
+	return runPaired(pair.Label, func(mode cache.SecMode) (measurement, error) {
+		return runSpec(pool, pair, mode, defense.KindOfMode(mode), mode.String(), opts,
+			func(k *kernel.Kernel) *telemetry.Collector { return opts.attachTelemetry(k, pair.Label, mode) })
 	})
 }
 
@@ -644,7 +617,7 @@ func runParsecOnce(pool *machine.Pool, name string, mode cache.SecMode, opts Opt
 	frames := workload.FramesNeeded(prof) + 1024
 	mcfg := machineConfig(mode, 2, opts, frames)
 	total := opts.WarmupInstrs + opts.InstrsPerProc
-	l := leg{
+	l := machineRun{
 		label: name + "/" + mode.String(),
 		mcfg:  mcfg,
 		key:   snapKey{cfg: mcfg, kind: "parsec", a: name, warmup: opts.WarmupInstrs, total: total},
@@ -666,70 +639,13 @@ func runParsecOnce(pool *machine.Pool, name string, mode cache.SecMode, opts Opt
 			return 2, nil
 		},
 	}
-	return runLeg(pool, opts, l)
+	return runMachine(pool, opts, l)
 }
 
 // runParsec measures one Fig. 9 row on machines drawn from pool.
 func runParsec(pool *machine.Pool, name string, opts Options) (pairResult, error) {
 	opts = opts.withDefaults()
-	mb, err := runParsecOnce(pool, name, cache.SecOff, opts)
-	if err != nil {
-		return pairResult{}, err
-	}
-	mt, err := runParsecOnce(pool, name, cache.SecTimeCache, opts)
-	if err != nil {
-		return pairResult{}, err
-	}
-	return result(name, mb, mt), nil
-}
-
-// runParsecSet measures a selection of Fig. 9 workloads, fanned out across
-// Options.Jobs workers with pooled machines.
-func runParsecSet(names []string, opts Options) ([]pairResult, error) {
-	opts = opts.withDefaults()
-	return runner.MapWorkersCtx(opts.ctx(), len(names), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (pairResult, error) {
-		return runParsec(pool, names[i], opts)
-	})
-}
-
-// sensitivityPoint is one Fig. 10 sweep point.
-type sensitivityPoint struct {
-	LLCSize     int
-	GeoMeanNorm float64
-	OverheadPct float64
-}
-
-// runLLCSensitivity reproduces Fig. 10: geometric-mean overhead of the
-// same-benchmark pairs at each LLC size. The whole size×pair grid is
-// flattened into one job list so small sweeps still saturate the pool, and
-// each worker keeps one machine per (mode, LLC size) shape, Reset between
-// runs, instead of rebuilding the hierarchy per grid cell.
-func runLLCSensitivity(sizes []int, pairs []workload.Pair, opts Options) ([]sensitivityPoint, error) {
-	opts = opts.withDefaults()
-	norms, err := runner.MapWorkersCtx(opts.ctx(), len(sizes)*len(pairs), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (float64, error) {
-		o := opts
-		o.LLCSize = sizes[i/len(pairs)]
-		r, err := runSpecPair(pool, pairs[i%len(pairs)], o)
-		if err != nil {
-			return 0, err
-		}
-		return r.Normalized, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []sensitivityPoint
-	for si, size := range sizes {
-		gm := stats.GeoMean(norms[si*len(pairs) : (si+1)*len(pairs)])
-		out = append(out, sensitivityPoint{LLCSize: size, GeoMeanNorm: gm, OverheadPct: stats.OverheadPct(gm)})
-	}
-	return out, nil
-}
-
-// defenseResult is one row of the defense-ablation comparison.
-type defenseResult struct {
-	Defense    string
-	Normalized float64
+	return runPaired(name, func(mode cache.SecMode) (measurement, error) { return runParsecOnce(pool, name, mode, opts) })
 }
 
 // ablationConfig names one ablation row: the registry kind that configures
@@ -757,81 +673,12 @@ func ablationConfigs() []ablationConfig {
 	return out
 }
 
-// runDefenseLeg runs one spec pair on a single core under a defense
-// registry kind and returns its measured cycles. The ablation and the
-// matrix's slowdown columns both normalize these against the "none" kind.
-func runDefenseLeg(pool *machine.Pool, pair workload.Pair, kind, label string, opts Options) (uint64, error) {
-	frames, err := specFrames(pair)
-	if err != nil {
-		return 0, err
-	}
-	mcfg := machineConfig(cache.SecOff, 1, opts, frames)
-	mcfg.Defense = kind
-	l, err := specLeg(pair, mcfg, label, opts, nil)
-	if err != nil {
-		return 0, err
-	}
-	m, err := runLeg(pool, opts, l)
-	if err != nil {
-		return 0, err
-	}
-	return m.cycles, nil
-}
-
-// runDefenseAblation compares the overhead of TimeCache against the
-// alternative defenses DESIGN.md catalogs (FTM, DAWG-lite way partitioning,
-// flush-on-context-switch) on one workload pair.
-func runDefenseAblation(pair workload.Pair, opts Options) ([]defenseResult, error) {
-	opts = opts.withDefaults()
-
-	// The rows come from the defense registry: the historical display names
-	// are kept for the first five (their kinds configure machines identical
-	// to the legacy mode/flag spellings), and the runtime defenses the
-	// registry added (clepsydra, fase) ride along as extra rows.
-	configs := ablationConfigs()
-	// Each defense configuration is an independent machine; run them all
-	// concurrently and normalize against the baseline's cycles afterwards.
-	cyclesFor, err := runner.MapWorkersCtx(opts.ctx(), len(configs), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (uint64, error) {
-		return runDefenseLeg(pool, pair, configs[i].kind, configs[i].name, opts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	baseline := cyclesFor[0] // configs[0] is the baseline
-	var out []defenseResult
-	for i, cfgDef := range configs {
-		out = append(out, defenseResult{Defense: cfgDef.name, Normalized: stats.Normalized(cyclesFor[i], baseline)})
-	}
-	return out, nil
-}
-
-// bookkeepingPoint relates scheduler time-slice length to the share of
-// execution time spent on s-bit save/restore.
-type bookkeepingPoint struct {
-	SliceCycles    uint64
-	BookkeepingPct float64
-	OverheadPct    float64
-}
-
-// runBookkeepingScaling reproduces the §VI-D argument quantitatively: the
-// fixed per-switch DMA cost (1.08 µs = 2160 cycles at 2 GHz) shrinks as a
-// fraction of execution time as the time slice grows toward realistic
-// 1–10 ms scheduler quanta, converging on the paper's ~0.02% figure.
-func runBookkeepingScaling(pair workload.Pair, slices []uint64, opts Options) ([]bookkeepingPoint, error) {
-	opts = opts.withDefaults()
-	return runner.MapWorkersCtx(opts.ctx(), len(slices), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (bookkeepingPoint, error) {
-		o := opts
-		o.SliceCycles = slices[i]
-		r, err := runSpecPair(pool, pair, o)
-		if err != nil {
-			return bookkeepingPoint{}, err
-		}
-		return bookkeepingPoint{
-			SliceCycles:    slices[i],
-			BookkeepingPct: r.BookkeepingPct,
-			OverheadPct:    stats.OverheadPct(r.Normalized),
-		}, nil
-	})
+// runDefense runs one spec pair on a single core under a defense registry
+// kind and returns its measured cycles. The ablation and the matrix's
+// slowdown columns both normalize these against the "none" kind.
+func runDefense(pool *machine.Pool, pair workload.Pair, kind, label string, opts Options) (uint64, error) {
+	m, err := runSpec(pool, pair, cache.SecOff, kind, label, opts, nil)
+	return m.cycles, err
 }
 
 // SbitCostBreakdown quantifies §VI-D: how many transfers one switch needs

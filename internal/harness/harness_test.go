@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"strconv"
 	"testing"
 
 	"timecache/internal/machine"
+	"timecache/internal/stats"
 	"timecache/internal/telemetry"
 	"timecache/internal/workload"
 )
@@ -72,45 +74,51 @@ func TestRunParsecNoL1FirstAccesses(t *testing.T) {
 	}
 }
 
-func TestLLCSensitivityTrend(t *testing.T) {
-	pairs := []workload.Pair{
-		{Label: "2Xwrf", A: "wrf", B: "wrf"},
-		{Label: "2Xperlbench", A: "perlbench", B: "perlbench"},
+// cell parses the float in row r, column c of a RunJob table.
+func cell(t *testing.T, tab *stats.Table, r, c int) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(tab.Rows[r][c], 64)
+	if err != nil {
+		t.Fatalf("row %d col %d: %v", r, c, err)
 	}
-	pts, err := runLLCSensitivity([]int{512 << 10, 2 << 20}, pairs, smallOpts())
+	return v
+}
+
+func TestLLCSensitivityTrend(t *testing.T) {
+	tab, err := RunJob(Job{Experiment: ExpLLCSweep, Pairs: []string{"2Xwrf", "2Xperlbench"},
+		LLCSizes: []int{512 << 10, 2 << 20}}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("got %d points", len(pts))
+	if len(tab.Rows) != 2 {
+		t.Fatalf("got %d points", len(tab.Rows))
 	}
 	// Fig. 10: overhead shrinks with LLC size (fewer evictions of shared
 	// lines means fewer first accesses).
-	if pts[1].OverheadPct > pts[0].OverheadPct+0.05 {
-		t.Fatalf("2MB overhead (%.3f%%) should not exceed 512KB overhead (%.3f%%)",
-			pts[1].OverheadPct, pts[0].OverheadPct)
+	if small, big := cell(t, tab, 0, 2), cell(t, tab, 1, 2); big > small+0.05 {
+		t.Fatalf("2MB overhead (%.3f%%) should not exceed 512KB overhead (%.3f%%)", big, small)
 	}
 }
 
 func TestDefenseAblationOrdering(t *testing.T) {
-	rows, err := runDefenseAblation(workload.Pair{Label: "2Xgobmk", A: "gobmk", B: "gobmk"}, smallOpts())
+	tab, err := RunJob(Job{Experiment: ExpAblation, Pairs: []string{"2Xgobmk"}}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The rows come from the defense registry in canonical order, with the
 	// historical display names for the first five.
 	want := []string{"baseline", "timecache", "ftm", "partitioned", "flush-on-switch", "clepsydra", "fase"}
-	if len(rows) != len(want) {
-		t.Fatalf("expected %d defenses, got %d", len(want), len(rows))
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("expected %d defenses, got %d", len(want), len(tab.Rows))
 	}
-	for i, r := range rows {
-		if r.Defense != want[i] {
-			t.Fatalf("row %d defense = %q, want %q", i, r.Defense, want[i])
+	for i, r := range tab.Rows {
+		if r[0] != want[i] {
+			t.Fatalf("row %d defense = %q, want %q", i, r[0], want[i])
 		}
 	}
 	norm := map[string]float64{}
-	for _, r := range rows {
-		norm[r.Defense] = r.Normalized
+	for i, r := range tab.Rows {
+		norm[r[0]] = cell(t, tab, i, 1)
 	}
 	if norm["baseline"] != 1.0 {
 		t.Fatalf("baseline must normalize to 1.0, got %v", norm["baseline"])
@@ -131,15 +139,12 @@ func TestDefenseAblationOrdering(t *testing.T) {
 }
 
 func TestBookkeepingScalesDownWithSlice(t *testing.T) {
-	pts, err := runBookkeepingScaling(
-		workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"},
-		[]uint64{100_000, 400_000}, smallOpts())
+	tab, err := RunJob(Job{Experiment: ExpBookkeeping, SliceCycles: []uint64{100_000, 400_000}}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts[1].BookkeepingPct >= pts[0].BookkeepingPct {
-		t.Fatalf("longer slices must shrink bookkeeping share: %.4f%% -> %.4f%%",
-			pts[0].BookkeepingPct, pts[1].BookkeepingPct)
+	if short, long := cell(t, tab, 0, 1), cell(t, tab, 1, 1); long >= short {
+		t.Fatalf("longer slices must shrink bookkeeping share: %.4f%% -> %.4f%%", short, long)
 	}
 }
 

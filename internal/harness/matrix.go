@@ -14,9 +14,7 @@ import (
 	"timecache/internal/defense"
 	"timecache/internal/machine"
 	"timecache/internal/replacement"
-	"timecache/internal/runner"
 	"timecache/internal/stats"
-	"timecache/internal/workload"
 )
 
 // matrixAttack ties an attack-corpus name to its Config-parameterized
@@ -77,126 +75,70 @@ func matrixAttackByName(name string) *matrixAttack {
 	return nil
 }
 
-// matrixCell is one unit of matrix work: an attack mounted under a defense
-// (attack != "") or a workload pair run under a defense for the overhead
-// columns (attack == "").
-type matrixCell struct {
-	defense string
-	attack  string
-	pair    workload.Pair
-}
-
-// matrixTable runs the defenses×(attacks ∪ pairs) grid and renders it with
-// one row per defense: a leaked-bits column per attack (the binary-channel
-// capacity of the attacker's recovery, 0 = defended) and a normalized-
-// slowdown column per workload pair (against the "none" baseline, which is
-// run implicitly when not among the requested rows). Cells are fanned out
-// across opts.Jobs workers in flat declaration order, so -j1 and -jN render
-// byte-identical tables.
-func matrixTable(defenses, attacks []string, pairs []workload.Pair, attackBits int, seed uint64, opts Options) (*stats.Table, error) {
-	opts = opts.withDefaults()
-
-	// The overhead columns normalize against "none"; run its legs even when
-	// the row was not requested.
-	perfDefs := defenses
-	if !containsString(defenses, defense.None) {
-		perfDefs = append([]string{defense.None}, defenses...)
-	}
-
-	cells := make([]matrixCell, 0, len(defenses)*len(attacks)+len(perfDefs)*len(pairs))
-	for _, d := range defenses {
-		for _, a := range attacks {
-			cells = append(cells, matrixCell{defense: d, attack: a})
-		}
-	}
-	for _, d := range perfDefs {
-		for _, p := range pairs {
-			cells = append(cells, matrixCell{defense: d, pair: p})
-		}
-	}
-
-	vals, err := runner.MapWorkersCtx(opts.ctx(), len(cells), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (float64, error) {
-		c := cells[i]
-		if c.attack != "" {
-			return runMatrixAttack(c.defense, c.attack, attackBits, seed, opts)
-		}
-		// A perf cell's measured cycles; normalized against "none" below.
-		cycles, err := runDefenseLeg(pool, c.pair, c.defense, "matrix-"+c.defense, opts)
-		return float64(cycles), err
-	})
+// matrixLeg renders one matrix row: a leaked-bits column per attack (the
+// binary-channel capacity of the attacker's recovery, 0 = defended) and a
+// normalized-slowdown column per workload pair. The leg mounts its attacks,
+// then runs the pairs under "none" for the normalization baseline, then
+// under its own defense (the "none" row reuses its baseline runs).
+func matrixLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error) {
+	pairs, err := selectPairs(j.Pairs)
 	if err != nil {
 		return nil, err
 	}
-
+	d := j.Defenses[leg]
 	header := []string{"defense"}
-	for _, a := range attacks {
+	for _, a := range j.Attacks {
 		header = append(header, "bits-"+a)
 	}
 	for _, p := range pairs {
 		header = append(header, "slowdown-"+p.Label)
 	}
+	row := make([]any, 0, len(header))
+	row = append(row, d)
+	for _, a := range j.Attacks {
+		acc, err := runMatrixAttack(d, a, j.AttackBits, j.Seed, opts)
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, stats.BinaryChannelBits(j.AttackBits, acc))
+	}
+	base := make([]uint64, len(pairs))
+	for i, p := range pairs {
+		if base[i], err = runDefense(pool, p, defense.None, "matrix-"+defense.None, opts); err != nil {
+			return nil, err
+		}
+		if base[i] == 0 {
+			return nil, fmt.Errorf("harness: matrix baseline run of %s produced zero cycles", p.Label)
+		}
+	}
+	for i, p := range pairs {
+		cycles := base[i]
+		if d != defense.None {
+			if cycles, err = runDefense(pool, p, d, "matrix-"+d, opts); err != nil {
+				return nil, err
+			}
+		}
+		row = append(row, float64(cycles)/float64(base[i]))
+	}
 	tab := stats.NewTable(header...)
-
-	// vals is laid out exactly as cells was: the attack block (defense-major)
-	// then the perf block (perfDefs-major).
-	perfBase := len(defenses) * len(attacks)
-	baseline := func(pi int) float64 {
-		for di, d := range perfDefs {
-			if d == defense.None {
-				return vals[perfBase+di*len(pairs)+pi]
-			}
-		}
-		return 0 // unreachable: perfDefs always contains "none"
-	}
-	for di, d := range defenses {
-		row := make([]any, 0, len(header))
-		row = append(row, d)
-		for ai := range attacks {
-			row = append(row, stats.BinaryChannelBits(attackBits, vals[di*len(attacks)+ai]))
-		}
-		pdi := indexOfString(perfDefs, d)
-		for pi := range pairs {
-			cycles := vals[perfBase+pdi*len(pairs)+pi]
-			base := baseline(pi)
-			if base == 0 {
-				return nil, fmt.Errorf("harness: matrix baseline run of %s produced zero cycles", pairs[pi].Label)
-			}
-			row = append(row, cycles/base)
-		}
-		tab.Add(row...)
-	}
+	tab.Add(row...)
 	return tab, nil
 }
 
 // runMatrixAttack mounts one attack under one defense. The attack scenarios
-// assemble their own machines, so the leg is accounted by count and span
-// only, mirroring securityTable.
+// assemble their own machines, so the run is accounted by count and span
+// only, like the security experiment's.
 func runMatrixAttack(def, att string, bits int, seed uint64, opts Options) (float64, error) {
-	a := matrixAttackByName(att)
-	if a == nil {
-		return 0, fmt.Errorf("harness: unknown attack %q (want one of %v)", att, MatrixAttacks())
+	if err := opts.ctx().Err(); err != nil {
+		return 0, err
 	}
 	start := opts.legStart()
 	cfg := machineConfig(cache.SecOff, 1, opts, 0)
 	cfg.Defense = def
-	acc, err := a.run(cfg, bits, seed)
+	acc, err := matrixAttackByName(att).run(cfg, bits, seed)
 	if err != nil {
 		return 0, err
 	}
-	opts.Account.AddLeg()
-	if opts.Spans != nil {
-		opts.Spans.Span("matrix/"+def+"/"+att, "leg", start, opts.wallNow(), nil)
-	}
+	opts.finishLeg("matrix/"+def+"/"+att, start, nil)
 	return acc, nil
-}
-
-func containsString(ss []string, s string) bool { return indexOfString(ss, s) >= 0 }
-
-func indexOfString(ss []string, s string) int {
-	for i, x := range ss {
-		if x == s {
-			return i
-		}
-	}
-	return -1
 }

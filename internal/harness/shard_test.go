@@ -44,29 +44,40 @@ func runSharded(job Job, opts Options) (*stats.Table, error) {
 // TestShardEquivalence is the sharding seam's correctness anchor: for every
 // experiment, running each leg independently (fresh pool per leg, as a
 // distributed worker would) and merging positionally must render bytes
-// identical to the unsharded RunJob.
+// identical to the unsharded RunJob. Under SnapshotOff every run is cold,
+// so RunJob's resource account must also equal the sum of the legs'
+// accounts: RunJob runs exactly the legs, nothing more or less.
 func TestShardEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	opts := Options{InstrsPerProc: 20_000, WarmupInstrs: 10_000}
 	for name, job := range shardSpecs() {
 		job := job
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			want, err := RunJob(job, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			merged, err := runSharded(job, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := merged.CSV(); got != want.CSV() {
-				t.Errorf("sharded result diverged from unsharded\n--- want ---\n%s--- got ---\n%s", want.CSV(), got)
-			}
-			if merged.Markdown() != want.Markdown() {
-				t.Errorf("sharded markdown diverged from unsharded")
+			for _, mode := range []SnapshotMode{SnapshotAuto, SnapshotOff} {
+				whole, legs := &ResourceAccount{}, &ResourceAccount{}
+				opts := Options{InstrsPerProc: 20_000, WarmupInstrs: 10_000, Snapshot: mode}
+				opts.Account = whole
+				want, err := RunJob(job, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Account = legs
+				merged, err := runSharded(job, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := merged.CSV(); got != want.CSV() {
+					t.Errorf("snapshot mode %d: sharded result diverged from unsharded\n--- want ---\n%s--- got ---\n%s",
+						mode, want.CSV(), got)
+				}
+				if merged.Markdown() != want.Markdown() {
+					t.Errorf("snapshot mode %d: sharded markdown diverged from unsharded", mode)
+				}
+				if mode == SnapshotOff && whole.Snapshot() != legs.Snapshot() {
+					t.Errorf("RunJob account %+v != sum of leg accounts %+v", whole.Snapshot(), legs.Snapshot())
+				}
 			}
 		})
 	}

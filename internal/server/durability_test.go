@@ -151,6 +151,34 @@ func TestRestartResumesQueuedJob(t *testing.T) {
 	}
 }
 
+// TestReplayLegacyJobsField: a log written before Spec lost its "jobs"
+// field (within-leg parallelism) still replays. The field is ignored, and
+// the resumed job renders the bytes a fresh submission of the same spec
+// does.
+func TestReplayLegacyJobsField(t *testing.T) {
+	_, ref := startServer(t, Config{Workers: 1})
+	rst, _ := submit(t, ref, smallSpec())
+	if final := waitTerminal(t, ref, rst.ID, time.Minute); final.State != StateDone {
+		t.Fatalf("reference run: %s (%s)", final.State, final.Error)
+	}
+	wantCSV := fetchCSV(t, ref, rst.ID)
+
+	store := jobstore.NewMem()
+	payload := `{"spec":{"experiment":"table2","pairs":["2Xlbm"],"instrs_per_proc":20000,` +
+		`"warmup_instrs":10000,"jobs":4},"created":"2026-01-02T03:04:05Z","legs":1}`
+	if err := store.Append(jobstore.Record{Kind: jobstore.KindAccepted, JobID: "job-000007", Payload: []byte(payload)}); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := startServer(t, Config{Workers: 1, Store: store})
+	final := waitTerminal(t, ts, "job-000007", time.Minute)
+	if final.State != StateDone {
+		t.Fatalf("replayed legacy job: %s (%s), want done", final.State, final.Error)
+	}
+	if gotCSV := fetchCSV(t, ts, "job-000007"); !bytes.Equal(gotCSV, wantCSV) {
+		t.Errorf("legacy job CSV diverged\n--- want ---\n%s--- got ---\n%s", wantCSV, gotCSV)
+	}
+}
+
 // TestRestartResumesMidRunJob: a job that crashed with some legs journaled
 // resumes at its first unfinished leg — only the missing legs re-run, and
 // the merged result is byte-identical.

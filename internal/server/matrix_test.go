@@ -28,7 +28,6 @@ func TestMatrixGoldenEquivalence(t *testing.T) {
 		AttackBits:    12,
 		InstrsPerProc: 60_000,
 		WarmupInstrs:  40_000,
-		Jobs:          4,
 	}
 	cold, hdr := submitHdr(t, ts, spec)
 	if hdr != "miss" {

@@ -408,10 +408,7 @@ func (s *Server) runLeg(j *job, leg int, epoch uint64, ex legExecutor) {
 			s.expireLease(j, leg, epoch, cancelRun)
 		})
 	}
-	j.mu.Lock()
-	wire := len(j.legs) == 1 // single-leg jobs stream the harness's inner progress
-	j.mu.Unlock()
-	tab, res, wired, err := ex.runLeg(legCtx, j, leg, wire)
+	tab, res, err := ex.runLeg(legCtx, j, leg)
 	if lease != nil {
 		lease.Stop()
 	}
@@ -419,7 +416,7 @@ func (s *Server) runLeg(j *job, leg int, epoch uint64, ex legExecutor) {
 		s.legError(j, leg, epoch, err)
 		return
 	}
-	s.completeLeg(j, leg, epoch, tab, res, wired)
+	s.completeLeg(j, leg, epoch, tab, res)
 }
 
 // expireLease revokes leg's lease if the same epoch still holds it: the leg
@@ -451,7 +448,7 @@ func (s *Server) expireLease(j *job, leg int, epoch uint64, cancelRun context.Ca
 // revoked and the leg re-issued under a newer epoch) are discarded — the
 // replacement run's result stands, and determinism guarantees the bytes
 // would have been identical anyway. The last leg in triggers finalize.
-func (s *Server) completeLeg(j *job, leg int, epoch uint64, tab *stats.Table, res JobResources, wired bool) {
+func (s *Server) completeLeg(j *job, leg int, epoch uint64, tab *stats.Table, res JobResources) {
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
@@ -467,19 +464,14 @@ func (s *Server) completeLeg(j *job, leg int, epoch uint64, tab *stats.Table, re
 	l.res = res
 	j.legsDone++
 	done, total := j.legsDone, len(j.legs)
-	if !wired {
-		j.done, j.total = done, total
-	}
+	j.done, j.total = done, total
 	j.mu.Unlock()
 	s.metrics.legsCompleted.Add(1)
 	s.persistLeg(j, leg, tab, res)
-	if !wired {
-		// Multi-leg jobs report progress at leg granularity; single-leg jobs
-		// already streamed the harness's finer-grained counts.
-		j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
-		if j.flight != nil {
-			j.flight.Progress(done, total)
-		}
+	// Progress is reported at leg granularity.
+	j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
+	if j.flight != nil {
+		j.flight.Progress(done, total)
 	}
 	if done == total {
 		s.finalize(j, nil)

@@ -234,7 +234,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"experiment":"nope"}`,
 		`{"experiment":"table2","pairs":["nope"]}`,
 		`{"experiment":"table2","bogus_field":1}`,
-		`{"experiment":"table2","jobs":-1}`,
+		`{"experiment":"table2","jobs":2}`, // "jobs" is no longer a Spec field
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -591,7 +591,6 @@ func TestGoldenEquivalence(t *testing.T) {
 		Pairs:         []string{"2Xlbm", "2Xgobmk", "leslie+gobmk"},
 		InstrsPerProc: 60_000,
 		WarmupInstrs:  40_000,
-		Jobs:          2,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %s", resp.Status)
