@@ -13,6 +13,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"timecache/internal/clock"
 	"timecache/internal/core"
@@ -60,17 +61,22 @@ const (
 	modified
 )
 
-// line is one cache line's metadata.
+// line is one cache line's metadata apart from its tag, which lives in the
+// cache's packed tag array (see Cache.tags).
 type line struct {
-	tag   uint64 // line-aligned address; meaningful only when st != invalid
 	st    state
 	dirty bool // used at the LLC (L1 dirtiness is st == modified)
 	// llcHint caches the LLC slot index backing this L1 line, set by the
 	// hierarchy at fill time when the sharer directory is on. It is only a
-	// hint — consumers verify the slot's tag before trusting it — and it
-	// fits in the struct's existing padding, so it costs no memory.
+	// hint — consumers verify the slot's tag before trusting it.
 	llcHint int32
 }
+
+// tagValid is the validity bit of a packed tag. Line addresses are
+// 64-byte aligned, so bit 0 is free: a valid line's packed tag is
+// lineAddr|tagValid and an invalid line's is 0, and one compare against
+// lineAddr|tagValid tests residency and tag together.
+const tagValid = 1
 
 // Stats counts events at one cache.
 type Stats struct {
@@ -136,11 +142,22 @@ type Config struct {
 
 // Cache is a single set-associative cache level.
 type Cache struct {
-	cfg   Config
-	sets  int
-	ways  int
-	lines []line
-	pol   replacement.Policy
+	cfg  Config
+	sets int
+	ways int
+	// setMask and wayShift replace the divisions of set selection and of
+	// splitting a line index into (set, way) when the geometry is a power
+	// of two (every configuration the experiments use); setMask == 0 (also
+	// set under a custom Index) or wayShift < 0 selects the general path.
+	setMask  uint64
+	wayShift int
+	lines    []line
+	// tags holds every line's packed tag (lineAddr|tagValid, or 0 when the
+	// line is invalid), parallel to lines. The tag scans of lookup, Probe
+	// and victim read only this array, 8 bytes a way, so a whole 16-way
+	// set spans two host cache lines.
+	tags []uint64
+	pol  replacement.Policy
 	// lru is pol's concrete type when the policy is true LRU, letting the
 	// hit path call Touch directly (inlinable) instead of through the
 	// interface.
@@ -149,8 +166,9 @@ type Cache struct {
 	// L1 hit re-references the same line, so lookup checks this way first
 	// and the hit costs a single tag compare. The memo is only a hint —
 	// validity and tag are always re-checked — so invalidations can leave
-	// it stale safely.
-	mru []int32
+	// it stale safely. It occupies the words after the tag array in one
+	// allocation, so the packed tags cost no allocation of their own.
+	mru []uint64
 	sec core.Tracker
 
 	Stats Stats
@@ -169,16 +187,26 @@ func New(cfg Config) *Cache {
 	if err != nil {
 		panic(err)
 	}
+	n := sets * cfg.Ways
+	words := make([]uint64, n+sets)
 	c := &Cache{
 		cfg:   cfg,
 		sets:  sets,
 		ways:  cfg.Ways,
-		lines: make([]line, sets*cfg.Ways),
+		lines: make([]line, n),
+		tags:  words[:n:n],
 		pol:   pol,
-		mru:   make([]int32, sets),
+		mru:   words[n:],
 	}
 	if l, ok := pol.(*replacement.LRUPolicy); ok {
 		c.lru = l
+	}
+	if cfg.Index == nil && sets&(sets-1) == 0 {
+		c.setMask = uint64(sets - 1)
+	}
+	c.wayShift = -1
+	if cfg.Ways&(cfg.Ways-1) == 0 {
+		c.wayShift = bits.TrailingZeros(uint(cfg.Ways))
 	}
 	if cfg.Sec != nil {
 		if cfg.SecContexts <= 0 {
@@ -208,16 +236,39 @@ func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 func (c *Cache) Sec() core.Tracker { return c.sec }
 
 func (c *Cache) setOf(lineAddr uint64) int {
+	if c.setMask != 0 {
+		return int((lineAddr >> LineShift) & c.setMask)
+	}
+	return c.setOfSlow(lineAddr)
+}
+
+// setOfSlow is setOf for a custom index function or a non-power-of-two
+// set count.
+func (c *Cache) setOfSlow(lineAddr uint64) int {
 	if c.cfg.Index != nil {
 		return int(c.cfg.Index(lineAddr) % uint64(c.sets))
 	}
 	return int((lineAddr >> LineShift) % uint64(c.sets))
 }
 
+// split returns the set and way of line index idx.
+func (c *Cache) split(idx int) (set, way int) {
+	if c.wayShift >= 0 {
+		return idx >> c.wayShift, idx & (c.ways - 1)
+	}
+	return idx / c.ways, idx % c.ways
+}
+
 func (c *Cache) wayRange(ctx int) (int, int) {
 	if c.cfg.Partition == nil {
 		return 0, c.ways
 	}
+	return c.partitionRange(ctx)
+}
+
+// partitionRange is wayRange's partitioned case, kept out of line so the
+// whole-set case inlines into lookup and victim.
+func (c *Cache) partitionRange(ctx int) (int, int) {
 	first, n := c.cfg.Partition(ctx)
 	if first < 0 || n <= 0 || first+n > c.ways {
 		panic(fmt.Sprintf("cache %s: partition [%d,%d) out of %d ways", c.cfg.Name, first, first+n, c.ways))
@@ -225,45 +276,50 @@ func (c *Cache) wayRange(ctx int) (int, int) {
 	return first, first + n
 }
 
+// tagAt returns the line address held at idx; meaningful only for a valid
+// line.
+func (c *Cache) tagAt(idx int) uint64 { return c.tags[idx] &^ tagValid }
+
 // lookup returns the line index holding lineAddr for ctx, or -1. The MRU
 // fast path makes the common repeated hit a single tag compare; the way
 // scan below is only reached on a set change or a miss.
 func (c *Cache) lookup(lineAddr uint64, ctx int) int {
 	set := c.setOf(lineAddr)
 	base := set * c.ways
-	if w := int(c.mru[set]); true {
-		if l := &c.lines[base+w]; l.st != invalid && l.tag == lineAddr {
-			if c.cfg.Partition == nil {
-				return base + w
-			}
-			if lo, hi := c.wayRange(ctx); w >= lo && w < hi {
-				return base + w
-			}
+	want := lineAddr | tagValid
+	if w := int(c.mru[set]); c.tags[base+w] == want {
+		if c.cfg.Partition == nil {
+			return base + w
+		}
+		if lo, hi := c.wayRange(ctx); w >= lo && w < hi {
+			return base + w
 		}
 	}
 	lo, hi := c.wayRange(ctx)
-	for w := lo; w < hi; w++ {
-		if l := &c.lines[base+w]; l.st != invalid && l.tag == lineAddr {
-			c.mru[set] = int32(w)
-			return base + w
+	tags := c.tags[base+lo : base+hi]
+	for i, t := range tags {
+		if t == want {
+			c.mru[set] = uint64(lo + i)
+			return base + lo + i
 		}
 	}
 	return -1
 }
 
-// Probe reports whether lineAddr is resident (any context's partition),
-// without touching replacement state or stats. Used by snooping, the
-// sharer directory, and tests.
+// Probe reports whether lineAddr (line-aligned) is resident in any
+// context's partition, returning its line index or -1, without touching
+// replacement state or stats. Used by snooping, the sharer directory, and
+// tests.
 func (c *Cache) Probe(lineAddr uint64) int {
 	set := c.setOf(lineAddr)
 	base := set * c.ways
-	if w := int(c.mru[set]); true {
-		if l := &c.lines[base+w]; l.st != invalid && l.tag == lineAddr {
-			return base + w
-		}
+	want := lineAddr | tagValid
+	if w := int(c.mru[set]); c.tags[base+w] == want {
+		return base + w
 	}
-	for w := 0; w < c.ways; w++ {
-		if l := &c.lines[base+w]; l.st != invalid && l.tag == lineAddr {
+	tags := c.tags[base : base+c.ways]
+	for w, t := range tags {
+		if t == want {
 			return base + w
 		}
 	}
@@ -282,11 +338,12 @@ func (c *Cache) visible(idx, ctx int) bool {
 // LRU policy directly when possible (devirtualized: the default policy's
 // Touch then inlines into the hit path).
 func (c *Cache) touch(idx int) {
+	set, way := c.split(idx)
 	if c.lru != nil {
-		c.lru.Touch(idx/c.ways, idx%c.ways)
+		c.lru.Touch(set, way)
 		return
 	}
-	c.pol.Touch(idx/c.ways, idx%c.ways)
+	c.pol.Touch(set, way)
 }
 
 // victim picks a line index to fill for ctx in lineAddr's set, preferring an
@@ -296,7 +353,7 @@ func (c *Cache) victim(lineAddr uint64, ctx int) int {
 	lo, hi := c.wayRange(ctx)
 	base := set * c.ways
 	for w := lo; w < hi; w++ {
-		if c.lines[base+w].st == invalid {
+		if c.tags[base+w] == 0 {
 			return base + w
 		}
 	}
@@ -321,6 +378,7 @@ func (c *Cache) invalidate(idx int) bool {
 	dirty := l.dirty || l.st == modified
 	l.st = invalid
 	l.dirty = false
+	c.tags[idx] = 0
 	c.Stats.Invalidates++
 	if c.sec != nil {
 		c.sec.OnEvict(idx)
@@ -340,10 +398,11 @@ func (c *Cache) fill(idx int, lineAddr uint64, st state, ctx int, now clock.Cycl
 			c.sec.OnEvict(idx)
 		}
 	}
-	l.tag = lineAddr
+	c.tags[idx] = lineAddr | tagValid
 	l.st = st
 	l.dirty = false
-	c.mru[idx/c.ways] = int32(idx % c.ways)
+	set, way := c.split(idx)
+	c.mru[set] = uint64(way)
 	c.touch(idx)
 	if c.sec != nil {
 		c.sec.OnFill(idx, ctx, now)
@@ -353,10 +412,11 @@ func (c *Cache) fill(idx int, lineAddr uint64, st state, ctx int, now clock.Cycl
 // Reset returns the cache to its freshly constructed cold state — all lines
 // invalid, replacement and MRU state cleared, stats and TimeCache metadata
 // zeroed — without reallocating any backing array. A zeroed line is exactly
-// a fresh one (invalid state, llcHint 0 is "no hint" because consumers
-// verify tags before trusting it).
+// a fresh one (invalid state and packed tag, llcHint 0 is "no hint" because
+// consumers verify tags before trusting it).
 func (c *Cache) Reset() {
 	clear(c.lines)
+	clear(c.tags)
 	clear(c.mru)
 	c.pol.Reset()
 	if c.sec != nil {
@@ -367,8 +427,8 @@ func (c *Cache) Reset() {
 
 // FlushAll invalidates every line (the flush-on-context-switch baseline).
 func (c *Cache) FlushAll() {
-	for i := range c.lines {
-		if c.lines[i].st != invalid {
+	for i, t := range c.tags {
+		if t != 0 {
 			c.invalidate(i)
 		}
 	}
@@ -377,8 +437,8 @@ func (c *Cache) FlushAll() {
 // Occupancy returns the number of valid lines (for tests and stats).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].st != invalid {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}

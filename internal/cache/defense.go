@@ -101,15 +101,15 @@ func (h *Hierarchy) EvictCoreL1(core int, keep func(lineAddr uint64) bool) int {
 
 func (h *Hierarchy) evictL1Lines(l1 *Cache, core int, inst bool, keep func(uint64) bool) int {
 	n := 0
-	for idx := range l1.lines {
-		l := &l1.lines[idx]
-		if l.st == invalid || (keep != nil && keep(l.tag)) {
+	for idx, t := range l1.tags {
+		lineAddr := t &^ tagValid
+		if t == 0 || (keep != nil && keep(lineAddr)) {
 			continue
 		}
 		h.evictL1Line(l1, idx, core, inst)
 		l1.invalidate(idx)
 		if h.cfg.CoherenceCheck {
-			h.verifyLine(l.tag, "evictCoreL1")
+			h.verifyLine(lineAddr, "evictCoreL1")
 		}
 		n++
 	}

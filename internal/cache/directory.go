@@ -116,7 +116,7 @@ func (d *directory) find(lineAddr uint64) *dirEntry {
 // only (e.g. after FlushAll).
 func (d *directory) at(hint int, lineAddr uint64) *dirEntry {
 	if hint >= 0 && hint < len(d.entries) {
-		if l := &d.llc.lines[hint]; l.st != invalid && l.tag == lineAddr {
+		if d.llc.tags[hint] == lineAddr|tagValid {
 			return &d.entries[hint]
 		}
 	}
@@ -216,7 +216,7 @@ func (d *directory) onLLCFill(llcIdx int, lineAddr uint64) {
 	set := llcIdx / d.llc.ways
 	if !e.empty() {
 		old := *e
-		d.side[d.llc.lines[llcIdx].tag] = &old
+		d.side[d.llc.tagAt(llcIdx)] = &old
 		if old.own != dirNoOwner {
 			d.ownedInSet[set]--
 			d.sideOwned++
@@ -297,29 +297,31 @@ func (h *Hierarchy) CheckCoherence() error {
 	}
 	want := map[uint64]dirEntry{}
 	for c := 0; c < h.cfg.Cores; c++ {
-		for i := range h.l1d[c].lines {
-			l := &h.l1d[c].lines[i]
-			if l.st == invalid {
+		l1d := h.l1d[c]
+		for i := range l1d.lines {
+			if l1d.lines[i].st == invalid {
 				continue
 			}
-			e := want[l.tag]
+			tag := l1d.tagAt(i)
+			e := want[tag]
 			e.data |= uint64(1) << uint(c)
-			if l.st == modified {
+			if l1d.lines[i].st == modified {
 				if e.own != dirNoOwner {
-					return fmt.Errorf("cache: line %#x modified in two L1Ds (cores %d and %d)", l.tag, e.ownerCore(), c)
+					return fmt.Errorf("cache: line %#x modified in two L1Ds (cores %d and %d)", tag, e.ownerCore(), c)
 				}
 				e.own = uint8(c + 1)
 			}
-			want[l.tag] = e
+			want[tag] = e
 		}
-		for i := range h.l1i[c].lines {
-			l := &h.l1i[c].lines[i]
-			if l.st == invalid {
+		l1i := h.l1i[c]
+		for i := range l1i.lines {
+			if l1i.lines[i].st == invalid {
 				continue
 			}
-			e := want[l.tag]
+			tag := l1i.tagAt(i)
+			e := want[tag]
 			e.inst |= uint64(1) << uint(c)
-			want[l.tag] = e
+			want[tag] = e
 		}
 	}
 	seen := map[uint64]bool{}
@@ -328,17 +330,17 @@ func (h *Hierarchy) CheckCoherence() error {
 		if e.empty() && e.own == dirNoOwner {
 			continue
 		}
-		l := &h.llc.lines[idx]
-		if l.st == invalid {
+		if h.llc.lines[idx].st == invalid {
 			return fmt.Errorf("cache: directory entry %v attached to invalid LLC slot %d", e, idx)
 		}
-		if seen[l.tag] {
-			return fmt.Errorf("cache: line %#x tracked by two directory entries", l.tag)
+		tag := h.llc.tagAt(idx)
+		if seen[tag] {
+			return fmt.Errorf("cache: line %#x tracked by two directory entries", tag)
 		}
-		if w := want[l.tag]; w != e {
-			return fmt.Errorf("cache: line %#x directory %v != brute force %v", l.tag, e, w)
+		if w := want[tag]; w != e {
+			return fmt.Errorf("cache: line %#x directory %v != brute force %v", tag, e, w)
 		}
-		seen[l.tag] = true
+		seen[tag] = true
 	}
 	for tag, e := range h.dir.side {
 		if e.empty() {

@@ -300,10 +300,20 @@ func (h *Hierarchy) L1D(c int) *Cache { return h.l1d[c] }
 func (h *Hierarchy) LLC() *Cache { return h.llc }
 
 // CoreOf maps a global hardware context to its core.
-func (h *Hierarchy) CoreOf(ctx int) int { return ctx / h.cfg.ThreadsPerCore }
+func (h *Hierarchy) CoreOf(ctx int) int {
+	if h.cfg.ThreadsPerCore == 1 {
+		return ctx // no SMT: skip the division on the per-access path
+	}
+	return ctx / h.cfg.ThreadsPerCore
+}
 
 // threadOf maps a global hardware context to its intra-core thread index.
-func (h *Hierarchy) threadOf(ctx int) int { return ctx % h.cfg.ThreadsPerCore }
+func (h *Hierarchy) threadOf(ctx int) int {
+	if h.cfg.ThreadsPerCore == 1 {
+		return 0
+	}
+	return ctx % h.cfg.ThreadsPerCore
+}
 
 // Contexts returns the total number of hardware contexts.
 func (h *Hierarchy) Contexts() int { return h.cfg.Cores * h.cfg.ThreadsPerCore }
@@ -442,8 +452,8 @@ func (h *Hierarchy) prefetch(now clock.Cycles, ctx int, lineAddr uint64, kind Ki
 	llcIdx := llc.lookup(lineAddr, llcCtx)
 	if llcIdx < 0 {
 		vic := llc.victim(lineAddr, llcCtx)
-		if v := &llc.lines[vic]; v.st != invalid {
-			h.backInvalidate(v.tag)
+		if llc.tags[vic] != 0 {
+			h.backInvalidate(llc.tagAt(vic))
 		}
 		if h.dir != nil {
 			h.dir.onLLCFill(vic, lineAddr)
@@ -511,9 +521,9 @@ func (h *Hierarchy) serveLLC(r *Request, lineAddr uint64, fill bool) {
 		return
 	}
 	vic := llc.victim(lineAddr, lctx)
-	if v := &llc.lines[vic]; v.st != invalid {
+	if llc.tags[vic] != 0 {
 		// Inclusive LLC: evicting a line removes it from every L1.
-		h.backInvalidate(v.tag)
+		h.backInvalidate(llc.tagAt(vic))
 	}
 	if h.dir != nil {
 		h.dir.onLLCFill(vic, lineAddr)
@@ -690,11 +700,9 @@ func (h *Hierarchy) markLLCDirty(lineAddr uint64) {
 
 // markLLCDirtyAt is markLLCDirty with a verified LLC slot hint.
 func (h *Hierarchy) markLLCDirtyAt(hint int, lineAddr uint64) {
-	if hint >= 0 && hint < len(h.llc.lines) {
-		if l := &h.llc.lines[hint]; l.st != invalid && l.tag == lineAddr {
-			l.dirty = true
-			return
-		}
+	if hint >= 0 && hint < len(h.llc.lines) && h.llc.tags[hint] == lineAddr|tagValid {
+		h.llc.lines[hint].dirty = true
+		return
 	}
 	h.markLLCDirty(lineAddr)
 }
@@ -708,16 +716,17 @@ func (h *Hierarchy) evictL1Line(l1 *Cache, idx, corei int, inst bool) {
 	if l.st == invalid {
 		return
 	}
+	tag := l1.tagAt(idx)
 	if h.dir != nil {
 		hint := int(l.llcHint)
 		if l.st == modified {
-			h.markLLCDirtyAt(hint, l.tag)
+			h.markLLCDirtyAt(hint, tag)
 		}
-		h.dir.remove(hint, l.tag, corei, inst)
+		h.dir.remove(hint, tag, corei, inst)
 		return
 	}
 	if l.st == modified {
-		h.markLLCDirty(l.tag)
+		h.markLLCDirty(tag)
 	}
 }
 

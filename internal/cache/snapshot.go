@@ -14,6 +14,7 @@ import (
 // Config (same geometry, policy, and tracker shape).
 func (c *Cache) copyFrom(src *Cache) {
 	copy(c.lines, src.lines)
+	copy(c.tags, src.tags)
 	copy(c.mru, src.mru)
 	replacement.Copy(c.pol, src.pol)
 	if c.sec != nil {
@@ -37,8 +38,8 @@ func (d *directory) copyFrom(src *directory) {
 }
 
 // CopyFrom restores src's complete timing-relevant state into h: every
-// cache's lines, MRU memos, replacement policy, and s-bit tracker, plus the
-// sharer directory and the partitioned-mode active domains. Both
+// cache's lines and tags, MRU memos, replacement policy, and s-bit tracker,
+// plus the sharer directory and the partitioned-mode active domains. Both
 // hierarchies must come from the same HierarchyConfig. The observer is
 // detached (as Reset does): a forked machine never reports into the source
 // run's collector. The scratch Request is not copied — beginTrail clears

@@ -6,6 +6,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"timecache/internal/mem"
 )
@@ -146,13 +147,18 @@ func (as *AddressSpace) Share() *AddressSpace {
 	return as
 }
 
-// anonPages iterates private anonymous pages, used by the dedup scanner.
-// Shared-region pages are skipped (they are already deduplicated by
-// construction and belong to a named region).
+// anonPages iterates private anonymous pages in ascending virtual-page
+// order, used by the dedup scanner. Shared-region pages are skipped (they
+// are already deduplicated by construction and belong to a named region).
 func (as *AddressSpace) anonPages(fn func(vp uint64, m *mapping)) {
+	vps := make([]uint64, 0, len(as.pages))
 	for vp, m := range as.pages {
 		if !m.shared {
-			fn(vp, m)
+			vps = append(vps, vp)
 		}
+	}
+	slices.Sort(vps)
+	for _, vp := range vps {
+		fn(vp, as.pages[vp])
 	}
 }

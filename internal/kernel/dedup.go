@@ -13,23 +13,34 @@ import "timecache/internal/mem"
 func (k *Kernel) DedupScan() int {
 	type slot struct {
 		as *AddressSpace
-		vp uint64
 		m  *mapping
 	}
-	byHash := map[uint64][]slot{}
+	// Pages are visited in process order and ascending virtual page, and
+	// same-hash groups kept in the order their first page was seen, so the
+	// frame each group merges onto — and hence which frames the scan frees
+	// and the next Alloc reuses — depends on the process table alone, never
+	// on map iteration order.
+	var groups [][]slot
+	groupOf := map[uint64]int{}
 	seen := map[*AddressSpace]bool{}
 	for _, p := range k.procs {
 		if p.State == Exited || seen[p.AS] {
 			continue
 		}
 		seen[p.AS] = true
-		p.AS.anonPages(func(vp uint64, m *mapping) {
+		p.AS.anonPages(func(_ uint64, m *mapping) {
 			h := k.phys.HashFrame(m.frame)
-			byHash[h] = append(byHash[h], slot{p.AS, vp, m})
+			g, ok := groupOf[h]
+			if !ok {
+				g = len(groups)
+				groupOf[h] = g
+				groups = append(groups, nil)
+			}
+			groups[g] = append(groups[g], slot{p.AS, m})
 		})
 	}
 	merged := 0
-	for _, slots := range byHash {
+	for _, slots := range groups {
 		if len(slots) < 2 {
 			continue
 		}

@@ -116,6 +116,8 @@ type coreState struct {
 	sliceInstrs uint64
 	// runStart is the clock when cur was scheduled in (telemetry spans).
 	runStart uint64
+	// stepStart is the clock when cur's in-flight Step began.
+	stepStart uint64
 
 	// secCaches and secLineCounts are the caches whose s-bit columns this
 	// context saves/restores at each switch, precomputed at kernel
@@ -131,6 +133,13 @@ type coreState struct {
 	// reuses it, so the per-access path performs no allocation even though
 	// the hierarchy hands the request to observers through an interface.
 	req cache.Request
+
+	// tlb caches translations for tlbAS at page-table version tlbVer. It is
+	// flushed whenever the core runs another address space or the running
+	// one's page table changes, so a process never sees a stale entry.
+	tlb    [tlbEntries]tlbEntry
+	tlbAS  *AddressSpace
+	tlbVer uint64
 }
 
 // Kernel owns the machine: physical memory, the cache hierarchy, cores, and
@@ -226,6 +235,7 @@ func (k *Kernel) Reset() {
 		c.runq = c.runq[:0]
 		c.cur, c.prev = nil, nil
 		c.sliceEnd, c.sliceInstrs, c.runStart = 0, 0, 0
+		c.flushTLB(nil)
 	}
 	k.kernelText = k.kernelText[:0]
 	k.interrupted.Store(false)
@@ -465,27 +475,22 @@ func (k *Kernel) wakeSleepers(c *coreState) {
 	}
 }
 
-// stepCurrent runs one instruction of the core's current process, handling
-// faults and termination. Returns whether the process remains current.
+// stepCurrent runs one instruction of the core's current process. A fault
+// inside Step unwinds out of here to runSteps, which retires the process
+// through finishStep exactly as a step that returned false would be; the
+// step's start clock waits in c.stepStart for that.
 func (k *Kernel) stepCurrent(c *coreState) {
 	p := c.cur
 	env := &procEnv{k: k, cpu: c, proc: p}
-	before := c.clock.Now()
-	alive := func() (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if pf, isFault := r.(*procFault); isFault {
-					p.Err = pf.err
-					p.State = Exited
-					ok = false
-					return
-				}
-				panic(r)
-			}
-		}()
-		return p.Proc.Step(env)
-	}()
-	p.Stats.CPUCycles += c.clock.Now() - before
+	c.stepStart = c.clock.Now()
+	alive := p.Proc.Step(env)
+	k.finishStep(c, p, alive)
+}
+
+// finishStep accounts a completed (or faulted) step of p on c and handles
+// termination, sleep and preemption.
+func (k *Kernel) finishStep(c *coreState, p *Process, alive bool) {
+	p.Stats.CPUCycles += c.clock.Now() - c.stepStart
 	if k.probe != nil {
 		k.probe.AfterStep(c.id, c.clock.Now())
 	}
@@ -577,11 +582,40 @@ func (k *Kernel) RunCtx(ctx context.Context, maxCycles uint64) uint64 {
 // clock passes maxCycles. It returns the maximum core clock reached.
 func (k *Kernel) Run(maxCycles uint64) uint64 {
 	sincePoll := interruptStride - 1 // poll on the first iteration
+	for !k.runSteps(maxCycles, &sincePoll) {
+		// runSteps recovered a process fault; carry on scheduling.
+	}
+	return k.maxClock()
+}
+
+// runSteps is Run's scheduler loop. It returns true when the run is over,
+// and false after it has recovered a process fault (a *procFault panic
+// raised by the Env during a Step): the faulting process is then retired
+// with its error, and Run re-enters the loop with the interrupt-poll count
+// carried in sincePoll. Recovering here, once per fault, rather than around
+// every Step keeps the per-instruction path free of a deferred closure. Any
+// other panic propagates.
+func (k *Kernel) runSteps(maxCycles uint64, sincePoll *int) (done bool) {
+	var stepping *coreState // the core whose Step is in flight
+	defer func() {
+		if done || stepping == nil {
+			return
+		}
+		r := recover()
+		pf, isFault := r.(*procFault)
+		if !isFault {
+			panic(r)
+		}
+		p := stepping.cur
+		p.Err = pf.err
+		p.State = Exited
+		k.finishStep(stepping, p, false)
+	}()
 	for {
-		if sincePoll++; sincePoll >= interruptStride {
-			sincePoll = 0
+		if *sincePoll++; *sincePoll >= interruptStride {
+			*sincePoll = 0
 			if k.interrupted.Load() {
-				break
+				return true
 			}
 		}
 		// Pick the live core whose next event is earliest, keeping
@@ -601,10 +635,10 @@ func (k *Kernel) Run(maxCycles uint64) uint64 {
 			}
 		}
 		if c == nil {
-			break // all processes exited
+			return true // all processes exited
 		}
 		if cTime >= maxCycles {
-			break
+			return true
 		}
 		if c.cur == nil {
 			if !k.schedule(c) {
@@ -612,9 +646,10 @@ func (k *Kernel) Run(maxCycles uint64) uint64 {
 				continue
 			}
 		}
+		stepping = c
 		k.stepCurrent(c)
+		stepping = nil
 	}
-	return k.maxClock()
 }
 
 // maxClock returns the highest core clock.

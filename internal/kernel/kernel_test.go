@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -619,4 +620,166 @@ func TestMigrationPreservesLLCContextAndSecurity(t *testing.T) {
 	if err := k.Migrate(pa, 1); err == nil {
 		t.Fatal("migrating an exited process must error")
 	}
+}
+
+// TestDedupDeterministic pins that which frame survives a merge — and so
+// which frames the scan frees and the next allocation reuses — depends only
+// on the process table, never on Go's map iteration order: identical fresh
+// kernels must come out of DedupScan identical.
+func TestDedupDeterministic(t *testing.T) {
+	const pages = 16
+	type outcome struct {
+		frames [2][pages]mem.Frame
+		next   mem.Frame
+		merged int
+	}
+	run := func() outcome {
+		k := newMachine(t, cache.SecOff, 1)
+		var procs [2]*Process
+		for i := range procs {
+			as := NewAddressSpace(k.Physical())
+			if err := as.MapAnon(0x200000, pages*mem.PageSize, true); err != nil {
+				t.Fatal(err)
+			}
+			p, err := k.Spawn("zero", sim.ProcFunc(func(sim.Env) bool { return false }), as, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			procs[i] = p
+		}
+		var o outcome
+		o.merged = k.DedupScan()
+		for i, p := range procs {
+			for pg := 0; pg < pages; pg++ {
+				o.frames[i][pg], _ = p.AS.FrameAt(0x200000 + uint64(pg)*mem.PageSize)
+			}
+		}
+		next, err := k.Physical().Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.next = next
+		return o
+	}
+	first := run()
+	if first.merged != 2*pages-1 {
+		t.Fatalf("merged = %d, want %d (every zero page onto one frame)", first.merged, 2*pages-1)
+	}
+	for i := 1; i < 30; i++ {
+		if got := run(); got != first {
+			t.Fatalf("run %d: dedup outcome %+v differs from run 0 %+v", i, got, first)
+		}
+	}
+}
+
+// TestTouchMatchesLoad pins the timing-only load contract on the kernel
+// side: Touch makes the same translation, hierarchy access and clock charge
+// as Load, so two identical machines, one loading and one touching the same
+// addresses, end in identical timing state.
+func TestTouchMatchesLoad(t *testing.T) {
+	run := func(touch bool) (uint64, []cache.Stats) {
+		k := newMachine(t, cache.SecTimeCache, 1)
+		as := NewAddressSpace(k.Physical())
+		if err := as.MapAnon(0x200000, 8*mem.PageSize, true); err != nil {
+			t.Fatal(err)
+		}
+		p, err := k.Spawn("p", sim.ProcFunc(func(sim.Env) bool { return false }), as, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.RunInline(p, func(env sim.Env) {
+			for i := uint64(0); i < 5000; i++ {
+				addr := 0x200000 + (i*i*40)%(8*mem.PageSize)
+				if i%5 == 0 {
+					env.Store(addr, i)
+				} else if touch {
+					env.(sim.Toucher).Touch(addr)
+				} else {
+					env.Load(addr)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var st []cache.Stats
+		for _, c := range k.Hierarchy().Caches() {
+			st = append(st, c.Stats)
+		}
+		return k.CoreClock(0), st
+	}
+	loadClock, loadStats := run(false)
+	touchClock, touchStats := run(true)
+	if loadClock != touchClock || !slices.Equal(loadStats, touchStats) {
+		t.Fatalf("Touch diverged from Load: clock %d vs %d, stats %+v vs %+v", touchClock, loadClock, touchStats, loadStats)
+	}
+}
+
+// TestCoreTLBNeverServesStaleTranslations pins the two ways the per-core
+// TLB must notice that a cached translation no longer applies: the core
+// switching to another address space (here one whose page-table version
+// equals the last one's, so only the identity check catches it), and the
+// running address space's page table changing underneath (here a thread on
+// the other core breaking COW on a page this core has cached).
+func TestCoreTLBNeverServesStaleTranslations(t *testing.T) {
+	const addr = 0x200000
+	nop := sim.ProcFunc(func(sim.Env) bool { return false })
+	inline := func(k *Kernel, p *Process, fn func(env sim.Env)) {
+		t.Helper()
+		if err := k.RunInline(p, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(env sim.Env, who string, want uint64) {
+		t.Helper()
+		if got := env.Load(addr); got != want {
+			t.Fatalf("%s loads %d, want %d", who, got, want)
+		}
+	}
+
+	t.Run("address space switch", func(t *testing.T) {
+		k := newMachine(t, cache.SecOff, 1)
+		var procs [2]*Process
+		for i := range procs {
+			as := NewAddressSpace(k.Physical())
+			if err := as.MapAnon(addr, mem.PageSize, true); err != nil {
+				t.Fatal(err)
+			}
+			p, err := k.Spawn("p", nop, as, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			procs[i] = p
+		}
+		if procs[0].AS.Version() != procs[1].AS.Version() {
+			t.Fatal("setup: the two address spaces must share a page-table version")
+		}
+		inline(k, procs[0], func(env sim.Env) { env.Store(addr, 1); expect(env, "first", 1) })
+		inline(k, procs[1], func(env sim.Env) { expect(env, "second", 0); env.Store(addr, 2) })
+		inline(k, procs[0], func(env sim.Env) { expect(env, "first", 1) })
+	})
+
+	t.Run("page table change", func(t *testing.T) {
+		k := newMachine(t, cache.SecOff, 2)
+		parent := NewAddressSpace(k.Physical())
+		if err := parent.MapAnon(addr, mem.PageSize, true); err != nil {
+			t.Fatal(err)
+		}
+		pa, _, _ := parent.Translate(addr, true)
+		k.Physical().WriteU64(pa, 7)
+		child, err := k.Fork(parent) // the page is now COW-shared
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0, err := k.Spawn("t0", nop, child, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t1, err := k.Spawn("t1", nop, child.Share(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inline(k, t0, func(env sim.Env) { expect(env, "thread 0", 7) })
+		inline(k, t1, func(env sim.Env) { env.Store(addr, 9) }) // breaks COW
+		inline(k, t0, func(env sim.Env) { expect(env, "thread 0", 9) })
+	})
 }

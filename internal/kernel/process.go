@@ -73,11 +73,6 @@ type Process struct {
 	Err error
 
 	Stats ProcStats
-
-	// tlb is the process's cached translations (invalidated on page-table
-	// version changes).
-	tlb    [tlbEntries]tlbEntry
-	tlbVer uint64
 }
 
 // savedColumn pairs a cache with the process's saved s-bit column for it.
@@ -108,16 +103,4 @@ func (p *Process) savedFor(c *cache.Cache) core.SecVec {
 		}
 	}
 	return nil
-}
-
-type tlbEntry struct {
-	vpage uint64 // vaddr >> PageShift, +1 so zero value is invalid
-	base  uint64 // physical page base
-	write bool   // translation valid for writes
-}
-
-const tlbEntries = 8
-
-func (p *Process) flushTLB() {
-	p.tlb = [tlbEntries]tlbEntry{}
 }

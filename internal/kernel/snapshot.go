@@ -69,7 +69,7 @@ func (k *Kernel) CopyFrom(src *Kernel) error {
 	k.procs = k.procs[:0]
 	for _, sp := range src.procs {
 		p := &Process{}
-		*p = *sp // flat fields: PID/Name/Core/State/wakeAt/Ts/everRan/ExitCode/Err/Stats/tlb/tlbVer
+		*p = *sp // flat fields: PID/Name/Core/State/wakeAt/Ts/everRan/ExitCode/Err/Stats
 		p.Proc = sp.Proc.(sim.Forker).ForkProc()
 		p.AS = cloneAS(sp.AS)
 		// Deep-copy the saved s-bit columns, remapping their cache keys.
@@ -87,7 +87,8 @@ func (k *Kernel) CopyFrom(src *Kernel) error {
 
 	// Scheduler position per core. secCaches/secLineCounts/switchCost are
 	// construction invariants and req is per-access scratch; none change
-	// after New, so they are not copied.
+	// after New, so they are not copied. The TLB is flushed: its entries
+	// belong to k's old address spaces.
 	for i, sc := range src.cores {
 		dc := k.cores[i]
 		dc.clock = sc.clock
@@ -100,6 +101,7 @@ func (k *Kernel) CopyFrom(src *Kernel) error {
 		dc.sliceEnd = sc.sliceEnd
 		dc.sliceInstrs = sc.sliceInstrs
 		dc.runStart = sc.runStart
+		dc.flushTLB(nil)
 	}
 
 	// Kernel-level bookkeeping. Frame numbers are identical across

@@ -41,6 +41,16 @@ type Env interface {
 	PID() int
 }
 
+// Toucher is an optional interface an Env implements when it can perform a
+// timing-only load. Touch(vaddr) makes exactly the access Load(vaddr) makes
+// — the same translation (and fault), hierarchy request and latency charged
+// to the core clock — but does not read the word. A Proc that discards a
+// loaded value calls Touch when its Env provides it; one that uses the
+// value calls Load.
+type Toucher interface {
+	Touch(vaddr uint64)
+}
+
 // Proc is a schedulable program. Step executes one instruction (or one
 // bounded unit of work) against env and reports whether the process is
 // still running; returning false terminates it. The kernel may preempt

@@ -173,6 +173,18 @@ func TestRecordReplayReproducesCacheBehavior(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("empty trace")
 	}
+	// The workload's loads reach the kernel's Env as timing-only Touches
+	// when it runs unwrapped; under the recorder they must still be
+	// recorded as loads. Every load and store is one L1D access.
+	var dataOps uint64
+	for _, r := range recs {
+		if r.Kind == KindLoad || r.Kind == KindStore {
+			dataOps++
+		}
+	}
+	if got := k1.Hierarchy().L1D(0).Stats.Accesses; dataOps != got {
+		t.Fatalf("trace holds %d loads+stores, the recording machine made %d L1D accesses", dataOps, got)
+	}
 
 	// Replay run on a fresh, identical machine.
 	k2, _ := machine()

@@ -142,7 +142,10 @@ func (p *Proc) Step(env sim.Env) bool {
 			p.sinceJump = 0
 			p.codePos = p.pick(p.prof.CodeBytes)
 		} else {
-			p.codePos = (p.codePos + 8) % p.prof.CodeBytes
+			// (codePos+8) % CodeBytes, dividing only on wrap-around.
+			if p.codePos += 8; p.codePos >= p.prof.CodeBytes {
+				p.codePos %= p.prof.CodeBytes
+			}
 		}
 		fetchAddr = codeBase + (p.codePos &^ 7)
 	}
@@ -152,21 +155,23 @@ func (p *Proc) Step(env sim.Env) bool {
 		switch {
 		case p.prof.LibDataFrac > 0 && p.randFloat() < p.prof.LibDataFrac:
 			// Shared libc data is read-only from the process's viewpoint.
-			env.Load(libDataBase + p.pick(LibDataBytes/8)*8)
+			touch(env, libDataBase+p.pick(LibDataBytes/8)*8)
 		case p.randFloat() < p.prof.StreamFrac:
 			addr := streamBase + p.streamPos
-			p.streamPos = (p.streamPos + 8) % p.prof.StreamBytes
+			if p.streamPos += 8; p.streamPos >= p.prof.StreamBytes {
+				p.streamPos %= p.prof.StreamBytes
+			}
 			if p.randFloat() < p.prof.StoreRatio {
 				env.Store(addr, p.rng)
 			} else {
-				env.Load(addr)
+				touch(env, addr)
 			}
 		default:
 			addr := wsBase + (p.rand()%(p.prof.WSBytes/8))*8
 			if p.randFloat() < p.prof.StoreRatio {
 				env.Store(addr, p.rng)
 			} else {
-				env.Load(addr)
+				touch(env, addr)
 			}
 		}
 	}
@@ -180,6 +185,16 @@ func (p *Proc) Step(env sim.Env) bool {
 		}
 	}
 	return true
+}
+
+// touch issues a load whose value the model discards: through the Env's
+// timing-only path when it has one, otherwise as an ordinary Load.
+func touch(env sim.Env, vaddr uint64) {
+	if t, ok := env.(sim.Toucher); ok {
+		t.Touch(vaddr)
+		return
+	}
+	env.Load(vaddr)
 }
 
 // SpawnOptions controls workload placement.

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -231,5 +233,55 @@ func TestProcAddressesStayInRegions(t *testing.T) {
 		if !inStream && !inWS && !inLibData {
 			t.Fatalf("load outside data regions: %#x", a)
 		}
+	}
+}
+
+// streamEnv logs every memory operation a Proc issues with its address.
+type streamEnv struct {
+	countingEnv
+	ops []string
+}
+
+func (e *streamEnv) Fetch(v uint64) { e.ops = append(e.ops, fmt.Sprint("fetch ", v)) }
+func (e *streamEnv) Load(v uint64) uint64 {
+	e.ops = append(e.ops, fmt.Sprint("load ", v))
+	return 0
+}
+func (e *streamEnv) Store(v, x uint64) { e.ops = append(e.ops, fmt.Sprint("store ", v, " ", x)) }
+
+// touchStreamEnv is a streamEnv that also offers timing-only loads
+// (sim.Toucher), logged under their own op.
+type touchStreamEnv struct{ streamEnv }
+
+func (e *touchStreamEnv) Touch(v uint64) { e.ops = append(e.ops, fmt.Sprint("touch ", v)) }
+
+// TestTouchReplacesEveryLoad pins the timing-only load contract on the
+// workload side: given an Env with Touch, a Proc issues exactly the stream
+// it issues to a plain Env, with every Load (whose value the model always
+// discards) replaced by a Touch of the same address.
+func TestTouchReplacesEveryLoad(t *testing.T) {
+	prof, _ := Spec("gobmk")
+	plain := &streamEnv{}
+	for p := NewProc(prof, 20_000, 5); p.Step(plain); {
+	}
+	touching := &touchStreamEnv{}
+	for p := NewProc(prof, 20_000, 5); p.Step(touching); {
+	}
+	if len(plain.ops) != len(touching.ops) {
+		t.Fatalf("%d ops with Touch, %d without", len(touching.ops), len(plain.ops))
+	}
+	loads := 0
+	for i, op := range plain.ops {
+		want := op
+		if strings.HasPrefix(op, "load ") {
+			want = "touch " + strings.TrimPrefix(op, "load ")
+			loads++
+		}
+		if touching.ops[i] != want {
+			t.Fatalf("op %d = %q, want %q", i, touching.ops[i], want)
+		}
+	}
+	if loads == 0 {
+		t.Fatal("the stream has no loads to replace")
 	}
 }
