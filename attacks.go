@@ -2,7 +2,6 @@ package timecache
 
 import (
 	"timecache/internal/attack"
-	"timecache/internal/machine"
 	"timecache/internal/replacement"
 )
 
@@ -143,19 +142,6 @@ func RunSMTAttack(mode Mode, bits int, seed uint64) (SecretAttackResult, error) 
 // two cores; TimeCache removes the remote-forward timing difference.
 func RunCoherenceAttack(mode Mode, bits int, seed uint64) (SecretAttackResult, error) {
 	r, err := attack.RunCoherence(mode.secMode(), bits, seed)
-	if err != nil {
-		return SecretAttackResult{}, err
-	}
-	return toSecretResult(r), nil
-}
-
-// RunLLCOccupancyAttack mounts the LLC occupancy (contention) channel: the
-// victim modulates its working-set size with the secret and the attacker
-// times whole sweeps of a private buffer — no shared memory, no flushes, no
-// eviction sets. Address-based defenses (s-bits, presence bits) leave it
-// intact; way partitioning or TTL-based eviction break it.
-func RunLLCOccupancyAttack(mode Mode, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunLLCOccupancy(machine.Config{Mode: mode.secMode()}, bits, seed)
 	if err != nil {
 		return SecretAttackResult{}, err
 	}

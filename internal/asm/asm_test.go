@@ -51,9 +51,9 @@ func TestLabelsAndBranches(t *testing.T) {
 	done:
 		halt
 	`)
-	loop, err := p.Label("loop")
-	if err != nil {
-		t.Fatal(err)
+	loop, ok := p.Labels["loop"]
+	if !ok {
+		t.Fatal("label loop undefined")
 	}
 	if loop != p.TextBase+1*isa.InstrBytes {
 		t.Fatalf("loop at %#x, want %#x", loop, p.TextBase+8)
@@ -62,7 +62,7 @@ func TestLabelsAndBranches(t *testing.T) {
 	if got := uint64(p.Instrs[3].Imm); got != loop {
 		t.Fatalf("blt target %#x, want %#x", got, loop)
 	}
-	done, _ := p.Label("done")
+	done := p.Labels["done"]
 	if got := uint64(p.Instrs[4].Imm); got != done {
 		t.Fatalf("jmp target %#x, want %#x", got, done)
 	}
@@ -106,7 +106,7 @@ func TestDataSectionsAndLabelImmediates(t *testing.T) {
 		movi r3, table+16
 		ld   r4, [r1]
 	`)
-	counter, _ := p.Label("counter")
+	counter := p.Labels["counter"]
 	if counter != p.DataBase {
 		t.Fatalf("counter at %#x, want data base %#x", counter, p.DataBase)
 	}
@@ -116,7 +116,7 @@ func TestDataSectionsAndLabelImmediates(t *testing.T) {
 	if p.Data[0] != 7 {
 		t.Fatal(".quad 7 not encoded")
 	}
-	table, _ := p.Label("table")
+	table := p.Labels["table"]
 	if table != p.SharedBase {
 		t.Fatalf("table at %#x, want shared base %#x", table, p.SharedBase)
 	}
@@ -138,7 +138,7 @@ func TestQuadLabelFixup(t *testing.T) {
 	.text
 	target: halt
 	`)
-	target, _ := p.Label("target")
+	target := p.Labels["target"]
 	var got uint64
 	for i := 0; i < 8; i++ {
 		got |= uint64(p.Data[i]) << (8 * i)
@@ -271,7 +271,7 @@ func TestByteAsciiAlignDirectives(t *testing.T) {
 	if p.Data[0] != 1 || p.Data[1] != 2 || p.Data[2] != 255 {
 		t.Fatalf(".byte encoding wrong: %v", p.Data[:3])
 	}
-	msg, _ := p.Label("msg")
+	msg := p.Labels["msg"]
 	off := msg - p.DataBase
 	if off%8 != 0 {
 		t.Fatalf(".align failed: msg at offset %d", off)

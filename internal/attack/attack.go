@@ -156,9 +156,6 @@ func (m *Machine) MapSharedAt(key string, size uint64) (*kernel.AddressSpace, er
 	return as, nil
 }
 
-// SharedBase returns the conventional shared-mapping address.
-func SharedBase() uint64 { return sharedBase }
-
 // BuildEvictionSet allocates private pages in as (starting at vaddrBase)
 // and returns n virtual addresses whose physical lines map to the same set
 // of the given cache as targetPA does architecturally. It mirrors an

@@ -286,70 +286,3 @@ func RunEvictReload(mode cache.SecMode, keyBits int, seed uint64) (RSAResult, er
 	res.Accuracy = key.Match(recovered)
 	return res, nil
 }
-
-// RunRSALimited is RunRSA with the limited-pointer s-bit tracker (§VI-C
-// area optimization) configured with maxSharers slots per line, used to
-// verify the optimization preserves the defense.
-func RunRSALimited(mode cache.SecMode, maxSharers, keyBits int, seed uint64) (RSAResult, error) {
-	m := NewMachineConfig(machine.Config{Mode: mode, MaxSharers: maxSharers})
-	return runRSAOn(m, keyBits, seed)
-}
-
-// RunRSABig mounts the flush+reload attack against the multi-precision
-// victim (rsa.BigVictim): real MPI square/multiply/reduce with
-// operand-dependent work, the closest model of the GnuPG target. The
-// recovery logic is identical — only the victim's realism differs.
-func RunRSABig(mode cache.SecMode, keyBits int, seed uint64) (RSAResult, error) {
-	m := NewMachine(mode, 1)
-	lib := rsa.DefaultLibrary(sharedBase)
-	key := rsa.GenerateKey(keyBits, seed)
-	base := rsa.NewIntFromLimbs([]uint32{0x12345678, 0x9ABCDEF0, 0x13579BDF})
-	modulus := rsa.NewIntFromLimbs([]uint32{0xFFFFFFC5, 0xFFFFFFFF, 0xFFFFFFFF, 0x1})
-
-	asV, err := m.MapSharedAt("gnupg-big", lib.Size())
-	if err != nil {
-		return RSAResult{}, err
-	}
-	asA, err := m.MapSharedAt("gnupg-big", lib.Size())
-	if err != nil {
-		return RSAResult{}, err
-	}
-	// Private operand storage for the victim's limb traffic.
-	const operandBase = 0x5000_0000
-	if err := asV.MapAnon(operandBase, 64<<10, true); err != nil {
-		return RSAResult{}, err
-	}
-
-	vic := rsa.NewBigVictim(lib, key, base, modulus, operandBase)
-	prober := NewProber(m, []uint64{lib.SquareAddr(), lib.MultiplyAddr(), lib.ReduceAddr()}, keyBits+1)
-
-	if _, err := m.K.Spawn("gpg-big", vic, asV, 0); err != nil {
-		return RSAResult{}, err
-	}
-	if _, err := m.K.Spawn("spy", prober, asA, 0); err != nil {
-		return RSAResult{}, err
-	}
-	m.K.Run(8_000_000_000)
-	if !m.K.AllExited() {
-		return RSAResult{}, fmt.Errorf("attack: big-number RSA attack did not finish")
-	}
-
-	res := RSAResult{Key: key, Hits: prober.Hits(), Latencies: prober.Lat}
-	res.VictimCorrect = vic.Result != nil && vic.Result.Cmp(rsa.BigModExp(base, key, modulus)) == 0
-	recovered := make(rsa.Key, 0, keyBits)
-	for _, row := range prober.Obs {
-		if len(recovered) == keyBits {
-			break
-		}
-		if row[0] {
-			res.SquareHits++
-		}
-		if row[1] {
-			res.MultiplyHits++
-		}
-		recovered = append(recovered, row[1])
-	}
-	res.Recovered = recovered
-	res.Accuracy = key.Match(recovered)
-	return res, nil
-}

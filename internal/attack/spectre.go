@@ -19,14 +19,6 @@ type SpectreResult struct {
 	Hits int
 }
 
-// Accuracy returns the fraction of secret bytes recovered.
-func (r SpectreResult) Accuracy() float64 {
-	if len(r.Secret) == 0 {
-		return 0
-	}
-	return float64(r.BytesCorrect) / float64(len(r.Secret))
-}
-
 // spectreVictim models the transmit half of a Spectre gadget: for each
 // secret byte it performs the transient load `probeArray[secret[i] * 64]`
 // that speculative execution would leave in the cache. The architectural

@@ -71,12 +71,6 @@ func NewArray(lines int, bits uint) *Array {
 	}
 }
 
-// Lines returns the number of timestamps in the array.
-func (a *Array) Lines() int { return a.lines }
-
-// Bits returns the timestamp width.
-func (a *Array) Bits() uint { return a.bits }
-
 // Store writes the timestamp for one line through the transpose interface
 // (the regular-operation path used when a cache line is filled).
 func (a *Array) Store(line int, tc uint64) {
@@ -152,7 +146,7 @@ func (a *Array) CompareGT(ts uint64) []uint64 {
 }
 
 // CompareGTInto is CompareGT writing the packed result into dst, which must
-// have (Lines()+63)/64 words. It performs no allocation, so a caller that
+// have (lines+63)/64 words. It performs no allocation, so a caller that
 // compares on every context switch can reuse one buffer. Returns dst.
 func (a *Array) CompareGTInto(ts uint64, dst []uint64) []uint64 {
 	if want := (a.lines + 63) / 64; len(dst) != want {
@@ -191,8 +185,8 @@ func (a *Array) CompareGTInto(ts uint64, dst []uint64) []uint64 {
 }
 
 // Iterations returns the number of bit-serial steps a comparison takes; it
-// is always exactly Bits(), independent of the stored data. Exposed so
-// tests can assert the constant-time property structurally.
+// is always exactly the timestamp width, independent of the stored data.
+// Exposed so tests can assert the constant-time property structurally.
 func (a *Array) Iterations() uint { return a.bits }
 
 func (a *Array) check(line int) {

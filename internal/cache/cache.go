@@ -229,9 +229,6 @@ func (c *Cache) Ways() int { return c.ways }
 // Lines returns the total line count.
 func (c *Cache) Lines() int { return len(c.lines) }
 
-// Latency returns the hit latency.
-func (c *Cache) Latency() uint64 { return c.cfg.Latency }
-
 // Sec returns the TimeCache security state, or nil if disabled.
 func (c *Cache) Sec() core.Tracker { return c.sec }
 
@@ -432,15 +429,4 @@ func (c *Cache) FlushAll() {
 			c.invalidate(i)
 		}
 	}
-}
-
-// Occupancy returns the number of valid lines (for tests and stats).
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, t := range c.tags {
-		if t != 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -313,14 +313,14 @@ func TestContextSwitchSaveRestoreEndToEnd(t *testing.T) {
 	h.Access(10, 0, 0xD000, Load) // process A fills
 	saved := map[*Cache]core.SecVec{}
 	for _, cc := range h.SecCaches(0) {
-		saved[cc.Cache] = cc.Cache.Sec().SaveColumn(cc.LocalCtx)
+		saved[cc.Cache] = saveColumn(cc.Cache, cc.LocalCtx)
 	}
 	tsA := uint64(20)
 
 	// Process B now runs on ctx 0: clear A's bits, then B re-fills the line
 	// (flush first so it is B's fill, at a later Tc).
 	for _, cc := range h.SecCaches(0) {
-		cc.Cache.Sec().ClearColumn(cc.LocalCtx)
+		cc.Cache.Sec().RestoreColumn(cc.LocalCtx, nil, 0, 0)
 	}
 	h.Flush(30, 0, 0xD000)
 	h.Access(40, 0, 0xD000, Load) // B's fill at t=40 > tsA
@@ -343,10 +343,10 @@ func TestContextSwitchSaveRestoreEndToEnd(t *testing.T) {
 	var savedVec core.SecVec
 	for _, cc := range h2.SecCaches(0) {
 		if cc.Cache == h2.L1D(0) {
-			savedVec = cc.Cache.Sec().SaveColumn(cc.LocalCtx)
+			savedVec = saveColumn(cc.Cache, cc.LocalCtx)
 		}
 	}
-	h2.L1D(0).Sec().ClearColumn(0)
+	h2.L1D(0).Sec().RestoreColumn(0, nil, 0, 0)
 	h2.L1D(0).Sec().RestoreColumn(0, savedVec, 20, 50)
 	if r := h2.Access(60, 0, 0xE000, Load); !r.Hit {
 		t.Fatal("untouched line must hit after restore")

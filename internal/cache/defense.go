@@ -33,40 +33,12 @@ type Defense interface {
 	// panic if src is a different concrete defense: a snapshot that cannot
 	// carry its defense state must refuse rather than silently drop it.
 	CopyFrom(src Defense)
-	// Stats returns a snapshot of the defense's own counters.
-	Stats() DefenseStats
-}
-
-// DefenseStats counts a runtime defense's actions. Structural defenses
-// (s-bits, partitioning) account through the existing cache/kernel counters
-// instead.
-type DefenseStats struct {
-	Name string
-	// Evictions is the number of lines the defense itself invalidated.
-	Evictions uint64
-	// SwitchCycles is the total extra switch-time cycles the defense charged.
-	SwitchCycles uint64
-	// Checks counts per-access hook invocations that inspected state.
-	Checks uint64
 }
 
 // SetDefense installs (or, with nil, removes) the runtime defense. Unlike
 // the observer, an installed defense is part of the machine's configured
 // behavior: Reset resets its state but keeps it installed.
 func (h *Hierarchy) SetDefense(d Defense) { h.def = d }
-
-// Defense returns the installed runtime defense, nil when the configured
-// mechanism is structural.
-func (h *Hierarchy) Defense() Defense { return h.def }
-
-// DefenseStats returns the installed defense's counters, or a zero snapshot
-// naming the structural mode when no runtime defense is installed.
-func (h *Hierarchy) DefenseStats() DefenseStats {
-	if h.def != nil {
-		return h.def.Stats()
-	}
-	return DefenseStats{Name: h.cfg.Mode.String()}
-}
 
 // DefenseSwitch runs the installed defense's context-switch hook and returns
 // the cycles to charge; zero when no runtime defense is installed. The
@@ -79,12 +51,11 @@ func (h *Hierarchy) DefenseSwitch(core, outPID, inPID int, now uint64) uint64 {
 }
 
 // EvictLine invalidates lineAddr at every level through the directory-safe
-// flush path, reporting whether any copy was resident and whether a dirty
-// copy had to be written back. Defense implementations use it for
+// flush path, writing a dirty copy back. Defense implementations use it for
 // time-based (Clepsydra-style) evictions; unlike ServeFlush it charges no
 // latency — the modeled eviction happens in background hardware.
-func (h *Hierarchy) EvictLine(lineAddr uint64) (present, dirty bool) {
-	return h.flushLine(lineAddr &^ (LineSize - 1))
+func (h *Hierarchy) EvictLine(lineAddr uint64) {
+	h.flushLine(lineAddr &^ (LineSize - 1))
 }
 
 // EvictCoreL1 invalidates every valid line in core's L1I and L1D for which

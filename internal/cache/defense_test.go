@@ -4,15 +4,14 @@ import "testing"
 
 // nopDefense is a minimal runtime Defense for seam tests: it counts hook
 // invocations and charges a fixed switch cost, touching nothing else.
-type nopDefense struct{ stats DefenseStats }
+type nopDefense struct{ checks, switchCycles uint64 }
 
 func (d *nopDefense) Name() string         { return "nop" }
-func (d *nopDefense) OnAccess(r *Request)  { d.stats.Checks++ }
-func (d *nopDefense) Reset()               { d.stats = DefenseStats{Name: "nop"} }
-func (d *nopDefense) Stats() DefenseStats  { return d.stats }
-func (d *nopDefense) CopyFrom(src Defense) { d.stats = src.(*nopDefense).stats }
+func (d *nopDefense) OnAccess(r *Request)  { d.checks++ }
+func (d *nopDefense) Reset()               { *d = nopDefense{} }
+func (d *nopDefense) CopyFrom(src Defense) { *d = *src.(*nopDefense) }
 func (d *nopDefense) OnSwitch(core, outPID, inPID int, now uint64) uint64 {
-	d.stats.SwitchCycles += 7
+	d.switchCycles += 7
 	return 7
 }
 
@@ -61,11 +60,8 @@ func TestDefenseSeamHooks(t *testing.T) {
 	if c := h.DefenseSwitch(0, 1, 2, 100); c != 0 {
 		t.Fatalf("DefenseSwitch with no defense charged %d cycles", c)
 	}
-	if st := h.DefenseStats(); st.Name != SecOff.String() {
-		t.Fatalf("structural DefenseStats = %+v, want zero stats named %q", st, SecOff.String())
-	}
 
-	d := &nopDefense{stats: DefenseStats{Name: "nop"}}
+	d := &nopDefense{}
 	h.SetDefense(d)
 	for i := 0; i < 5; i++ {
 		h.Access(uint64(1+i), 0, uint64(i)*LineSize, Load)
@@ -73,19 +69,18 @@ func TestDefenseSeamHooks(t *testing.T) {
 	if c := h.DefenseSwitch(0, 1, 2, 100); c != 7 {
 		t.Fatalf("DefenseSwitch charge = %d, want the hook's 7", c)
 	}
-	st := h.DefenseStats()
-	if st.Checks != 5 || st.SwitchCycles != 7 {
-		t.Fatalf("stats = %+v, want 5 checks and 7 switch cycles", st)
+	if d.checks != 5 || d.switchCycles != 7 {
+		t.Fatalf("hooks saw %d checks and %d switch cycles, want 5 and 7", d.checks, d.switchCycles)
 	}
 	h.Reset()
-	if h.Defense() != d {
+	if h.def != d {
 		t.Fatal("Reset uninstalled the defense")
 	}
-	if st := h.DefenseStats(); st.Checks != 0 || st.SwitchCycles != 0 {
-		t.Fatalf("post-Reset stats = %+v, want zeros", st)
+	if d.checks != 0 || d.switchCycles != 0 {
+		t.Fatalf("post-Reset counters = %+v, want zeros", *d)
 	}
 	h.SetDefense(nil)
-	if h.Defense() != nil {
+	if h.def != nil {
 		t.Fatal("SetDefense(nil) did not uninstall")
 	}
 }

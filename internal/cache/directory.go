@@ -243,10 +243,6 @@ func (d *directory) reset() {
 	d.sideOwned = 0
 }
 
-// DirectoryEnabled reports whether this hierarchy runs directory-tracked
-// coherence (as opposed to the broadcast fallback).
-func (h *Hierarchy) DirectoryEnabled() bool { return h.dir != nil }
-
 // bruteForceEntry recomputes lineAddr's sharer state by probing every L1,
 // exactly what the pre-directory broadcast implementations observed. Used
 // by the -coherence-check cross-checking mode and the audit in

@@ -51,7 +51,7 @@ func driveRandomOps(t *testing.T, h *Hierarchy, rng *rand.Rand, ops int, record 
 			// them with an advanced timestamp, exercising OnEvict/OnFill
 			// interactions with the directory state.
 			for _, cc := range h.SecCaches(ctx) {
-				v := cc.Cache.Sec().SaveColumn(cc.LocalCtx)
+				v := saveColumn(cc.Cache, cc.LocalCtx)
 				cc.Cache.Sec().RestoreColumn(cc.LocalCtx, v, uint64(i), uint64(i)+1)
 			}
 			record(i, 0, Result{})

@@ -181,9 +181,6 @@ type Hierarchy struct {
 // SetObserver installs (or, with nil, removes) the access observer.
 func (h *Hierarchy) SetObserver(o Observer) { h.obs = o }
 
-// Observer returns the installed access observer, nil when detached.
-func (h *Hierarchy) Observer() Observer { return h.obs }
-
 // SetActiveDomain records the security domain of the process now running
 // on a core; cache partitioning confines its fills and lookups to that
 // domain's ways.
@@ -728,17 +725,6 @@ func (h *Hierarchy) evictL1Line(l1 *Cache, idx, corei int, inst bool) {
 	if l.st == modified {
 		h.markLLCDirty(tag)
 	}
-}
-
-// Flush performs a clflush of addr by ctx: the line is invalidated at every
-// level. The returned latency leaks residency unless ConstantTimeFlush is
-// set (paper §VII-C). Compatibility wrapper over ServeFlush using the
-// hierarchy's scratch Request.
-func (h *Hierarchy) Flush(now clock.Cycles, ctx int, addr uint64) uint64 {
-	r := &h.scratch
-	r.Now, r.Ctx, r.Addr = now, ctx, addr
-	h.ServeFlush(r)
-	return r.Latency
 }
 
 // ServeFlush performs the clflush described by r's Now/Ctx/Addr, recording

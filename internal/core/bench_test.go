@@ -14,10 +14,11 @@ const switchBenchLines = 32768
 // fillTracker populates a tracker with an alternating two-context residency
 // pattern so save/restore sees a realistic mixed column.
 func fillTracker(tr Tracker) {
-	for line := 0; line < tr.Lines(); line++ {
-		tr.OnFill(line, line%tr.Contexts(), clock.Cycles(line))
+	lines, contexts := trackerShape(tr)
+	for line := 0; line < lines; line++ {
+		tr.OnFill(line, line%contexts, clock.Cycles(line))
 		if line%3 == 0 {
-			tr.OnFirstAccess(line, (line+1)%tr.Contexts())
+			tr.OnFirstAccess(line, (line+1)%contexts)
 		}
 	}
 }
@@ -26,7 +27,7 @@ func fillTracker(tr Tracker) {
 // context switch with a reused buffer (save ctx 0's column, then restore it
 // against an advancing Ts/now).
 func saveRestoreLoop(b *testing.B, tr Tracker) {
-	buf := make(SecVec, VecWords(tr.Lines()))
+	buf := saveColumn(tr, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,7 +76,7 @@ func TestSaveRestoreColumnZeroAllocs(t *testing.T) {
 	}
 	for name, tr := range trackers {
 		fillTracker(tr)
-		buf := make(SecVec, VecWords(tr.Lines()))
+		buf := saveColumn(tr, 0)
 		i := uint64(0)
 		allocs := testing.AllocsPerRun(100, func() {
 			tr.SaveColumnInto(0, buf)

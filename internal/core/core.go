@@ -45,23 +45,16 @@ type SecVec []uint64
 // VecWords returns the number of words a SecVec needs for `lines` lines.
 func VecWords(lines int) int { return (lines + 63) / 64 }
 
-// Bit reports whether line's bit is set in the vector.
-func (v SecVec) Bit(line int) bool {
-	if v == nil {
-		return false
-	}
-	return v[line/64]>>(uint(line%64))&1 == 1
-}
-
 // SecArray holds the TimeCache hardware state for one cache: the per-line,
 // per-context s-bits and the per-line fill timestamps.
 //
 // The s-bits are stored column-major: one packed bit vector per hardware
 // context (64 lines per word), mirroring the SecVec layout software saves
 // and restores. Column operations — the per-context-switch hot path — are
-// therefore plain word operations over already-packed vectors: SaveColumn
-// is a copy, ClearColumn a memclr, and RestoreColumn an AND-NOT of the
-// saved column with the comparator's Tc>Ts mask, 64 lines per iteration.
+// therefore plain word operations over already-packed vectors:
+// SaveColumnInto is a copy, restoring a nil column a memclr, and
+// RestoreColumn an AND-NOT of the saved column with the comparator's Tc>Ts
+// mask, 64 lines per iteration.
 //
 // Per-access methods (Visible, OnFill, OnFirstAccess, OnEvict) do not
 // re-validate their arguments: line indices come from the owning cache's
@@ -118,12 +111,6 @@ func NewSecArray(cfg Config, lines, contexts int) *SecArray {
 	return s
 }
 
-// Lines returns the number of cache lines covered.
-func (s *SecArray) Lines() int { return s.lines }
-
-// Contexts returns the number of hardware contexts sharing the cache.
-func (s *SecArray) Contexts() int { return s.contexts }
-
 // col returns ctx's packed column.
 func (s *SecArray) col(ctx int) []uint64 {
 	return s.cols[ctx*s.words : (ctx+1)*s.words : (ctx+1)*s.words]
@@ -164,41 +151,16 @@ func (s *SecArray) OnEvict(line int) {
 	}
 }
 
-// Tc returns the truncated fill timestamp of a line (for tests and stats).
-func (s *SecArray) Tc(line int) uint64 {
-	return s.tc[line]
-}
-
-// SaveColumn extracts the s-bit column for ctx — the process-specific
-// caching context software writes to memory at preemption. It allocates a
-// fresh SecVec; the kernel's switch path uses SaveColumnInto with a
-// per-process buffer instead.
-func (s *SecArray) SaveColumn(ctx int) SecVec {
-	v := make(SecVec, s.words)
-	s.SaveColumnInto(ctx, v)
-	return v
-}
-
-// SaveColumnInto copies the s-bit column for ctx into dst, which must have
-// VecWords(Lines()) words. It performs no allocation: callers that switch
-// frequently keep one buffer per (process, cache) and reuse it.
+// SaveColumnInto copies the s-bit column for ctx — the process-specific
+// caching context software writes to memory at preemption — into dst,
+// which must have VecWords(lines) words. It performs no allocation: the
+// kernel keeps one buffer per (process, cache) and reuses it.
 func (s *SecArray) SaveColumnInto(ctx int, dst SecVec) {
 	s.checkCtx(ctx)
 	if len(dst) != s.words {
 		panic(fmt.Sprintf("core: SecVec has %d words, want %d", len(dst), s.words))
 	}
 	copy(dst, s.col(ctx))
-}
-
-// ClearColumn resets every s-bit of a context (used when a brand-new
-// process is scheduled, and on the rollover path). The column is packed, so
-// this clears 64 lines per word store.
-func (s *SecArray) ClearColumn(ctx int) {
-	s.checkCtx(ctx)
-	col := s.col(ctx)
-	for i := range col {
-		col[i] = 0
-	}
 }
 
 // RestoreColumn installs a saved s-bit column for ctx and brings it

@@ -22,8 +22,8 @@ func TestFillSetsOnlyFiller(t *testing.T) {
 			t.Fatalf("context %d must not see another context's fill", c)
 		}
 	}
-	if s.Tc(3) != 100 {
-		t.Fatalf("Tc = %d, want 100", s.Tc(3))
+	if s.tc[3] != 100 {
+		t.Fatalf("Tc = %d, want 100", s.tc[3])
 	}
 }
 
@@ -60,11 +60,11 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	s.OnFill(0, 0, 10)
 	s.OnFill(77, 0, 11)
 	s.OnFill(129, 0, 12)
-	v := s.SaveColumn(0)
+	v := saveColumn(s, 0)
 	if !v.Bit(0) || !v.Bit(77) || !v.Bit(129) || v.Bit(1) {
 		t.Fatal("saved column does not match s-bits")
 	}
-	s.ClearColumn(0)
+	s.RestoreColumn(0, nil, 0, 0)
 	if s.Visible(0, 0) {
 		t.Fatal("clear column failed")
 	}
@@ -81,7 +81,7 @@ func TestRestoreResetsNewerLines(t *testing.T) {
 	s := newArr(t, 64, 2)
 	s.OnFill(1, 0, 100)
 	s.OnFill(2, 0, 100)
-	v := s.SaveColumn(0)
+	v := saveColumn(s, 0)
 	ts := uint64(150) // process preempted at 150
 
 	// While preempted, line 2 is refilled (by ctx 1) at time 200 > Ts.
@@ -104,7 +104,7 @@ func TestRestoreEqualTimestampStaysVisible(t *testing.T) {
 	// Tc == Ts means the fill happened no later than preemption: visible.
 	s := newArr(t, 4, 1)
 	s.OnFill(0, 0, 150)
-	v := s.SaveColumn(0)
+	v := saveColumn(s, 0)
 	s.RestoreColumn(0, v, 150, 160)
 	if !s.Visible(0, 0) {
 		t.Fatal("Tc == Ts must remain visible")
@@ -124,7 +124,7 @@ func TestRolloverResetsAll(t *testing.T) {
 	cfg := Config{TimestampBits: 8}
 	s := NewSecArray(cfg, 4, 1)
 	s.OnFill(0, 0, 250)
-	v := s.SaveColumn(0)
+	v := saveColumn(s, 0)
 	// Preempted at 250, resumed at 260: the 8-bit counter wrapped.
 	s.RestoreColumn(0, v, 250, 260)
 	if s.Visible(0, 0) {
@@ -147,7 +147,7 @@ func TestNoRolloverFalseNegative(t *testing.T) {
 	s := NewSecArray(cfg, 2, 1)
 	s.OnFill(0, 0, 78)
 	s.OnFill(1, 0, 200)
-	v := s.SaveColumn(0)
+	v := saveColumn(s, 0)
 	s.RestoreColumn(0, v, 256+102, 256+105)
 	if !s.Visible(0, 0) {
 		t.Fatal("line with small truncated Tc survives")
@@ -168,7 +168,7 @@ func TestGateLevelMatchesReference(t *testing.T) {
 			ref.OnFill(line, 0, tm)
 			gate.OnFill(line, 0, tm)
 		}
-		v1, v2 := ref.SaveColumn(0), gate.SaveColumn(0)
+		v1, v2 := saveColumn(ref, 0), saveColumn(gate, 0)
 		ts := rng.Uint64() % 60000
 		ref.RestoreColumn(0, v1, ts, ts+1)
 		gate.RestoreColumn(0, v2, ts, ts+1)

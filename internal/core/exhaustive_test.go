@@ -60,8 +60,8 @@ func TestExhaustiveSmallState(t *testing.T) {
 			lim2 := NewLimitedTracker(Config{TimestampBits: 32, MaxSharers: 1}, lines, ctxs)
 			// Rebuild by replay is expensive; instead snapshot via columns.
 			for c := 0; c < ctxs; c++ {
-				s2.RestoreColumn(c, s.SaveColumn(c), 0, 0)
-				lim2.RestoreColumn(c, lim.SaveColumn(c), 0, 0)
+				s2.RestoreColumn(c, saveColumn(s, c), 0, 0)
+				lim2.RestoreColumn(c, saveColumn(lim, c), 0, 0)
 			}
 			// Copy timestamps so Restore semantics stay consistent.
 			copy(s2.tc, s.tc)
@@ -109,8 +109,8 @@ func TestExhaustiveSaveRestore(t *testing.T) {
 				if fill > ts {
 					continue // the process could not have seen a future fill
 				}
-				v := s.SaveColumn(0)
-				s.ClearColumn(0)
+				v := saveColumn(s, 0)
+				s.RestoreColumn(0, nil, 0, 0)
 				if refill > 0 {
 					s.OnEvict(0)
 					s.OnFill(0, 1, refill)

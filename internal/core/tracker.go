@@ -18,10 +18,6 @@ import (
 //     conservatively: an existing sharer is evicted and will pay an extra
 //     first-access miss. Security never weakens; only performance can.
 type Tracker interface {
-	// Lines returns the number of cache lines covered.
-	Lines() int
-	// Contexts returns the number of hardware contexts sharing the cache.
-	Contexts() int
 	// Visible reports whether ctx has seen the line's resident copy.
 	Visible(line, ctx int) bool
 	// OnFill records a fill by ctx at time now, resetting other contexts.
@@ -30,15 +26,13 @@ type Tracker interface {
 	OnFirstAccess(line, ctx int)
 	// OnEvict clears all visibility for an evicted/invalidated line.
 	OnEvict(line int)
-	// SaveColumn extracts ctx's visibility as a bit vector (software save).
-	SaveColumn(ctx int) SecVec
-	// SaveColumnInto writes ctx's visibility into dst, which must have
-	// VecWords(Lines()) words, without allocating. Frequent switchers keep
-	// one buffer per (process, cache) and reuse it across switches.
+	// SaveColumnInto writes ctx's visibility into dst (the software save),
+	// which must have VecWords(lines) words, without allocating. Frequent
+	// switchers keep one buffer per (process, cache) and reuse it across
+	// switches.
 	SaveColumnInto(ctx int, dst SecVec)
-	// ClearColumn removes all of ctx's visibility.
-	ClearColumn(ctx int)
-	// RestoreColumn installs a saved column, reconciling against Tc/Ts.
+	// RestoreColumn installs a saved column, reconciling against Tc/Ts; a
+	// nil column clears all of ctx's visibility.
 	RestoreColumn(ctx int, v SecVec, ts, now clock.Cycles)
 	// Reset clears all visibility, timestamps, and stats without
 	// reallocating, returning the tracker to its freshly constructed state
@@ -115,12 +109,6 @@ func NewLimitedTracker(cfg Config, lines, contexts int) *LimitedTracker {
 	}
 }
 
-// Lines implements Tracker.
-func (t *LimitedTracker) Lines() int { return t.lines }
-
-// Contexts implements Tracker.
-func (t *LimitedTracker) Contexts() int { return t.contexts }
-
 func (t *LimitedTracker) check(line, ctx int) {
 	if line < 0 || line >= t.lines {
 		panic(fmt.Sprintf("core: line %d out of range [0,%d)", line, t.lines))
@@ -190,13 +178,6 @@ func (t *LimitedTracker) OnEvict(line int) {
 	}
 }
 
-// SaveColumn implements Tracker.
-func (t *LimitedTracker) SaveColumn(ctx int) SecVec {
-	v := make(SecVec, VecWords(t.lines))
-	t.SaveColumnInto(ctx, v)
-	return v
-}
-
 // SaveColumnInto implements Tracker: one linear scan over the slot arrays,
 // with validation and slot-base arithmetic hoisted out of the per-line work
 // (the old shape called Visible — and its bounds checks — per line).
@@ -216,9 +197,10 @@ func (t *LimitedTracker) SaveColumnInto(ctx int, dst SecVec) {
 	}
 }
 
-// ClearColumn implements Tracker: a single pass over the flat slot arrays
-// instead of a lines×k nested loop with per-line base recomputation.
-func (t *LimitedTracker) ClearColumn(ctx int) {
+// clearColumn removes all of ctx's visibility: a single pass over the flat
+// slot arrays instead of a lines×k nested loop with per-line base
+// recomputation.
+func (t *LimitedTracker) clearColumn(ctx int) {
 	t.check(0, ctx)
 	for i, valid := range t.slotValid {
 		if valid && int(t.slots[i]) == ctx {
@@ -234,7 +216,7 @@ func (t *LimitedTracker) RestoreColumn(ctx int, v SecVec, ts, now clock.Cycles) 
 	if v != nil && len(v) != VecWords(t.lines) {
 		panic(fmt.Sprintf("core: SecVec has %d words, want %d", len(v), VecWords(t.lines)))
 	}
-	t.ClearColumn(ctx)
+	t.clearColumn(ctx)
 	if v == nil {
 		return
 	}
@@ -276,19 +258,4 @@ func (t *LimitedTracker) Reset() {
 	t.clockHand = 0
 	t.OverflowEvictions = 0
 	t.Rollovers = 0
-}
-
-// BitsPerLine returns the metadata bits per cache line for each tracker
-// design at n contexts: the full map needs n; limited pointers need
-// k*(log2(n)+1) (pointer plus valid bit). Used by the area discussion in
-// EXPERIMENTS.md and the ablation bench.
-func BitsPerLine(contexts, maxSharers int) (fullMap, limited int) {
-	logN := 0
-	for 1<<logN < contexts {
-		logN++
-	}
-	if maxSharers <= 0 {
-		return contexts, contexts
-	}
-	return contexts, maxSharers * (logN + 1)
 }

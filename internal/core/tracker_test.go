@@ -69,11 +69,11 @@ func TestLimitedSaveRestore(t *testing.T) {
 	tr.OnFill(0, 1, 10)
 	tr.OnFill(77, 1, 11)
 	tr.OnFill(129, 1, 12)
-	v := tr.SaveColumn(1)
+	v := saveColumn(tr, 1)
 	if !v.Bit(0) || !v.Bit(77) || !v.Bit(129) || v.Bit(1) {
 		t.Fatal("saved column wrong")
 	}
-	tr.ClearColumn(1)
+	tr.RestoreColumn(1, nil, 0, 0)
 	if tr.Visible(0, 1) {
 		t.Fatal("clear failed")
 	}
@@ -86,7 +86,7 @@ func TestLimitedSaveRestore(t *testing.T) {
 	// Line refilled after Ts must stay invisible.
 	tr.OnEvict(77)
 	tr.OnFill(77, 0, 200)
-	v = tr.SaveColumn(1)
+	v = saveColumn(tr, 1)
 	tr.RestoreColumn(1, v, 100, 300)
 	if tr.Visible(77, 1) {
 		t.Fatal("refilled line (Tc > Ts) must stay invisible")
@@ -100,7 +100,7 @@ func TestLimitedRollover(t *testing.T) {
 	cfg := Config{TimestampBits: 8, MaxSharers: 2}
 	tr := NewLimitedTracker(cfg, 4, 2)
 	tr.OnFill(0, 0, 250)
-	v := tr.SaveColumn(0)
+	v := saveColumn(tr, 0)
 	tr.RestoreColumn(0, v, 250, 260) // wrap at 8 bits
 	if tr.Visible(0, 0) {
 		t.Fatal("rollover must reset restored visibility")
@@ -146,18 +146,6 @@ func TestLimitedNeverExceedsFullMap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBitsPerLine(t *testing.T) {
-	// 64 contexts: full map 64 bits; 4 pointers of (6+1) bits = 28 bits.
-	full, lim := BitsPerLine(64, 4)
-	if full != 64 || lim != 28 {
-		t.Fatalf("BitsPerLine(64,4) = %d,%d want 64,28", full, lim)
-	}
-	full, lim = BitsPerLine(8, 0)
-	if full != 8 || lim != 8 {
-		t.Fatalf("MaxSharers=0 means full map on both sides: %d,%d", full, lim)
 	}
 }
 

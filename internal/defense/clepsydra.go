@@ -38,14 +38,12 @@ type clepsydraDefense struct {
 	// nonce counts deadline assignments, decorrelating the jitter of
 	// successive TTLs on the same line.
 	nonce uint64
-	stats cache.DefenseStats
 }
 
 func newClepsydra(h *cache.Hierarchy) cache.Defense {
 	return &clepsydraDefense{
 		h:        h,
 		deadline: make(map[uint64]uint64),
-		stats:    cache.DefenseStats{Name: Clepsydra},
 	}
 }
 
@@ -53,14 +51,11 @@ func (d *clepsydraDefense) Name() string { return Clepsydra }
 
 func (d *clepsydraDefense) OnAccess(r *cache.Request) {
 	lineAddr := r.Addr &^ (cache.LineSize - 1)
-	d.stats.Checks++
 	if dl, ok := d.deadline[lineAddr]; ok {
 		if r.Now < dl {
 			return
 		}
-		if present, _ := d.h.EvictLine(lineAddr); present {
-			d.stats.Evictions++
-		}
+		d.h.EvictLine(lineAddr)
 	}
 	d.nonce++
 	d.deadline[lineAddr] = r.Now + clepsydraBaseTTL + d.jitter(lineAddr)
@@ -82,7 +77,6 @@ func (d *clepsydraDefense) OnSwitch(corei, outPID, inPID int, now uint64) uint64
 func (d *clepsydraDefense) Reset() {
 	clear(d.deadline)
 	d.nonce = 0
-	d.stats = cache.DefenseStats{Name: Clepsydra}
 }
 
 func (d *clepsydraDefense) CopyFrom(src cache.Defense) {
@@ -95,7 +89,4 @@ func (d *clepsydraDefense) CopyFrom(src cache.Defense) {
 		d.deadline[k] = v
 	}
 	d.nonce = s.nonce
-	d.stats = s.stats
 }
-
-func (d *clepsydraDefense) Stats() cache.DefenseStats { return d.stats }

@@ -84,9 +84,6 @@ func TestNewRuntimeKinds(t *testing.T) {
 		if d.Name() != kind {
 			t.Errorf("NewRuntime(%q).Name() = %q", kind, d.Name())
 		}
-		if s := d.Stats(); s.Name != kind || s.Checks != 0 || s.Evictions != 0 || s.SwitchCycles != 0 {
-			t.Errorf("fresh %q stats = %+v, want named zeros", kind, s)
-		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -117,9 +114,6 @@ func TestClepsydraTTLEviction(t *testing.T) {
 	r := h.Access(late, 0, addr, cache.Load)
 	if r.Hit || r.Latency != cold.Latency {
 		t.Fatalf("post-TTL access = %+v, want a full cold miss (latency %d)", r, cold.Latency)
-	}
-	if s := d.Stats(); s.Evictions != 1 {
-		t.Fatalf("clepsydra stats = %+v, want exactly 1 eviction", s)
 	}
 }
 
@@ -153,15 +147,24 @@ func TestFASESelectiveFlush(t *testing.T) {
 	if r := h.Access(2100, 0, 0x1000, cache.Load); !r.Hit {
 		t.Fatal("own line did not survive a FASE switch-in")
 	}
-	st := d.Stats()
-	if st.Evictions == 0 || st.SwitchCycles == 0 || st.Checks == 0 {
-		t.Fatalf("fase stats = %+v, want nonzero counters", st)
+}
+
+// defenseState renders a runtime defense's whole state canonically (fmt
+// prints map entries in key order), so two defenses render equal exactly
+// when they behave identically from here on.
+func defenseState(d cache.Defense) string {
+	switch d := d.(type) {
+	case *clepsydraDefense:
+		return fmt.Sprintf("nonce=%d deadline=%v", d.nonce, d.deadline)
+	case *faseDefense:
+		return fmt.Sprintf("cur=%v owner=%v", d.cur, d.owner)
 	}
+	panic(fmt.Sprintf("defenseState: unknown defense %T", d))
 }
 
 // driveDefense runs a deterministic access/switch pattern against h and
 // returns a fingerprint of everything observable: per-access hit/latency,
-// switch charges, and the defense's own counters.
+// switch charges, and the defense's own state.
 func driveDefense(h *cache.Hierarchy, d cache.Defense) string {
 	fp := ""
 	now := uint64(1)
@@ -176,7 +179,7 @@ func driveDefense(h *cache.Hierarchy, d cache.Defense) string {
 			fp += fmt.Sprintf("sw=%d ", h.DefenseSwitch(0, 3+i%2, 4-i%2, now))
 		}
 	}
-	return fp + fmt.Sprintf("stats=%+v", d.Stats())
+	return fp + defenseState(d)
 }
 
 // TestDefenseResetDeterminism is the pooled-reuse contract at the defense
@@ -198,9 +201,6 @@ func TestDefenseResetDeterminism(t *testing.T) {
 				t.Fatalf("two fresh runs disagree:\n got %s\nwant %s", got, fresh)
 			}
 			h2.Reset()
-			if h2.Defense() != d2 {
-				t.Fatal("Hierarchy.Reset uninstalled the runtime defense")
-			}
 			if got := driveDefense(h2, d2); got != fresh {
 				t.Fatalf("post-Reset run diverged from fresh:\n got %s\nwant %s", got, fresh)
 			}
@@ -221,19 +221,19 @@ func TestDefenseCopyFrom(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				h.Access(uint64(10+i*50), 0, uint64(0x1000+i*cache.LineSize), cache.Load)
 			}
-			want := src.Stats()
+			want := defenseState(src)
 
 			h2 := cache.NewHierarchy(cache.DefaultHierarchyConfig())
 			dst := NewRuntime(kind, h2)
 			dst.CopyFrom(src)
-			if got := dst.Stats(); got != want {
-				t.Fatalf("copied stats = %+v, want %+v", got, want)
+			if got := defenseState(dst); got != want {
+				t.Fatalf("copied state = %s, want %s", got, want)
 			}
 			// Mutating the source afterwards must not move the copy.
 			h.Access(5000, 0, 0xFF000, cache.Load)
 			h.DefenseSwitch(0, 3, 4, 6000)
-			if got := dst.Stats(); got != want {
-				t.Fatalf("copy shares state with source: %+v != %+v", got, want)
+			if got := defenseState(dst); got != want {
+				t.Fatalf("copy shares state with source: %s != %s", got, want)
 			}
 		})
 	}

@@ -30,7 +30,6 @@ type faseDefense struct {
 	// owner maps faseKey(core, lineAddr) to the last PID that touched the
 	// line on that core.
 	owner map[uint64]int32
-	stats cache.DefenseStats
 }
 
 func newFASE(h *cache.Hierarchy) cache.Defense {
@@ -38,7 +37,6 @@ func newFASE(h *cache.Hierarchy) cache.Defense {
 		h:     h,
 		cur:   make([]int32, h.Config().Cores),
 		owner: make(map[uint64]int32),
-		stats: cache.DefenseStats{Name: FASE},
 	}
 }
 
@@ -56,7 +54,6 @@ func (d *faseDefense) OnAccess(r *cache.Request) {
 	if pid == 0 {
 		return // no process has been switched in yet (cold boot accesses)
 	}
-	d.stats.Checks++
 	d.owner[faseKey(corei, r.Addr&^(cache.LineSize-1))] = pid
 }
 
@@ -69,16 +66,12 @@ func (d *faseDefense) OnSwitch(corei, outPID, inPID int, now uint64) uint64 {
 	flushed := d.h.EvictCoreL1(corei, func(lineAddr uint64) bool {
 		return d.owner[faseKey(corei, lineAddr)] == in
 	})
-	cost := core.SelectiveFlushCost(flushed)
-	d.stats.Evictions += uint64(flushed)
-	d.stats.SwitchCycles += cost
-	return cost
+	return core.SelectiveFlushCost(flushed)
 }
 
 func (d *faseDefense) Reset() {
 	clear(d.cur)
 	clear(d.owner)
-	d.stats = cache.DefenseStats{Name: FASE}
 }
 
 func (d *faseDefense) CopyFrom(src cache.Defense) {
@@ -91,7 +84,4 @@ func (d *faseDefense) CopyFrom(src cache.Defense) {
 	for k, v := range s.owner {
 		d.owner[k] = v
 	}
-	d.stats = s.stats
 }
-
-func (d *faseDefense) Stats() cache.DefenseStats { return d.stats }

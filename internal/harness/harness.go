@@ -632,7 +632,7 @@ func runParsecOnce(pool *machine.Pool, name string, mode cache.SecMode, opts Opt
 			for t := 0; t < 2; t++ {
 				proc := workload.NewProc(prof, total, uint64(3000+t*17))
 				proc.Warmup, proc.OnWarm = opts.WarmupInstrs, onWarm
-				if _, err := k.Spawn(fmt.Sprintf("%s.t%d", name, t), proc, as.Share(), t); err != nil {
+				if _, err := k.Spawn(fmt.Sprintf("%s.t%d", name, t), proc, as, t); err != nil {
 					return 0, err
 				}
 			}

@@ -7,11 +7,7 @@
 // byte-identical numbers.
 package harness
 
-import (
-	"sync/atomic"
-
-	"timecache/internal/kernel"
-)
+import "sync/atomic"
 
 // Resources is a point-in-time snapshot of a ResourceAccount: total
 // simulated work across all accounted legs. SBitDelayedLoads is the paper's
@@ -57,17 +53,9 @@ type ResourceAccount struct {
 	sbitDelayedLoads atomic.Uint64
 }
 
-// AddRun charges one completed machine run: the kernel's whole-run totals
-// (from cold Reset to now, warmup included — these are resource counters,
-// not steady-state measurements).
-func (a *ResourceAccount) AddRun(k *kernel.Kernel) {
-	if a == nil {
-		return
-	}
-	a.add(snapCounters(k))
-}
-
-// add charges one run from an already-taken counter snapshot.
+// add charges one completed machine run from a counter snapshot of the
+// kernel's whole-run totals (from cold Reset to now, warmup included — these
+// are resource counters, not steady-state measurements).
 func (a *ResourceAccount) add(m measurement) {
 	if a == nil {
 		return

@@ -63,7 +63,7 @@ func TestResourceAccountOnRun(t *testing.T) {
 
 func TestResourceAccountNilSafe(t *testing.T) {
 	var a *ResourceAccount
-	a.AddRun(nil)
+	a.add(measurement{})
 	a.AddLeg()
 	if s := a.Snapshot(); s != (Resources{}) {
 		t.Fatalf("nil account snapshot = %+v, want zeros", s)

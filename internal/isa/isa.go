@@ -160,12 +160,3 @@ func (p *Program) InstrAt(pc uint64) (Instr, error) {
 	}
 	return p.Instrs[k], nil
 }
-
-// Label returns the address of a label, or an error if undefined.
-func (p *Program) Label(name string) (uint64, error) {
-	a, ok := p.Labels[name]
-	if !ok {
-		return 0, fmt.Errorf("isa: undefined label %q", name)
-	}
-	return a, nil
-}

@@ -46,16 +46,6 @@ func TestInstrAt(t *testing.T) {
 	}
 }
 
-func TestLabelLookup(t *testing.T) {
-	p := &Program{Labels: map[string]uint64{"x": 0x42}}
-	if a, err := p.Label("x"); err != nil || a != 0x42 {
-		t.Fatalf("Label(x) = %#x, %v", a, err)
-	}
-	if _, err := p.Label("missing"); err == nil {
-		t.Error("missing label must error")
-	}
-}
-
 func TestInstrStringCoversAllOps(t *testing.T) {
 	for name, op := range OpByName {
 		in := Instr{Op: op, Rd: 1, Rs: 2, Rt: 3, Imm: 4}

@@ -31,17 +31,12 @@ type AddressSpace struct {
 	// version increments on every table change so cached translations
 	// (the Env's TLB) can be invalidated.
 	version uint64
-	// refs counts processes sharing this address space (threads).
-	refs int
 }
 
 // NewAddressSpace creates an empty address space over phys.
 func NewAddressSpace(phys *mem.Physical) *AddressSpace {
-	return &AddressSpace{phys: phys, pages: map[uint64]*mapping{}, refs: 1}
+	return &AddressSpace{phys: phys, pages: map[uint64]*mapping{}}
 }
-
-// Version returns the current page-table version.
-func (as *AddressSpace) Version() uint64 { return as.version }
 
 // MapAnon maps [vaddr, vaddr+size) to fresh zeroed private frames.
 func (as *AddressSpace) MapAnon(vaddr, size uint64, writable bool) error {
@@ -126,25 +121,6 @@ func (as *AddressSpace) FrameAt(vaddr uint64) (mem.Frame, bool) {
 		return 0, false
 	}
 	return m.frame, true
-}
-
-// Release drops one reference; when the last goes, all frames are unrefed.
-func (as *AddressSpace) Release() {
-	as.refs--
-	if as.refs > 0 {
-		return
-	}
-	for vp, m := range as.pages {
-		as.phys.Unref(m.frame)
-		delete(as.pages, vp)
-	}
-	as.version++
-}
-
-// Share adds a reference for a second process (thread) using this space.
-func (as *AddressSpace) Share() *AddressSpace {
-	as.refs++
-	return as
 }
 
 // anonPages iterates private anonymous pages in ascending virtual-page

@@ -1,7 +1,5 @@
 package kernel
 
-import "timecache/internal/mem"
-
 // DedupScan performs one KSM-style same-page-merging pass over every
 // process's private anonymous pages: pages with identical contents are
 // merged onto a single frame, with all mappings marked copy-on-write.
@@ -67,26 +65,4 @@ func (k *Kernel) DedupScan() int {
 	// Invalidate cached translations: the TLBs check the version counter,
 	// which the merges bumped.
 	return merged
-}
-
-// SavedFrames reports how many frames dedup is currently saving: the sum
-// over shared anonymous frames of (refs - 1). Approximate bookkeeping for
-// the dedup example.
-func (k *Kernel) SavedFrames() int {
-	counted := map[mem.Frame]bool{}
-	saved := 0
-	seen := map[*AddressSpace]bool{}
-	for _, p := range k.procs {
-		if seen[p.AS] {
-			continue
-		}
-		seen[p.AS] = true
-		p.AS.anonPages(func(vp uint64, m *mapping) {
-			if m.cow && !counted[m.frame] {
-				counted[m.frame] = true
-				saved += k.phys.Refs(m.frame) - 1
-			}
-		})
-	}
-	return saved
 }

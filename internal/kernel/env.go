@@ -30,8 +30,6 @@ func (e *procEnv) Instret(n uint64) {
 	e.cpu.sliceInstrs += n
 }
 
-func (e *procEnv) PID() int { return e.proc.PID }
-
 // TLB geometry. The TLB is per core and direct-mapped; tlbEntries is a
 // power of two comfortably above the ~150 pages a workload keeps hot (its
 // code, libc text and data, the stream head and the working set).

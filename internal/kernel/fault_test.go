@@ -44,7 +44,7 @@ func spawnLooper(t *testing.T, k *Kernel, name string, core, steps, faultAt int)
 		t.Fatal(err)
 	}
 	i := 0
-	proc := sim.ProcFunc(func(env sim.Env) bool {
+	proc := procFunc(func(env sim.Env) bool {
 		if i == steps {
 			env.Syscall(sim.SysExit, 0)
 			return false
@@ -139,7 +139,7 @@ func TestNonFaultPanicEscapesRun(t *testing.T) {
 	spawnLooper(t, k, "survivor", 1, 50_000, 0)
 	steps := 0
 	as := NewAddressSpace(k.Physical())
-	if _, err := k.Spawn("panicker", sim.ProcFunc(func(env sim.Env) bool {
+	if _, err := k.Spawn("panicker", procFunc(func(env sim.Env) bool {
 		if steps++; steps == 1000 {
 			panic("boom")
 		}

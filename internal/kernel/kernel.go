@@ -58,7 +58,6 @@ type Stats struct {
 	COWBreaks    uint64
 	Syscalls     uint64
 	DedupMerged  uint64
-	Migrations   uint64
 }
 
 // Delta returns the counter advance since an earlier snapshot.
@@ -70,7 +69,6 @@ func (s Stats) Delta(before Stats) Stats {
 		COWBreaks:         s.COWBreaks - before.COWBreaks,
 		Syscalls:          s.Syscalls - before.Syscalls,
 		DedupMerged:       s.DedupMerged - before.DedupMerged,
-		Migrations:        s.Migrations - before.Migrations,
 	}
 }
 
@@ -532,12 +530,9 @@ func (k *Kernel) endRunSpan(c *coreState, p *Process) {
 // at its next checkpoint. The request is sticky: it persists until
 // ClearInterrupt or Reset, so an interrupt delivered between runs still
 // stops the next Run immediately. Interrupt never perturbs simulated state —
-// an interrupted run simply ends early, and Interrupted()/AllExited() tell
-// the caller it did.
+// an interrupted run simply ends early, and AllExited() tells the caller it
+// did.
 func (k *Kernel) Interrupt() { k.interrupted.Store(true) }
-
-// Interrupted reports whether an Interrupt request is pending.
-func (k *Kernel) Interrupted() bool { return k.interrupted.Load() }
 
 // ClearInterrupt withdraws a pending Interrupt request.
 func (k *Kernel) ClearInterrupt() { k.interrupted.Store(false) }

@@ -312,7 +312,7 @@ func TestDedupMergesIdenticalPages(t *testing.T) {
 		// Second page differs per process.
 		pb, _, _ := as.Translate(0x200000+mem.PageSize, true)
 		k.Physical().WriteU64(pb, uint64(len(name)))
-		p, err := k.Spawn(name, sim.ProcFunc(func(env sim.Env) bool { return false }), as, 0)
+		p, err := k.Spawn(name, procFunc(func(env sim.Env) bool { return false }), as, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func TestDedupEnablesCrossProcessCacheSharing(t *testing.T) {
 		as1, as2 := mkAS(), mkAS()
 		done1, done2 := false, false
 		var res2 cache.Result
-		p1 := sim.ProcFunc(func(env sim.Env) bool {
+		p1 := procFunc(func(env sim.Env) bool {
 			if done1 {
 				return false
 			}
@@ -371,7 +371,7 @@ func TestDedupEnablesCrossProcessCacheSharing(t *testing.T) {
 			env.Instret(1)
 			return true
 		})
-		p2 := sim.ProcFunc(func(env sim.Env) bool {
+		p2 := procFunc(func(env sim.Env) bool {
 			if done2 {
 				return false
 			}
@@ -478,7 +478,7 @@ func TestRunInline(t *testing.T) {
 	if err := as.MapAnon(0x100000, mem.PageSize, true); err != nil {
 		t.Fatal(err)
 	}
-	idle := sim.ProcFunc(func(env sim.Env) bool { return false })
+	idle := procFunc(func(env sim.Env) bool { return false })
 	p, err := k.Spawn("inline", idle, as, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -525,7 +525,7 @@ func TestRunCtxNoStaleInterrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		steps := 0
-		proc := sim.ProcFunc(func(env sim.Env) bool {
+		proc := procFunc(func(env sim.Env) bool {
 			env.Load(0x100000)
 			steps++
 			return steps < 4
@@ -537,7 +537,7 @@ func TestRunCtxNoStaleInterrupt(t *testing.T) {
 		go cancel() // race the cancellation against run completion
 		k.RunCtx(ctx, 10_000_000)
 		k.Reset()
-		if k.Interrupted() {
+		if k.interrupted.Load() {
 			t.Fatalf("iteration %d: interrupt callback fired after RunCtx returned and Reset cleared the flag", i)
 		}
 	}
@@ -577,51 +577,6 @@ func TestSMTSchedulerRunsSiblingThreads(t *testing.T) {
 	}
 }
 
-func TestMigrationPreservesLLCContextAndSecurity(t *testing.T) {
-	k := newMachine(t, cache.SecTimeCache, 2)
-	prog, err := asm.Assemble(`
-		movi r1, 0
-		movi r2, 60000
-	loop:
-		addi r1, r1, 1
-		blt  r1, r2, loop
-		halt
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two processes sharing text, started on core 0.
-	pa, _, _ := k.Load(prog, LoadOptions{ShareKey: "mig", Core: 0, Name: "A"})
-	pb, _, _ := k.Load(prog, LoadOptions{ShareKey: "mig", Core: 0, Name: "B"})
-	// Run briefly, then migrate whichever process is descheduled (with two
-	// processes on one core, at most one can be Running).
-	k.Run(300_000)
-	mig := pb
-	if mig.State == Running {
-		mig = pa
-	}
-	if mig.State == Running {
-		t.Fatal("both processes running on one core")
-	}
-	if err := k.Migrate(mig, 1); err != nil {
-		t.Fatal(err)
-	}
-	if k.Stats.Migrations != 1 {
-		t.Fatalf("migrations = %d", k.Stats.Migrations)
-	}
-	k.Run(1 << 62)
-	if pa.State != Exited || pb.State != Exited {
-		t.Fatalf("processes did not finish: A=%v B=%v", pa.State, pb.State)
-	}
-	// Migration must not error for bad targets.
-	if err := k.Migrate(pa, 99); err == nil {
-		t.Fatal("out-of-range CPU must error")
-	}
-	if err := k.Migrate(pa, 1); err == nil {
-		t.Fatal("migrating an exited process must error")
-	}
-}
-
 // TestDedupDeterministic pins that which frame survives a merge — and so
 // which frames the scan frees and the next allocation reuses — depends only
 // on the process table, never on Go's map iteration order: identical fresh
@@ -641,7 +596,7 @@ func TestDedupDeterministic(t *testing.T) {
 			if err := as.MapAnon(0x200000, pages*mem.PageSize, true); err != nil {
 				t.Fatal(err)
 			}
-			p, err := k.Spawn("zero", sim.ProcFunc(func(sim.Env) bool { return false }), as, 0)
+			p, err := k.Spawn("zero", procFunc(func(sim.Env) bool { return false }), as, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -683,7 +638,7 @@ func TestTouchMatchesLoad(t *testing.T) {
 		if err := as.MapAnon(0x200000, 8*mem.PageSize, true); err != nil {
 			t.Fatal(err)
 		}
-		p, err := k.Spawn("p", sim.ProcFunc(func(sim.Env) bool { return false }), as, 0)
+		p, err := k.Spawn("p", procFunc(func(sim.Env) bool { return false }), as, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -722,7 +677,7 @@ func TestTouchMatchesLoad(t *testing.T) {
 // the other core breaking COW on a page this core has cached).
 func TestCoreTLBNeverServesStaleTranslations(t *testing.T) {
 	const addr = 0x200000
-	nop := sim.ProcFunc(func(sim.Env) bool { return false })
+	nop := procFunc(func(sim.Env) bool { return false })
 	inline := func(k *Kernel, p *Process, fn func(env sim.Env)) {
 		t.Helper()
 		if err := k.RunInline(p, fn); err != nil {
@@ -750,7 +705,7 @@ func TestCoreTLBNeverServesStaleTranslations(t *testing.T) {
 			}
 			procs[i] = p
 		}
-		if procs[0].AS.Version() != procs[1].AS.Version() {
+		if procs[0].AS.version != procs[1].AS.version {
 			t.Fatal("setup: the two address spaces must share a page-table version")
 		}
 		inline(k, procs[0], func(env sim.Env) { env.Store(addr, 1); expect(env, "first", 1) })
@@ -774,7 +729,7 @@ func TestCoreTLBNeverServesStaleTranslations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t1, err := k.Spawn("t1", nop, child.Share(), 1)
+		t1, err := k.Spawn("t1", nop, child, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

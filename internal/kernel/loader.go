@@ -139,12 +139,6 @@ func EncodeText(instrs []isa.Instr) []byte {
 	return out
 }
 
-// MapAnonRegion is a convenience for native (non-VM) procs: it maps size
-// bytes of zeroed private memory at vaddr in as.
-func (k *Kernel) MapAnonRegion(as *AddressSpace, vaddr, size uint64) error {
-	return as.MapAnon(vaddr, size, true)
-}
-
 // MapSharedRegion maps a named shared region (creating it on first use) at
 // vaddr in as, writable. Native attacker/victim pairs use this as their
 // shared memory-mapped segment.
@@ -154,23 +148,4 @@ func (k *Kernel) MapSharedRegion(as *AddressSpace, key string, vaddr, size uint6
 		return err
 	}
 	return as.MapShared(vaddr, frames, true)
-}
-
-// Fork creates a child address space sharing all of parent's private pages
-// copy-on-write (shared-region mappings are shared outright), modeling a
-// unix fork for the dedup/COW experiments.
-func (k *Kernel) Fork(parent *AddressSpace) (*AddressSpace, error) {
-	child := NewAddressSpace(k.phys)
-	for vp, m := range parent.pages {
-		k.phys.Ref(m.frame)
-		nm := &mapping{frame: m.frame, writable: m.writable, shared: m.shared}
-		if !m.shared && m.writable {
-			nm.cow = true
-			m.cow = true
-		}
-		child.pages[vp] = nm
-	}
-	parent.version++
-	child.version++
-	return child, nil
 }

@@ -56,7 +56,6 @@ func (k *Kernel) CopyFrom(src *Kernel) error {
 			phys:    k.phys,
 			pages:   make(map[uint64]*mapping, len(sas.pages)),
 			version: sas.version,
-			refs:    sas.refs,
 		}
 		for vp, m := range sas.pages {
 			mc := *m

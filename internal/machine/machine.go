@@ -24,7 +24,6 @@ import (
 	"timecache/internal/kernel"
 	"timecache/internal/mem"
 	"timecache/internal/replacement"
-	"timecache/internal/telemetry"
 )
 
 // DefaultPhysFrames is the physical memory size when Config.PhysFrames is
@@ -188,17 +187,11 @@ func New(cfg Config) *Machine {
 	return &Machine{cfg: cfg, hier: hier, phys: phys, k: kernel.New(cfg.KernelConfig(), hier, phys)}
 }
 
-// Config returns the machine's assembly configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Kernel returns the machine's kernel (the run entry point).
 func (m *Machine) Kernel() *kernel.Kernel { return m.k }
 
 // Hierarchy returns the machine's cache hierarchy.
 func (m *Machine) Hierarchy() *cache.Hierarchy { return m.hier }
-
-// Physical returns the machine's physical memory.
-func (m *Machine) Physical() *mem.Physical { return m.phys }
 
 // Reset returns the machine to the cold state New left it in without
 // reallocating: processes dropped, caches and s-bits cleared, replacement
@@ -209,12 +202,6 @@ func (m *Machine) Physical() *mem.Physical { return m.phys }
 // golden experiment tests enforce this).
 func (m *Machine) Reset() { m.k.Reset() }
 
-// AttachTelemetry installs a telemetry collector (interval sampler, latency
-// histograms, trace exporter, manifest) on the machine. Reset detaches it.
-func (m *Machine) AttachTelemetry(cfg telemetry.Config) *telemetry.Collector {
-	return telemetry.New(cfg).Attach(m.k)
-}
-
 // Pool reuses machines across experiment runs, keyed by Config. Get checks a
 // machine out of the pool (after Reset) when one with the identical config
 // was Put back earlier, so a worker running many legs of the same shape pays
@@ -222,7 +209,7 @@ func (m *Machine) AttachTelemetry(cfg telemetry.Config) *telemetry.Collector {
 //
 // A Pool is safe for concurrent use from any number of goroutines: Get and
 // Put hand each machine to exactly one owner at a time, so sweep workers and
-// the job service can share one pool (runner.MapWorkers still supports
+// the job service can share one pool (runner.MapWorkersCtx still supports
 // per-worker pools where isolation is preferred). A nil *Pool is valid: Get
 // builds a fresh machine and Put discards.
 type Pool struct {

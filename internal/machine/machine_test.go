@@ -133,13 +133,16 @@ func TestResetDeterminism(t *testing.T) {
 // machine never reports into a previous run's collector.
 func TestResetDetachesTelemetry(t *testing.T) {
 	m := New(Config{PhysFrames: 8192})
-	m.AttachTelemetry(telemetry.Config{})
-	if m.Hierarchy().Observer() == nil {
-		t.Fatal("AttachTelemetry did not install an observer")
+	col := telemetry.New(telemetry.Config{}).Attach(m.Kernel())
+	runWorkloadPair(t, m)
+	observed := col.Histograms().Total()
+	if observed == 0 {
+		t.Fatal("the attached collector observed no accesses")
 	}
 	m.Reset()
-	if m.Hierarchy().Observer() != nil {
-		t.Fatal("Reset left the telemetry observer attached")
+	runWorkloadPair(t, m)
+	if got := col.Histograms().Total(); got != observed {
+		t.Fatalf("Reset left the telemetry observer attached: %d accesses observed after Reset", got-observed)
 	}
 }
 

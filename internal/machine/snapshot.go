@@ -33,10 +33,6 @@ type Snapshot struct {
 	Tag any
 }
 
-// Config returns the configuration the snapshot was captured from; only
-// machines of this exact Config can be fork targets.
-func (s *Snapshot) Config() Config { return s.cfg }
-
 // Snapshot captures m's current state. The machine must be stopped (not
 // inside Run); it remains fully usable afterwards and may keep running —
 // continuing is byte-identical to never having snapshotted, since the

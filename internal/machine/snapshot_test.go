@@ -258,7 +258,7 @@ func TestForkRestoreAllocs(t *testing.T) {
 
 	src := snap.m
 	if n := testing.AllocsPerRun(10, func() {
-		dst.Physical().CopyFrom(src.Physical())
+		dst.phys.CopyFrom(src.phys)
 	}); n != 0 {
 		t.Errorf("Physical.CopyFrom allocates %v per steady-state restore, want 0", n)
 	}

@@ -32,7 +32,6 @@ type Physical struct {
 	frames   []*frameInfo
 	free     []Frame
 	capacity int
-	live     int // frames with refs > 0, maintained by Alloc/Unref/Reset
 
 	// DRAMLatency is the cycles charged for a request serviced by memory.
 	DRAMLatency uint64
@@ -68,7 +67,6 @@ func (p *Physical) Alloc() (Frame, error) {
 		p.free = p.free[:n-1]
 		fi := p.frames[f]
 		fi.refs = 1
-		p.live++
 		if fi.shared {
 			// The old buffer is still aliased by a snapshot; zeroing it in
 			// place would corrupt the frozen copy. Swap in a private one.
@@ -86,7 +84,6 @@ func (p *Physical) Alloc() (Frame, error) {
 	}
 	f := Frame(len(p.frames))
 	p.frames = append(p.frames, &frameInfo{data: make([]byte, PageSize), refs: 1})
-	p.live++
 	return f, nil
 }
 
@@ -100,7 +97,6 @@ func (p *Physical) Reset() {
 		p.frames[i].refs = 0
 		p.free = append(p.free, Frame(i))
 	}
-	p.live = 0
 }
 
 // Ref increments the reference count of f (e.g. when a second address space
@@ -118,19 +114,11 @@ func (p *Physical) Unref(f Frame) {
 	fi.refs--
 	if fi.refs == 0 {
 		p.free = append(p.free, f)
-		p.live--
 	}
 }
 
 // Refs returns the current reference count of f.
 func (p *Physical) Refs(f Frame) int { return p.info(f).refs }
-
-// Allocated returns the number of live (refcount > 0) frames. O(1): the
-// count is maintained by Alloc/Unref/Reset.
-func (p *Physical) Allocated() int { return p.live }
-
-// Capacity returns the total number of frames this memory can hold.
-func (p *Physical) Capacity() int { return p.capacity }
 
 func (p *Physical) info(f Frame) *frameInfo {
 	if int(f) >= len(p.frames) {
@@ -180,16 +168,6 @@ func (p *Physical) WriteU64(pa uint64, v uint64) {
 		panic(fmt.Sprintf("mem: unaligned cross-page write at %#x", pa))
 	}
 	binary.LittleEndian.PutUint64(p.writable(FrameOf(pa)).data[off:], v)
-}
-
-// LoadByte reads the byte at physical address pa.
-func (p *Physical) LoadByte(pa uint64) byte {
-	return p.info(FrameOf(pa)).data[pa&(PageSize-1)]
-}
-
-// StoreByte writes the byte at physical address pa.
-func (p *Physical) StoreByte(pa uint64, v byte) {
-	p.writable(FrameOf(pa)).data[pa&(PageSize-1)] = v
 }
 
 // CopyFrame duplicates src into a fresh frame (the COW break path) and
@@ -247,5 +225,4 @@ func (p *Physical) CopyFrom(src *Physical) {
 		df.shared = true
 	}
 	p.free = append(p.free[:0], src.free...)
-	p.live = src.live
 }

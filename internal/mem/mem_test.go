@@ -136,12 +136,12 @@ func TestAllocatedCount(t *testing.T) {
 		f, _ := p.Alloc()
 		fs = append(fs, f)
 	}
-	if p.Allocated() != 5 {
-		t.Fatalf("allocated = %d, want 5", p.Allocated())
+	if p.allocated() != 5 {
+		t.Fatalf("allocated = %d, want 5", p.allocated())
 	}
 	p.Unref(fs[2])
-	if p.Allocated() != 4 {
-		t.Fatalf("allocated = %d, want 4", p.Allocated())
+	if p.allocated() != 4 {
+		t.Fatalf("allocated = %d, want 4", p.allocated())
 	}
 }
 
@@ -161,8 +161,8 @@ func TestSealCopyFromIsolation(t *testing.T) {
 	dst := NewPhysical(8, 200)
 	dst.CopyFrom(src)
 
-	if dst.Allocated() != src.Allocated() {
-		t.Fatalf("dst allocated = %d, want %d", dst.Allocated(), src.Allocated())
+	if dst.allocated() != src.allocated() {
+		t.Fatalf("dst allocated = %d, want %d", dst.allocated(), src.allocated())
 	}
 	for i, f := range fs {
 		if got := dst.ReadU64(f.Addr()); got != uint64(0xA0+i) {
@@ -256,8 +256,8 @@ func TestCopyFromRewindsGrowth(t *testing.T) {
 		dst.Alloc()
 	}
 	dst.CopyFrom(src)
-	if dst.Allocated() != 1 {
-		t.Fatalf("dst allocated = %d, want 1", dst.Allocated())
+	if dst.allocated() != 1 {
+		t.Fatalf("dst allocated = %d, want 1", dst.allocated())
 	}
 	b, _ := dst.Alloc()
 	c, _ := src.Alloc()
@@ -277,20 +277,20 @@ func TestAllocatedO1AcrossResetAndUnref(t *testing.T) {
 	}
 	p.Ref(fs[0]) // second ref must not change the live count on first Unref
 	p.Unref(fs[0])
-	if p.Allocated() != 10 {
-		t.Fatalf("allocated = %d, want 10 (frame still referenced)", p.Allocated())
+	if p.allocated() != 10 {
+		t.Fatalf("allocated = %d, want 10 (frame still referenced)", p.allocated())
 	}
 	p.Unref(fs[0])
 	p.Unref(fs[1])
-	if p.Allocated() != 8 {
-		t.Fatalf("allocated = %d, want 8", p.Allocated())
+	if p.allocated() != 8 {
+		t.Fatalf("allocated = %d, want 8", p.allocated())
 	}
 	p.Reset()
-	if p.Allocated() != 0 {
-		t.Fatalf("allocated after Reset = %d, want 0", p.Allocated())
+	if p.allocated() != 0 {
+		t.Fatalf("allocated after Reset = %d, want 0", p.allocated())
 	}
 	f, _ := p.Alloc()
-	if p.Allocated() != 1 || f != 0 {
-		t.Fatalf("first post-Reset alloc: frame %d, allocated %d", f, p.Allocated())
+	if p.allocated() != 1 || f != 0 {
+		t.Fatalf("first post-Reset alloc: frame %d, allocated %d", f, p.allocated())
 	}
 }

@@ -31,16 +31,6 @@ type Label struct {
 	Name, Value string
 }
 
-// Label returns the value of the named label ("" when absent).
-func (s Sample) Label(name string) string {
-	for _, l := range s.Labels {
-		if l.Name == name {
-			return l.Value
-		}
-	}
-	return ""
-}
-
 // Key identifies the series: name plus sorted label pairs, re-escaped. Two
 // scrapes' samples with equal keys are the same series.
 func (s Sample) Key() string {
@@ -311,30 +301,4 @@ func parseLabels(rest string, line int) ([]Label, string, error) {
 		}
 		return nil, "", fmt.Errorf("line %d: expected ',' or '}' after label %s", line, name)
 	}
-}
-
-// CheckMonotonic compares two scrapes (before, after) and returns an error
-// naming the first counter series that moved backwards. Series present only
-// in one scrape are ignored (families appear on first use).
-func CheckMonotonic(before, after *Metrics) error {
-	prev := map[string]float64{}
-	for _, f := range before.Families {
-		if f.Type != "counter" {
-			continue
-		}
-		for _, s := range f.Samples {
-			prev[s.Key()] = s.Value
-		}
-	}
-	for _, f := range after.Families {
-		if f.Type != "counter" {
-			continue
-		}
-		for _, s := range f.Samples {
-			if p, ok := prev[s.Key()]; ok && s.Value < p {
-				return fmt.Errorf("counter %s went backwards: %g -> %g", s.Key(), p, s.Value)
-			}
-		}
-	}
-	return nil
 }

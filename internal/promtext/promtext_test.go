@@ -88,26 +88,3 @@ func TestSampleKeySortsLabels(t *testing.T) {
 		t.Fatalf("keys differ: %q vs %q", a.Key(), b.Key())
 	}
 }
-
-func TestCheckMonotonic(t *testing.T) {
-	mk := func(v string) *Metrics {
-		m, err := Parse(strings.NewReader(
-			"# HELP c x\n# TYPE c counter\nc " + v + "\n# HELP g x\n# TYPE g gauge\ng 100\n"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	if err := CheckMonotonic(mk("5"), mk("7")); err != nil {
-		t.Fatalf("forward counter flagged: %v", err)
-	}
-	if err := CheckMonotonic(mk("7"), mk("5")); err == nil {
-		t.Fatal("backward counter not flagged")
-	}
-	// Gauges may move freely: only the counter family is compared.
-	before, _ := Parse(strings.NewReader("# HELP g x\n# TYPE g gauge\ng 100\n"))
-	after, _ := Parse(strings.NewReader("# HELP g x\n# TYPE g gauge\ng 1\n"))
-	if err := CheckMonotonic(before, after); err != nil {
-		t.Fatalf("gauge movement flagged: %v", err)
-	}
-}

@@ -27,9 +27,6 @@ func (g *Group) Admit(key string) (*Flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if f, ok := g.inflight[key]; ok {
-		f.mu.Lock()
-		f.followers++
-		f.mu.Unlock()
 		return f, false
 	}
 	f := &Flight{g: g, key: key, doneCh: make(chan struct{})}
@@ -51,7 +48,6 @@ type Flight struct {
 
 	mu         sync.Mutex
 	leaderTag  string
-	followers  int
 	onProgress []func(done, total int)
 
 	doneCh chan struct{}
@@ -76,13 +72,6 @@ func (f *Flight) LeaderTag() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.leaderTag
-}
-
-// Followers reports how many admissions coalesced onto this flight so far.
-func (f *Flight) Followers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.followers
 }
 
 // OnProgress registers a callback fed by the leader's Progress calls.

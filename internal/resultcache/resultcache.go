@@ -7,11 +7,9 @@
 // The package splits three concerns, in the modecache idiom
 // (store / policy / metrics):
 //
-//   - Store (store.go) is the persistence seam: Get/Put/Remove/Purge over
-//     fingerprint-keyed entries. The built-in MemoryStore is a bounded
-//     in-process LRU; alternative backends (disk, redis, shared tier) plug
-//     in via WithStore without touching the admission logic.
-//   - policy (policy.go) decides what the built-in store evicts and when:
+//   - MemoryStore (store.go) holds the fingerprint-keyed entries
+//     (Get/Put/Purge) in a bounded in-process LRU.
+//   - policy (policy.go) decides what the store evicts and when:
 //     recency order plus entry- and byte-capacity bounds.
 //   - Cache (this file) fronts the store with admission bookkeeping — the
 //     hit/miss/coalesced/eviction/bytes accounting the service exports on
@@ -66,8 +64,8 @@ type Stats struct {
 	// Coalesced are admissions that attached to another submission's
 	// in-flight simulation (singleflight followers).
 	Coalesced uint64 `json:"coalesced"`
-	// Evictions counts entries the built-in store displaced to stay within
-	// its bounds (custom backends report their own evictions, if any).
+	// Evictions counts entries the store displaced to stay within its
+	// bounds.
 	Evictions uint64 `json:"evictions"`
 	// Entries and Bytes are the store's current footprint.
 	Entries int   `json:"entries"`
@@ -82,7 +80,7 @@ type Stats struct {
 // Cache combines the store, the admission singleflight group, and the
 // metrics. All methods are safe for concurrent use.
 type Cache struct {
-	store Store
+	store *MemoryStore
 	group *Group
 
 	capEntries int
@@ -100,21 +98,13 @@ type Option func(*config)
 type config struct {
 	maxEntries int
 	maxBytes   int64
-	store      Store
 }
 
-// WithMaxEntries bounds the built-in store's entry count (0 = unbounded).
-// Ignored when WithStore supplies a custom backend.
+// WithMaxEntries bounds the store's entry count (0 = unbounded).
 func WithMaxEntries(n int) Option { return func(c *config) { c.maxEntries = n } }
 
-// WithMaxBytes bounds the built-in store's accounted bytes (0 = unbounded).
-// Ignored when WithStore supplies a custom backend.
+// WithMaxBytes bounds the store's accounted bytes (0 = unbounded).
 func WithMaxBytes(n int64) Option { return func(c *config) { c.maxBytes = n } }
-
-// WithStore replaces the built-in memory store with a custom backend. The
-// backend owns its own bounds; the cache's eviction counter then only moves
-// if the backend reports through an EvictionReporter.
-func WithStore(s Store) Option { return func(c *config) { c.store = s } }
 
 // New builds a cache. With no options the store is an unbounded in-memory
 // LRU; production callers set WithMaxEntries/WithMaxBytes (the
@@ -124,16 +114,13 @@ func New(opts ...Option) *Cache {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	c := &Cache{group: NewGroup(), capEntries: cfg.maxEntries, capBytes: cfg.maxBytes}
-	if cfg.store != nil {
-		c.store = cfg.store
-		c.capEntries, c.capBytes = 0, 0
-	} else {
-		c.store = NewMemoryStore(cfg.maxEntries, cfg.maxBytes)
+	c := &Cache{
+		store:      NewMemoryStore(cfg.maxEntries, cfg.maxBytes),
+		group:      NewGroup(),
+		capEntries: cfg.maxEntries,
+		capBytes:   cfg.maxBytes,
 	}
-	if er, ok := c.store.(EvictionReporter); ok {
-		er.OnEvict(func(*Entry) { c.evictions.Add(1) })
-	}
+	c.store.OnEvict(func(*Entry) { c.evictions.Add(1) })
 	return c
 }
 
@@ -177,9 +164,6 @@ func (c *Cache) Complete(f *Flight, e *Entry, err error) {
 	}
 	f.Finish(e, err)
 }
-
-// Lookup reads the store without admission bookkeeping (no counters move).
-func (c *Cache) Lookup(key string) (*Entry, bool) { return c.store.Get(key) }
 
 // Seed installs an entry without moving any admission counters. Used when a
 // coordinator replays its durable log after a restart: the re-populated

@@ -69,9 +69,9 @@ func TestStoreByteBound(t *testing.T) {
 	}
 }
 
-// TestStoreReplaceAndRemove: replacing a key re-accounts its bytes; Remove
-// and Purge drop entries without counting as evictions.
-func TestStoreReplaceAndRemove(t *testing.T) {
+// TestStoreReplaceAndPurge: replacing a key re-accounts its bytes; Purge
+// drops entries without counting as evictions.
+func TestStoreReplaceAndPurge(t *testing.T) {
 	s := NewMemoryStore(0, 0)
 	evictions := 0
 	s.OnEvict(func(*Entry) { evictions++ })
@@ -84,19 +84,16 @@ func TestStoreReplaceAndRemove(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("len after replace = %d, want 1", s.Len())
 	}
-	if !s.Remove("a") || s.Remove("a") {
-		t.Error("Remove should report presence exactly once")
-	}
-	if s.Bytes() != 0 {
-		t.Errorf("bytes after remove = %d, want 0", s.Bytes())
-	}
 	s.Put("x", entry("x", 1))
 	s.Put("y", entry("y", 1))
-	if n := s.Purge(); n != 2 {
-		t.Errorf("purge = %d, want 2", n)
+	if n := s.Purge(); n != 3 {
+		t.Errorf("purge = %d, want 3", n)
+	}
+	if s.Bytes() != 0 {
+		t.Errorf("bytes after purge = %d, want 0", s.Bytes())
 	}
 	if evictions != 0 {
-		t.Errorf("evictions = %d, want 0 (Remove/Purge are not evictions)", evictions)
+		t.Errorf("evictions = %d, want 0 (Purge is not eviction)", evictions)
 	}
 }
 
@@ -182,7 +179,7 @@ func TestFlightFollowers(t *testing.T) {
 	}
 	f := <-leaderCh
 	// Let the followers register, then progress and finish.
-	for f.Followers() < herd-1 {
+	for c.Stats().Coalesced < herd-1 {
 		time.Sleep(time.Millisecond)
 	}
 	f.Progress(1, 2)
@@ -216,22 +213,6 @@ func TestCachePurge(t *testing.T) {
 	}
 }
 
-// TestWithStore: a custom backend slots in behind the same admission logic.
-func TestWithStore(t *testing.T) {
-	backend := NewMemoryStore(1, 0)
-	c := New(WithStore(backend))
-	_, f, _ := c.Begin("a")
-	c.Complete(f, entry("a", 1), nil)
-	_, f, _ = c.Begin("b")
-	c.Complete(f, entry("b", 1), nil)
-	if st := c.Stats(); st.Entries != 1 || st.Evictions != 1 {
-		t.Errorf("stats with bounded custom store = %+v, want 1 entry / 1 eviction", st)
-	}
-	if e, _, _ := c.Begin("b"); e == nil {
-		t.Error("surviving key b should hit")
-	}
-}
-
 // TestStoreConcurrent hammers one store from many goroutines under -race.
 func TestStoreConcurrent(t *testing.T) {
 	s := NewMemoryStore(32, 1<<20)
@@ -246,7 +227,7 @@ func TestStoreConcurrent(t *testing.T) {
 					s.Put(key, entry(key, i%256))
 				}
 				if i%97 == 0 {
-					s.Remove(key)
+					s.Purge()
 				}
 			}
 		}(g)

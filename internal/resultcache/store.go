@@ -2,36 +2,10 @@ package resultcache
 
 import "sync"
 
-// Store is the persistence seam behind the cache: fingerprint-keyed access
-// to rendered results. Implementations must be safe for concurrent use.
-// The built-in MemoryStore is a bounded in-process LRU; the interface is
-// deliberately small so alternative backends (disk spill, a shared network
-// tier) can slot in via WithStore without touching admission.
-type Store interface {
-	// Get returns the entry for key, if present. A Get marks the entry
-	// recently used where the backend tracks recency.
-	Get(key string) (*Entry, bool)
-	// Put inserts or replaces the entry for key, evicting as needed to
-	// respect the backend's bounds.
-	Put(key string, e *Entry)
-	// Remove drops one key, reporting whether it was present.
-	Remove(key string) bool
-	// Purge drops everything, returning how many entries were removed.
-	Purge() int
-	// Len and Bytes report the current footprint.
-	Len() int
-	Bytes() int64
-}
-
-// EvictionReporter is implemented by stores that can report displaced
-// entries; the cache uses it to drive its eviction counter.
-type EvictionReporter interface {
-	OnEvict(func(*Entry))
-}
-
-// MemoryStore is the built-in Store: a mutex-guarded map with LRU eviction
-// bounded by entry count and accounted bytes. The zero value is not usable;
-// construct with NewMemoryStore.
+// MemoryStore is the cache's store of rendered results, keyed by
+// fingerprint: a mutex-guarded map with LRU eviction bounded by entry count
+// and accounted bytes, safe for concurrent use. The zero value is not
+// usable; construct with NewMemoryStore.
 type MemoryStore struct {
 	mu      sync.Mutex
 	entries map[string]*lruNode
@@ -107,20 +81,6 @@ func (s *MemoryStore) evictOldest() {
 	if s.onEvict != nil {
 		s.onEvict(n.entry)
 	}
-}
-
-// Remove drops one key.
-func (s *MemoryStore) Remove(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.entries[key]
-	if !ok {
-		return false
-	}
-	s.policy.remove(n)
-	delete(s.entries, key)
-	s.bytes -= n.entry.Size()
-	return true
 }
 
 // Purge drops every entry (not counted as evictions: purges are operator

@@ -236,17 +236,3 @@ func ModExp(base uint64, key Key, modulus uint64) uint64 {
 	}
 	return acc
 }
-
-// TraceString renders an observed operation sequence for debugging, given
-// per-bit multiply observations.
-func TraceString(mulSeen []bool) string {
-	out := make([]byte, 0, len(mulSeen)*4)
-	for _, m := range mulSeen {
-		if m {
-			out = append(out, 's', 'r', 'm', 'r')
-		} else {
-			out = append(out, 's', 'r')
-		}
-	}
-	return string(out)
-}

@@ -169,9 +169,3 @@ func TestLibraryLayoutDistinctLines(t *testing.T) {
 		t.Fatal("library image too small")
 	}
 }
-
-func TestTraceString(t *testing.T) {
-	if got := TraceString([]bool{true, false}); got != "srmrsr" {
-		t.Fatalf("trace = %q", got)
-	}
-}

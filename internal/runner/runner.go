@@ -43,38 +43,23 @@ func (o Options) workers(n int) int {
 	return w
 }
 
-// Map runs fn(i) for every i in [0, n) across the pool and returns the
-// results in index order. On failure the pool stops handing out new jobs,
-// waits for in-flight jobs, and returns the error of the lowest-indexed
-// failed job (with a single worker that is always the first error, i.e.
-// sequential semantics). The partial results are discarded on error.
-func Map[T any](n int, opts Options, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, opts, fn)
-}
-
-// MapCtx is Map bounded by a context: no new job starts once ctx is
-// cancelled, in-flight jobs are waited for, and the cancellation surfaces as
-// ctx.Err() unless an earlier-indexed job already failed on its own.
-func MapCtx[T any](ctx context.Context, n int, opts Options, fn func(i int) (T, error)) ([]T, error) {
-	return MapWorkersCtx(ctx, n, opts, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (T, error) { return fn(i) })
-}
-
-// MapWorkers is Map with per-worker state: newState runs once in each worker
+// MapWorkersCtx runs fn(s, i) for every i in [0, n) across the pool and
+// returns the results in index order. newState runs once in each worker
 // goroutine (and once total on the sequential path) and its value is handed
-// to every fn call that worker makes. Sweeps use it to give each worker a
-// machine.Pool, so consecutive jobs on one worker reuse a Reset machine
-// instead of rebuilding; because a reset machine is indistinguishable from a
-// fresh one, results remain bit-identical to Map at any worker count.
-func MapWorkers[S, T any](n int, opts Options, newState func() S, fn func(s S, i int) (T, error)) ([]T, error) {
-	return MapWorkersCtx(context.Background(), n, opts, newState, fn)
-}
-
-// MapWorkersCtx is MapWorkers bounded by a context. Cancellation is checked
-// before each job is handed out, so a cancelled sweep stops at the next run
-// boundary; runs that are themselves ctx-aware (the harness passes the same
-// context into the kernel) stop mid-run too. Results are all-or-nothing,
-// exactly like an fn error.
+// to every fn call that worker makes; the harness uses it to give each
+// worker a machine.Pool, so consecutive jobs on one worker reuse a Reset
+// machine instead of rebuilding, and because a reset machine is
+// indistinguishable from a fresh one, results stay bit-identical at any
+// worker count.
+//
+// On failure the pool stops handing out new jobs, waits for in-flight jobs,
+// and returns the error of the lowest-indexed failed job (with a single
+// worker that is always the first error, i.e. sequential semantics); the
+// partial results are discarded. Cancellation is checked before each job is
+// handed out, so a cancelled sweep stops at the next run boundary and
+// surfaces ctx.Err() unless an earlier-indexed job already failed on its
+// own; runs that are themselves ctx-aware (the harness passes the same
+// context into the kernel) stop mid-run too.
 func MapWorkersCtx[S, T any](ctx context.Context, n int, opts Options, newState func() S, fn func(s S, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -107,11 +92,11 @@ func MapWorkersCtx[S, T any](ctx context.Context, n int, opts Options, newState 
 	var (
 		next   atomic.Int64 // next job index to hand out
 		failed atomic.Bool  // set on first error: stop handing out jobs
-		done   atomic.Int64 // completed jobs (success only), for Progress
 
-		mu       sync.Mutex // guards firstErr/firstIdx and Progress calls
+		mu       sync.Mutex // guards firstErr/firstIdx, done and Progress calls
 		firstErr error
 		firstIdx int
+		done     int // completed jobs (success only), for Progress
 		wg       sync.WaitGroup
 	)
 
@@ -145,9 +130,11 @@ func MapWorkersCtx[S, T any](ctx context.Context, n int, opts Options, newState 
 				}
 				results[i] = r
 				if opts.Progress != nil {
-					d := int(done.Add(1))
+					// Count and report under one lock, so the counts
+					// reach Progress in increasing order.
 					mu.Lock()
-					opts.Progress(d, n)
+					done++
+					opts.Progress(done, n)
 					mu.Unlock()
 				}
 			}
@@ -158,12 +145,4 @@ func MapWorkersCtx[S, T any](ctx context.Context, n int, opts Options, newState 
 		return nil, firstErr
 	}
 	return results, nil
-}
-
-// Do is Map for jobs with no result value.
-func Do(n int, opts Options, fn func(i int) error) error {
-	_, err := Map(n, opts, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -8,12 +9,18 @@ import (
 	"time"
 )
 
+// mapN runs fn over [0, n) through MapWorkersCtx with no per-worker state.
+func mapN(n int, opts Options, fn func(i int) (int, error)) ([]int, error) {
+	return MapWorkersCtx(context.Background(), n, opts, func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) (int, error) { return fn(i) })
+}
+
 // TestMapOrdering checks results land in index order regardless of the
 // completion order the scheduler produces.
 func TestMapOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		n := 64
-		got, err := Map(n, Options{Workers: workers}, func(i int) (int, error) {
+		got, err := mapN(n, Options{Workers: workers}, func(i int) (int, error) {
 			// Earlier jobs sleep longer so completion order inverts.
 			time.Sleep(time.Duration(n-i) * 10 * time.Microsecond)
 			return i * i, nil
@@ -37,7 +44,7 @@ func TestMapOrdering(t *testing.T) {
 func TestMapError(t *testing.T) {
 	boom := errors.New("boom")
 	var started atomic.Int64
-	_, err := Map(1000, Options{Workers: 4}, func(i int) (int, error) {
+	_, err := mapN(1000, Options{Workers: 4}, func(i int) (int, error) {
 		started.Add(1)
 		if i == 3 {
 			return 0, fmt.Errorf("job %d: %w", i, boom)
@@ -58,7 +65,7 @@ func TestMapError(t *testing.T) {
 func TestMapErrorLowestIndex(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
-	_, err := Map(2, Options{Workers: 2}, func(i int) (int, error) {
+	_, err := mapN(2, Options{Workers: 2}, func(i int) (int, error) {
 		if i == 0 {
 			time.Sleep(time.Millisecond) // fail after job 1 has already failed
 			return 0, errLow
@@ -74,7 +81,7 @@ func TestMapErrorLowestIndex(t *testing.T) {
 // without running later jobs, exactly like a plain loop.
 func TestMapSequentialErrorSemantics(t *testing.T) {
 	var ran []int
-	_, err := Map(10, Options{Workers: 1}, func(i int) (int, error) {
+	_, err := mapN(10, Options{Workers: 1}, func(i int) (int, error) {
 		ran = append(ran, i)
 		if i == 2 {
 			return 0, errors.New("stop")
@@ -94,7 +101,7 @@ func TestMapSequentialErrorSemantics(t *testing.T) {
 func TestProgress(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var calls []int
-		_, err := Map(20, Options{Workers: workers, Progress: func(d, total int) {
+		_, err := mapN(20, Options{Workers: workers, Progress: func(d, total int) {
 			if total != 20 {
 				t.Fatalf("total = %d, want 20", total)
 			}
@@ -114,24 +121,69 @@ func TestProgress(t *testing.T) {
 	}
 }
 
+// TestProgressMonotonicUnderContention stresses the Progress contract with
+// many workers finishing at once while a slow callback holds the lock, so
+// several finished workers always queue for it: every count must still
+// arrive exactly once and in increasing order.
+func TestProgressMonotonicUnderContention(t *testing.T) {
+	const n = 400
+	for _, workers := range []int{4, 8} {
+		for round := 0; round < 5; round++ {
+			var calls []int
+			_, err := mapN(n, Options{Workers: workers, Progress: func(d, total int) {
+				calls = append(calls, d)
+				for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
+				}
+			}}, func(i int) (int, error) { return i, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(calls) != n {
+				t.Fatalf("workers=%d: %d progress calls, want %d", workers, len(calls), n)
+			}
+			for i, d := range calls {
+				if d != i+1 {
+					t.Fatalf("workers=%d round %d: call %d reported %d, want %d (progress went backwards)",
+						workers, round, i, d, i+1)
+				}
+			}
+		}
+	}
+}
+
 // TestMapEmpty checks n=0 is a no-op.
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(0, Options{}, func(i int) (int, error) { return 0, errors.New("never") })
+	got, err := mapN(0, Options{}, func(i int) (int, error) { return 0, errors.New("never") })
 	if err != nil || got != nil {
 		t.Fatalf("got %v, %v; want nil, nil", got, err)
 	}
 }
 
-// TestDo checks the no-result wrapper propagates errors.
-func TestDo(t *testing.T) {
+// TestMapEveryJobRunsOnce checks a parallel pool runs each index exactly
+// once.
+func TestMapEveryJobRunsOnce(t *testing.T) {
 	var sum atomic.Int64
-	if err := Do(100, Options{Workers: 8}, func(i int) error {
+	if _, err := mapN(100, Options{Workers: 8}, func(i int) (int, error) {
 		sum.Add(int64(i))
-		return nil
+		return i, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if sum.Load() != 4950 {
 		t.Fatalf("sum = %d, want 4950", sum.Load())
+	}
+}
+
+// TestMapCancelled checks a cancelled context stops the pool and surfaces
+// ctx.Err().
+func TestMapCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		_, err := MapWorkersCtx(ctx, 10, Options{Workers: workers}, func() struct{} { return struct{}{} },
+			func(struct{}, int) (int, error) { return 0, nil })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 
 	"timecache/internal/promtext"
 	"timecache/internal/resultcache"
+	"timecache/internal/stats"
 )
 
 // cachedConfig is the standard cache-enabled test server configuration.
@@ -508,15 +510,107 @@ func TestCacheKeyEquivalence(t *testing.T) {
 	}
 }
 
+// gatedExecutor runs legs in process but holds each one until gate is
+// closed, so a test's blocker job lasts exactly as long as the test wants,
+// whatever the simulator's speed.
+type gatedExecutor struct {
+	inner legExecutor
+	gate  <-chan struct{}
+}
+
+func (e gatedExecutor) runLeg(ctx context.Context, j *job, leg int) (*stats.Table, JobResources, error) {
+	select {
+	case <-e.gate:
+	case <-ctx.Done():
+		return nil, JobResources{}, context.Cause(ctx)
+	}
+	return e.inner.runLeg(ctx, j, leg)
+}
+
+// startGatedExecutor adds one executor held by gate to s, which must have
+// been built with no in-process workers and not be draining yet.
+func startGatedExecutor(s *Server, gate <-chan struct{}) {
+	s.workers.Add(1)
+	go s.executorLoop(gatedExecutor{inner: newInProcExecutor(s), gate: gate})
+}
+
+// jobByID returns the server's record of job id.
+func jobByID(t *testing.T, s *Server, id string) *job {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		t.Fatalf("no job %s", id)
+	}
+	return j
+}
+
+// TestCacheHitOnceDone pins finalize's order: a leader completes its
+// result-cache flight before it turns done, so an identical submission made
+// after the job reads done is a hit, never a coalesce onto a finished
+// flight. The test holds the server mutex, which finalize takes (to release
+// the job's queue slot) after publishing the terminal state; while it is
+// held, the job reads done and the cache must already answer its key.
+func TestCacheHitOnceDone(t *testing.T) {
+	s, ts := startServer(t, cachedConfig(0))
+	gate := make(chan struct{})
+	startGatedExecutor(s, gate)
+	st, hdr := submitHdr(t, ts, smallSpec())
+	if hdr != "miss" {
+		t.Fatalf("first submit header = %q, want miss", hdr)
+	}
+	waitRunning(t, ts, st.ID)
+	j := jobByID(t, s, st.ID)
+
+	s.mu.Lock()
+	close(gate)
+	deadline := time.Now().Add(time.Minute)
+	for {
+		j.mu.Lock()
+		state := j.state
+		j.mu.Unlock()
+		if state.Terminal() {
+			if state != StateDone {
+				s.mu.Unlock()
+				t.Fatalf("job %s, want done", state)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			s.mu.Unlock()
+			t.Fatal("job never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	entry, flight, leader := s.cfg.Cache.Begin(j.flight.Key())
+	if leader {
+		s.cfg.Cache.Complete(flight, nil, errors.New("test admission"))
+	}
+	s.mu.Unlock()
+	if entry == nil {
+		t.Fatalf("job reads done but its key is not cached (leader=%v): the flight completes after the state turns terminal", leader)
+	}
+	if _, hdr := submitHdr(t, ts, smallSpec()); hdr != "hit" {
+		t.Fatalf("resubmit after done: header = %q, want hit", hdr)
+	}
+}
+
 // TestCacheDrainWaitsForFollowers: Drain must not return while a follower
 // is still waiting on its leader; after Drain every job — leader, follower,
-// blocker — is terminal.
+// blocker — is terminal. The blocker is held on a gated executor, not sized
+// in simulated instructions, so the test does not depend on how fast the
+// simulator runs (under the race detector, say).
 func TestCacheDrainWaitsForFollowers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	s, ts := startServer(t, cachedConfig(1))
-	blocker, _ := submitHdr(t, ts, longSpec())
+	s, ts := startServer(t, cachedConfig(0))
+	gate := make(chan struct{})
+	startGatedExecutor(s, gate)
+	blockerSpec := smallSpec()
+	blockerSpec.Pairs = []string{"2Xgobmk"}
+	blocker, _ := submitHdr(t, ts, blockerSpec)
 	waitRunning(t, ts, blocker.ID)
 	leader, _ := submitHdr(t, ts, smallSpec())
 	follower, hdr := submitHdr(t, ts, smallSpec())
@@ -525,7 +619,15 @@ func TestCacheDrainWaitsForFollowers(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if err := s.Drain(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned (%v) while the blocker still held the leader and its follower", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	for _, id := range []string{blocker.ID, leader.ID, follower.ID} {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -14,6 +15,32 @@ import (
 	"timecache/internal/harness"
 	"timecache/internal/promtext"
 )
+
+// checkMonotonic compares two scrapes (before, after) and returns an error
+// naming the first counter series that moved backwards. Series present only
+// in one scrape are ignored (families appear on first use).
+func checkMonotonic(before, after *promtext.Metrics) error {
+	prev := map[string]float64{}
+	for _, f := range before.Families {
+		if f.Type != "counter" {
+			continue
+		}
+		for _, s := range f.Samples {
+			prev[s.Key()] = s.Value
+		}
+	}
+	for _, f := range after.Families {
+		if f.Type != "counter" {
+			continue
+		}
+		for _, s := range f.Samples {
+			if p, ok := prev[s.Key()]; ok && s.Value < p {
+				return fmt.Errorf("counter %s went backwards: %g -> %g", s.Key(), p, s.Value)
+			}
+		}
+	}
+	return nil
+}
 
 // newTestLogger builds a text-format slog logger writing to w.
 func newTestLogger(w io.Writer) *slog.Logger {
@@ -229,7 +256,7 @@ func TestMetricsExposition(t *testing.T) {
 	wg.Wait()
 	after := scrapeMetrics(t, ts)
 
-	if err := promtext.CheckMonotonic(before, after); err != nil {
+	if err := checkMonotonic(before, after); err != nil {
 		t.Error(err)
 	}
 	for name, wantType := range map[string]string{

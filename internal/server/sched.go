@@ -75,17 +75,6 @@ func (q *sched) next() (j *job, leg int, epoch uint64, ok bool) {
 	}
 }
 
-// queuedJobs reports how many jobs currently sit in the scheduler.
-func (q *sched) queuedJobs() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for pri := 0; pri < priorityLevels; pri++ {
-		n += len(q.queues[pri])
-	}
-	return n
-}
-
 // close wakes every blocked executor; they drain the remaining queue and
 // exit. Idempotent.
 func (q *sched) close() {

@@ -553,35 +553,29 @@ func (s *Server) finalize(j *job, runErr error) {
 		tab, mergeErr = harness.MergeLegTables(j.spec.harnessJob(), parts)
 	}
 	finished := s.now()
-	j.finished = finished
-	j.resources = &res
+	var (
+		state  State
+		errMsg string
+	)
 	switch cause := context.Cause(j.ctx); {
 	case runErr == nil && mergeErr == nil:
-		j.state = StateDone
-		j.table = tab
+		state = StateDone
 	case errors.Is(cause, errClientCancel) || errors.Is(cause, errDrainStop):
-		j.state = StateCancelled
-		j.errMsg = cause.Error()
+		state, errMsg = StateCancelled, cause.Error()
 	case errors.Is(cause, context.DeadlineExceeded):
-		j.state = StateFailed
-		j.errMsg = cause.Error()
+		state, errMsg = StateFailed, cause.Error()
 	case mergeErr != nil:
-		j.state = StateFailed
-		j.errMsg = mergeErr.Error()
+		state, errMsg = StateFailed, mergeErr.Error()
 	default:
-		j.state = StateFailed
-		j.errMsg = runErr.Error()
+		state, errMsg = StateFailed, runErr.Error()
 	}
-	state, errMsg := j.state, j.errMsg
 	doneN, totalN := j.done, j.total
-	wasRunning := j.wasRunning
-	j.mu.Unlock()
-	s.releaseQueueSlot(j)
-
 	if j.flight != nil {
-		// Resolve the result-cache flight this job leads: publish the fully
-		// rendered result for future hits and current followers, or fail the
-		// followers with an error naming this job.
+		// Resolve the result-cache flight this job leads before the job
+		// turns terminal, so a resubmission that sees this job done hits
+		// the cache: publish the fully rendered result for future hits and
+		// current followers, or fail the followers with an error naming
+		// this job.
 		if state == StateDone {
 			s.cfg.Cache.Complete(j.flight, &resultcache.Entry{
 				Key:      j.flight.Key(),
@@ -595,6 +589,15 @@ func (s *Server) finalize(j *job, runErr error) {
 				fmt.Errorf("leader job %s %s: %s", j.id, state, errMsg))
 		}
 	}
+	j.finished = finished
+	j.resources = &res
+	j.state, j.errMsg = state, errMsg
+	if state == StateDone {
+		j.table = tab
+	}
+	wasRunning := j.wasRunning
+	j.mu.Unlock()
+	s.releaseQueueSlot(j)
 
 	// The run span covers every leg execution; the render stage merges the
 	// slices and finalizes the result. The five lifecycle stages still tile

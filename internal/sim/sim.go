@@ -37,8 +37,6 @@ type Env interface {
 	// Syscall invokes a kernel service; the meaning of arg and the return
 	// value depend on the syscall number.
 	Syscall(num, arg uint64) uint64
-	// PID returns the calling process's ID.
-	PID() int
 }
 
 // Toucher is an optional interface an Env implements when it can perform a
@@ -68,9 +66,3 @@ type Proc interface {
 type Forker interface {
 	ForkProc() Proc
 }
-
-// ProcFunc adapts a function to the Proc interface.
-type ProcFunc func(env Env) bool
-
-// Step implements Proc.
-func (f ProcFunc) Step(env Env) bool { return f(env) }

@@ -64,18 +64,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// Mean returns the arithmetic mean of xs (zero for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Table is a simple fixed-column text table used by the harness and the
 // reproduce tool to print paper-style rows.
 type Table struct {

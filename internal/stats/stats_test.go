@@ -49,15 +49,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if !almost(Mean([]float64{1, 2, 3}), 2) {
-		t.Error("mean")
-	}
-	if Mean(nil) != 0 {
-		t.Error("empty mean")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("workload", "overhead")
 	tb.Add("2Xlbm", 1.0039)

@@ -133,13 +133,6 @@ func (r *SpanRecorder) Len() int {
 	return len(r.events)
 }
 
-// Events returns a snapshot of the recorded events.
-func (r *SpanRecorder) Events() []TraceEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]TraceEvent(nil), r.events...)
-}
-
 // JSON serializes the recorded spans in the Chrome trace-event JSON Object
 // Format (displayTimeUnit ms, like TraceBuilder).
 func (r *SpanRecorder) JSON(other map[string]any) ([]byte, error) {

@@ -34,7 +34,7 @@ func TestSpanRecorderLifecycleAndLegs(t *testing.T) {
 	r.Span("legC", "leg", base.Add(11*time.Millisecond), base.Add(12*time.Millisecond), nil)
 
 	byName := map[string]TraceEvent{}
-	for _, ev := range r.Events() {
+	for _, ev := range r.events {
 		if ev.Ph != "M" {
 			byName[ev.Name] = ev
 		}
@@ -122,7 +122,7 @@ func TestSpanRecorderConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	spans := 0
-	for _, ev := range r.Events() {
+	for _, ev := range r.events {
 		if ev.Ph == "X" {
 			spans++
 		}

@@ -65,11 +65,6 @@ func (c Config) WithSuffix(suffix string) Config {
 	return c
 }
 
-// enabled reports whether any output is requested.
-func (c Config) enabled() bool {
-	return c.MetricsCSV != "" || c.HistogramCSV != "" || c.TraceJSON != "" || c.ManifestJSON != ""
-}
-
 // Collector wires the sampler, histograms, and trace builder into a
 // machine's probe hooks.
 type Collector struct {
@@ -106,14 +101,6 @@ func (c *Collector) Attach(k *kernel.Kernel) *Collector {
 	k.Hierarchy().SetObserver(c)
 	c.started = time.Now()
 	return c
-}
-
-// Detach removes the collector's hooks from the machine.
-func (c *Collector) Detach() {
-	if c.k != nil {
-		c.k.SetProbe(nil)
-		c.k.Hierarchy().SetObserver(nil)
-	}
 }
 
 // SetMeta records a key in the manifest's meta section (workload names,

@@ -85,9 +85,6 @@ func (t *TraceBuilder) Instant(name, cat string, core int, ts uint64, args map[s
 // Len returns the number of recorded events.
 func (t *TraceBuilder) Len() int { return len(t.events) }
 
-// Events returns the recorded events (for tests and filtering).
-func (t *TraceBuilder) Events() []TraceEvent { return t.events }
-
 // JSON serializes the trace in the Chrome trace-event JSON Object Format.
 func (t *TraceBuilder) JSON(other map[string]any) ([]byte, error) {
 	return marshalTraceFile(t.events, other)

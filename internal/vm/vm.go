@@ -36,21 +36,12 @@ func New(prog *isa.Program) *CPU {
 	return c
 }
 
-// Reg returns the value of register r.
-func (c *CPU) Reg(r int) uint64 { return c.regs[r] }
-
 // SetReg sets register r (r0 stays zero).
 func (c *CPU) SetReg(r int, v uint64) {
 	if r != isa.RZero {
 		c.regs[r] = v
 	}
 }
-
-// PC returns the current program counter.
-func (c *CPU) PC() uint64 { return c.pc }
-
-// Halted reports whether the CPU has executed HALT, exited, or faulted.
-func (c *CPU) Halted() bool { return c.halted }
 
 func (c *CPU) fault(format string, args ...any) bool {
 	c.Fault = fmt.Errorf("vm: pc=%#x: %s", c.pc, fmt.Sprintf(format, args...))

@@ -76,7 +76,7 @@ func run(t *testing.T, src string, maxSteps int) (*CPU, *fakeEnv) {
 	if c.Fault != nil {
 		t.Fatalf("fault: %v", c.Fault)
 	}
-	if !c.Halted() {
+	if !c.halted {
 		t.Fatalf("program did not halt in %d steps", maxSteps)
 	}
 	return c, e
@@ -99,8 +99,8 @@ func TestArithmetic(t *testing.T) {
 	`, 100)
 	want := map[int]uint64{3: 42, 4: 142, 5: 136, 6: 19, 7: 3, 8: 1, 9: 112, 10: 28, 11: ^uint64(0)}
 	for r, v := range want {
-		if c.Reg(r) != v {
-			t.Errorf("r%d = %d, want %d", r, c.Reg(r), v)
+		if c.regs[r] != v {
+			t.Errorf("r%d = %d, want %d", r, c.regs[r], v)
 		}
 	}
 }
@@ -111,7 +111,7 @@ func TestR0IsZero(t *testing.T) {
 		mov  r1, r0
 		halt
 	`, 10)
-	if c.Reg(0) != 0 || c.Reg(1) != 0 {
+	if c.regs[0] != 0 || c.regs[1] != 0 {
 		t.Fatal("r0 must stay zero")
 	}
 }
@@ -127,8 +127,8 @@ func TestLoopAndBranches(t *testing.T) {
 		blt  r2, r3, loop
 		halt
 	`, 1000)
-	if c.Reg(1) != 45 {
-		t.Fatalf("sum = %d, want 45", c.Reg(1))
+	if c.regs[1] != 45 {
+		t.Fatalf("sum = %d, want 45", c.regs[1])
 	}
 }
 
@@ -149,8 +149,8 @@ func TestMemoryAndDataSegment(t *testing.T) {
 		ld   r7, [r6]
 		halt
 	`, 100)
-	if c.Reg(7) != 66 {
-		t.Fatalf("stored sum = %d, want 66", c.Reg(7))
+	if c.regs[7] != 66 {
+		t.Fatalf("stored sum = %d, want 66", c.regs[7])
 	}
 }
 
@@ -164,8 +164,8 @@ func TestCallRetAndStack(t *testing.T) {
 		add r1, r1, r1
 		ret
 	`, 100)
-	if c.Reg(1) != 20 {
-		t.Fatalf("r1 = %d, want 20", c.Reg(1))
+	if c.regs[1] != 20 {
+		t.Fatalf("r1 = %d, want 20", c.regs[1])
 	}
 }
 
@@ -179,8 +179,8 @@ func TestPushPop(t *testing.T) {
 		pop  r4   ; 7
 		halt
 	`, 100)
-	if c.Reg(3) != 9 || c.Reg(4) != 7 {
-		t.Fatalf("pop order wrong: r3=%d r4=%d", c.Reg(3), c.Reg(4))
+	if c.regs[3] != 9 || c.regs[4] != 7 {
+		t.Fatalf("pop order wrong: r3=%d r4=%d", c.regs[3], c.regs[4])
 	}
 }
 
@@ -191,7 +191,7 @@ func TestRdtscMonotonic(t *testing.T) {
 		rdtsc r2
 		halt
 	`, 10)
-	if c.Reg(2) <= c.Reg(1) {
+	if c.regs[2] <= c.regs[1] {
 		t.Fatal("rdtsc must advance across a load")
 	}
 }
@@ -219,7 +219,7 @@ func TestSysExit(t *testing.T) {
 	if !e.exited {
 		t.Fatal("SysExit must reach the env")
 	}
-	if !c.Halted() {
+	if !c.halted {
 		t.Fatal("exit must halt the CPU")
 	}
 }
@@ -242,8 +242,8 @@ func TestSysGetPIDReturnValue(t *testing.T) {
 		sys 3
 		halt
 	`, 10)
-	if c.Reg(1) != 1 {
-		t.Fatalf("getpid returned %d, want 1", c.Reg(1))
+	if c.regs[1] != 1 {
+		t.Fatalf("getpid returned %d, want 1", c.regs[1])
 	}
 }
 

@@ -73,15 +73,6 @@ func Parsec(name string) (Profile, error) {
 	return p, nil
 }
 
-// SpecNames lists available SPEC profiles (stable order).
-func SpecNames() []string {
-	return []string{
-		"specrand", "lbm", "leslie3d", "gobmk", "libquantum", "wrf",
-		"calculix", "sjeng", "perlbench", "astar", "h264ref", "milc",
-		"sphinx3", "namd", "gromacs", "zeusmp", "cactus",
-	}
-}
-
 // ParsecNames lists available PARSEC profiles (stable order, matching the
 // paper's Table II).
 func ParsecNames() []string {

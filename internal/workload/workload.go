@@ -90,9 +90,6 @@ func NewProc(prof Profile, instrs uint64, seed uint64) *Proc {
 	return &Proc{prof: prof, budget: instrs, rng: seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03}
 }
 
-// Retired returns the number of instructions executed so far.
-func (p *Proc) Retired() uint64 { return p.retired }
-
 // ForkProc implements sim.Forker: the process state is a flat value (RNG
 // position, retirement count, stream/code cursors), so a shallow copy is a
 // complete execution-state clone. The OnWarm callback is dropped — it

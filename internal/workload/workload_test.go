@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,8 +13,24 @@ import (
 	"timecache/internal/sim"
 )
 
+// specNames lists every SPEC profile in sorted order.
+func specNames() []string {
+	names := make([]string, 0, len(specProfiles))
+	for name := range specProfiles {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func TestProfileLookups(t *testing.T) {
-	for _, name := range SpecNames() {
+	if n := len(specNames()); n < 15 {
+		t.Fatalf("SPEC list too short: %d profiles", n)
+	}
+	if n := len(ParsecNames()); n != 6 {
+		t.Fatalf("PARSEC list should have 6 entries, got %d", n)
+	}
+	for _, name := range specNames() {
 		p, err := Spec(name)
 		if err != nil {
 			t.Fatalf("Spec(%q): %v", name, err)
@@ -149,8 +166,8 @@ func TestWarmupCallbackFiresOnce(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("OnWarm fired %d times, want 1", fired)
 	}
-	if p.Retired() != 10_000 {
-		t.Fatalf("retired %d, want 10000", p.Retired())
+	if p.retired != 10_000 {
+		t.Fatalf("retired %d, want 10000", p.retired)
 	}
 }
 
@@ -202,7 +219,7 @@ func TestSpawnSharesCodeAndLibc(t *testing.T) {
 
 func TestFramesNeededCoversRegions(t *testing.T) {
 	f := func(seedByte uint8) bool {
-		names := SpecNames()
+		names := specNames()
 		prof, _ := Spec(names[int(seedByte)%len(names)])
 		need := FramesNeeded(prof)
 		total := int(prof.StreamBytes+prof.WSBytes+prof.CodeBytes+LibBytes) / 4096

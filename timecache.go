@@ -174,9 +174,6 @@ type Process struct {
 	cpu *vm.CPU
 }
 
-// PID returns the process ID.
-func (p *Process) PID() int { return p.p.PID }
-
 // Exited reports whether the process has terminated.
 func (p *Process) Exited() bool { return p.p.State == kernel.Exited }
 
@@ -263,33 +260,6 @@ func (s *System) SpawnSpec(name string, core int, instrs uint64, seed uint64) (*
 	return &Process{p: p}, nil
 }
 
-// SpawnParsecPair starts a 2-thread instance of a named PARSEC workload
-// model with one thread per core (the Fig. 9 configuration; the System must
-// have at least 2 cores).
-func (s *System) SpawnParsecPair(name string, instrs uint64) ([]*Process, error) {
-	if s.cfg.Cores < 2 {
-		return nil, fmt.Errorf("timecache: PARSEC pair needs 2 cores, have %d", s.cfg.Cores)
-	}
-	prof, err := workload.Parsec(name)
-	if err != nil {
-		return nil, err
-	}
-	as, err := workload.BuildSharedAS(s.k, prof)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Process
-	for t := 0; t < 2; t++ {
-		proc := workload.NewProc(prof, instrs, uint64(7000+t*13))
-		p, err := s.k.Spawn(fmt.Sprintf("%s.t%d", name, t), proc, as.Share(), t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, &Process{p: p})
-	}
-	return out, nil
-}
-
 // AttachTelemetry installs a telemetry collector (interval sampler, latency
 // histograms, Chrome-trace exporter, run manifest) on the machine. Attach
 // before Run; call Finish on the returned collector after the run to write
@@ -365,21 +335,6 @@ func (s *System) Stats() Stats {
 		if t := s.k.CoreClock(c); t > out.MaxCycle {
 			out.MaxCycle = t
 		}
-	}
-	return out
-}
-
-// SpecWorkloads lists the available SPEC2006 workload model names.
-func SpecWorkloads() []string { return workload.SpecNames() }
-
-// ParsecWorkloads lists the available PARSEC workload model names.
-func ParsecWorkloads() []string { return workload.ParsecNames() }
-
-// SpecPairLabels lists the Table II workload labels in paper order.
-func SpecPairLabels() []string {
-	var out []string
-	for _, p := range workload.SpecPairs() {
-		out = append(out, p.Label)
 	}
 	return out
 }

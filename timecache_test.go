@@ -119,37 +119,6 @@ func TestSpawnSpecWorkload(t *testing.T) {
 	}
 }
 
-func TestSpawnParsecNeedsTwoCores(t *testing.T) {
-	s, _ := New(Config{Cores: 1})
-	if _, err := s.SpawnParsecPair("x264", 1000); err == nil {
-		t.Fatal("1-core PARSEC pair must error")
-	}
-	s2, _ := New(Config{Cores: 2})
-	ps, err := s2.SpawnParsecPair("x264", 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 2 {
-		t.Fatalf("want 2 threads, got %d", len(ps))
-	}
-	s2.Run(1 << 62)
-	if !s2.AllExited() {
-		t.Fatal("threads did not finish")
-	}
-}
-
-func TestWorkloadLists(t *testing.T) {
-	if len(SpecWorkloads()) < 15 {
-		t.Fatal("SPEC list too short")
-	}
-	if len(ParsecWorkloads()) != 6 {
-		t.Fatal("PARSEC list should have 6 entries")
-	}
-	if len(SpecPairLabels()) != 24 {
-		t.Fatalf("Table II has 24 workloads, got %d", len(SpecPairLabels()))
-	}
-}
-
 func TestModeString(t *testing.T) {
 	if Baseline.String() != "baseline" || TimeCache.String() != "timecache" || FTM.String() != "ftm" {
 		t.Fatal("mode names wrong")
