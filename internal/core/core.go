@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"timecache/internal/bitserial"
 	"timecache/internal/clock"
@@ -76,11 +75,6 @@ type SecArray struct {
 	arr *bitserial.Array
 	// gtBuf is the reusable Tc>Ts mask buffer for RestoreColumn.
 	gtBuf []uint64
-
-	// Stats observable by the harness.
-	Compares     uint64 // context-switch comparison operations run
-	ResetsByComp uint64 // restored s-bits cleared because Tc > Ts
-	Rollovers    uint64 // restores that hit the rollover path
 }
 
 // NewSecArray creates security state for a cache with the given number of
@@ -192,13 +186,11 @@ func (s *SecArray) RestoreColumn(ctx int, v SecVec, ts, now clock.Cycles) {
 		return
 	}
 	if clock.RolledOver(ts, now, s.cfg.TimestampBits) {
-		s.Rollovers++
 		for i := range col {
 			col[i] = 0
 		}
 		return
 	}
-	s.Compares++
 	tsTrunc := uint64(clock.Trunc(ts, s.cfg.TimestampBits))
 	var gt []uint64
 	if s.arr != nil {
@@ -213,21 +205,18 @@ func (s *SecArray) RestoreColumn(ctx int, v SecVec, ts, now clock.Cycles) {
 		tailMask = (uint64(1) << r) - 1
 	}
 	last := s.words - 1
-	var resets uint64
 	for w := 0; w < s.words; w++ {
 		vw := v[w]
 		if w == last {
 			vw &= tailMask
 		}
-		resets += uint64(bits.OnesCount64(vw & gt[w]))
 		col[w] = vw &^ gt[w]
 	}
-	s.ResetsByComp += resets
 }
 
-// Reset clears every s-bit column, all fill timestamps (including the
-// gate-level mirror when present), and the stats counters without
-// reallocating, returning the array to its freshly constructed state.
+// Reset clears every s-bit column and all fill timestamps (including the
+// gate-level mirror when present) without reallocating, returning the
+// array to its freshly constructed state.
 func (s *SecArray) Reset() {
 	clear(s.cols)
 	clear(s.tc)
@@ -236,9 +225,6 @@ func (s *SecArray) Reset() {
 			s.arr.Store(line, 0)
 		}
 	}
-	s.Compares = 0
-	s.ResetsByComp = 0
-	s.Rollovers = 0
 }
 
 // checkCtx validates a context index at the column-operation boundary.

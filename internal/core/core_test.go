@@ -95,8 +95,12 @@ func TestRestoreResetsNewerLines(t *testing.T) {
 	if s.Visible(2, 0) {
 		t.Fatal("line 2 refilled after Ts must be invisible (Tc > Ts)")
 	}
-	if s.ResetsByComp != 1 {
-		t.Fatalf("ResetsByComp = %d, want 1", s.ResetsByComp)
+	// The comparison reset exactly that one s-bit: line 1 is the only line
+	// the restored context sees.
+	for line := 0; line < 64; line++ {
+		if s.Visible(line, 0) != (line == 1) {
+			t.Fatalf("line %d visible = %v after restore, want only line 1 visible", line, s.Visible(line, 0))
+		}
 	}
 }
 
@@ -124,14 +128,15 @@ func TestRolloverResetsAll(t *testing.T) {
 	cfg := Config{TimestampBits: 8}
 	s := NewSecArray(cfg, 4, 1)
 	s.OnFill(0, 0, 250)
+	s.OnFill(1, 0, 10) // Tc < Ts: a comparison alone would keep it visible
 	v := saveColumn(s, 0)
 	// Preempted at 250, resumed at 260: the 8-bit counter wrapped.
 	s.RestoreColumn(0, v, 250, 260)
 	if s.Visible(0, 0) {
 		t.Fatal("rollover between Ts and resume must reset restored s-bits")
 	}
-	if s.Rollovers != 1 {
-		t.Fatalf("Rollovers = %d, want 1", s.Rollovers)
+	if s.Visible(1, 0) {
+		t.Fatal("rollover restore kept line 1 (Tc < Ts): the comparison ran instead of the rollover reset")
 	}
 }
 

@@ -21,9 +21,6 @@ func (s *SecArray) CopyFrom(src *SecArray) {
 			s.arr.Store(line, s.tc[line])
 		}
 	}
-	s.Compares = src.Compares
-	s.ResetsByComp = src.ResetsByComp
-	s.Rollovers = src.Rollovers
 }
 
 // CopyFrom restores src's state into t. Both trackers must come from the
@@ -33,8 +30,6 @@ func (t *LimitedTracker) CopyFrom(src *LimitedTracker) {
 	copy(t.slotValid, src.slotValid)
 	copy(t.tc, src.tc)
 	t.clockHand = src.clockHand
-	t.OverflowEvictions = src.OverflowEvictions
-	t.Rollovers = src.Rollovers
 }
 
 // CopyTracker restores src's state into dst. The concrete types must match

@@ -73,13 +73,6 @@ type LimitedTracker struct {
 
 	// clockHand drives round-robin victim selection on overflow.
 	clockHand int
-
-	// OverflowEvictions counts sharers dropped because a line's pointer
-	// slots were full — each costs the dropped context one extra
-	// first-access miss later (performance, never security).
-	OverflowEvictions uint64
-	// Rollovers counts restores that hit the rollover path.
-	Rollovers uint64
 }
 
 // NewLimitedTracker creates a limited-pointer tracker with cfg.MaxSharers
@@ -162,7 +155,6 @@ func (t *LimitedTracker) add(line, ctx int) {
 	victim := base + t.clockHand%t.k
 	t.clockHand++
 	t.slots[victim] = uint8(ctx)
-	t.OverflowEvictions++
 }
 
 // OnFirstAccess implements Tracker.
@@ -221,7 +213,6 @@ func (t *LimitedTracker) RestoreColumn(ctx int, v SecVec, ts, now clock.Cycles) 
 		return
 	}
 	if clock.RolledOver(ts, now, t.cfg.TimestampBits) {
-		t.Rollovers++
 		return
 	}
 	tsTrunc := uint64(clock.Trunc(ts, t.cfg.TimestampBits))
@@ -256,6 +247,4 @@ func (t *LimitedTracker) Reset() {
 	clear(t.slotValid)
 	clear(t.tc)
 	t.clockHand = 0
-	t.OverflowEvictions = 0
-	t.Rollovers = 0
 }

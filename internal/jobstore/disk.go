@@ -1,6 +1,7 @@
 package jobstore
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -277,6 +278,9 @@ func (d *Disk) Compact(keep func(r Record) bool) error {
 	tmpPath := tmp.Name()
 	defer os.Remove(tmpPath) // no-op after the rename below
 
+	// Kept frames are buffered, so the rewrite makes one write(2) per
+	// buffer rather than per record.
+	w := bufio.NewWriterSize(tmp, 256<<10)
 	var kept uint64
 	var keptBytes int64
 	for i, seg := range segs {
@@ -301,7 +305,7 @@ func (d *Disk) Compact(keep func(r Record) bool) error {
 				return fmt.Errorf("jobstore: compact: segment %s offset %d: %w", seg, off, err)
 			}
 			if keep(rec) {
-				if _, err := tmp.Write(buf[off : off+n]); err != nil {
+				if _, err := w.Write(buf[off : off+n]); err != nil {
 					tmp.Close()
 					return err
 				}
@@ -310,6 +314,10 @@ func (d *Disk) Compact(keep func(r Record) bool) error {
 			}
 			off += n
 		}
+	}
+	if err := w.Flush(); err != nil {
+		tmp.Close()
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

@@ -126,6 +126,38 @@ func TestMemFreeze(t *testing.T) {
 	}
 }
 
+// TestPayloadOwnership: Decode aliases the body it parses instead of
+// copying it, with the payload's capacity ending at the body's end, while
+// Mem keeps its own copy of every appended payload, so a writer reusing
+// its buffer cannot change what the log replays.
+func TestPayloadOwnership(t *testing.T) {
+	body, err := rec(KindEvent, "job-000001", "abc").Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Decode(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body[len(body)-1] = 'X'
+	if string(r.Payload) != "abX" {
+		t.Errorf("decoded payload %q does not alias its body", r.Payload)
+	}
+	if cap(r.Payload) != len(r.Payload) {
+		t.Errorf("payload capacity %d reaches past its %d bytes", cap(r.Payload), len(r.Payload))
+	}
+
+	m := NewMem()
+	payload := []byte("abc")
+	if err := m.Append(Record{Kind: KindEvent, JobID: "job-000001", Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	payload[0] = 'X'
+	if got := collect(t, m); string(got[0].Payload) != "abc" {
+		t.Errorf("Mem replayed %q after the writer reused its buffer, want %q", got[0].Payload, "abc")
+	}
+}
+
 func TestMemCompact(t *testing.T) {
 	m := NewMem()
 	for i := 0; i < 10; i++ {

@@ -71,7 +71,9 @@ type Record struct {
 	Kind Kind
 	// JobID scopes the record to one job ("job-000042").
 	JobID string
-	// Payload is the writer-owned body (the service uses JSON).
+	// Payload is the writer-owned body (the service uses JSON). A record
+	// handed out by Decode, Replay or Compact aliases the buffer it was read
+	// from, so its payload must not be modified.
 	Payload []byte
 }
 
@@ -111,7 +113,10 @@ func (r Record) Encode() ([]byte, error) {
 
 // Decode parses an unframed record body. It never panics: every length is
 // bounds-checked before use, and unknown versions/kinds are errors, not
-// crashes.
+// crashes. The payload aliases body rather than copying it (its capacity
+// ends at the body's end, so an append cannot write past it): replay and
+// compaction read each payload once, and a copy per record would allocate
+// the whole log again on every pass.
 func Decode(body []byte) (Record, error) {
 	if len(body) < recordHeaderLen {
 		return Record{}, fmt.Errorf("jobstore: record body %d bytes, want >= %d", len(body), recordHeaderLen)
@@ -132,7 +137,7 @@ func Decode(body []byte) (Record, error) {
 	}
 	r.JobID = string(body[recordHeaderLen : recordHeaderLen+idLen])
 	if rest := body[recordHeaderLen+idLen:]; len(rest) > 0 {
-		r.Payload = append([]byte(nil), rest...)
+		r.Payload = rest[:len(rest):len(rest)]
 	}
 	return r, nil
 }

@@ -34,11 +34,13 @@ type Stats struct {
 // Store is the write-ahead log the coordinator journals through.
 //
 // Append must be safe for concurrent use and durable per the store's sync
-// policy when it returns. Replay streams every live record in append order
-// and is only called before the coordinator starts executing (single
-// goroutine, no concurrent Appends). Compact rewrites the log keeping only
-// records the caller's keep func approves; it may run concurrently with
-// Appends.
+// policy when it returns; the store keeps its own copy of the payload.
+// Replay streams every live record in append order and is only called
+// before the coordinator starts executing (single goroutine, no concurrent
+// Appends). Compact rewrites the log keeping only records the caller's keep
+// func approves; it may run concurrently with Appends. The records Replay
+// and Compact hand out alias the store's memory: their payloads stay valid
+// after the callback returns but must not be modified.
 type Store interface {
 	Append(r Record) error
 	Replay(fn func(r Record) error) error
@@ -73,7 +75,9 @@ func (m *Mem) Freeze() {
 
 func (m *Mem) Append(r Record) error {
 	// Round-trip through the codec so Mem exercises the same encode path
-	// (and the same field bounds) as the disk store.
+	// (and the same field bounds) as the disk store. Encode copies the
+	// caller's payload into a fresh body, so the stored record, which
+	// aliases that body, shares no bytes with the caller.
 	body, err := r.Encode()
 	if err != nil {
 		return err

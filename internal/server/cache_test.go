@@ -171,8 +171,8 @@ func TestCacheGoldenEquivalence(t *testing.T) {
 }
 
 // TestCacheThunderingHerd is the singleflight requirement: 64 concurrent
-// identical submissions cost exactly one simulation. A long blocker job
-// holds the single worker while the herd lands, so the herd's leader is
+// identical submissions cost exactly one simulation. A blocker job holds
+// the single (gated) executor while the herd lands, so the herd's leader is
 // still queued when every follower admits — the split is deterministically
 // 1 miss + 63 coalesced. Every job (leader and followers) must reach done
 // with the same result bytes, every SSE stream must terminate, and the
@@ -182,9 +182,13 @@ func TestCacheThunderingHerd(t *testing.T) {
 		t.Skip("short mode")
 	}
 	const herd = 64
-	_, ts := startServer(t, cachedConfig(1))
+	s, ts := startServer(t, cachedConfig(0))
+	gate := make(chan struct{})
+	startGatedExecutor(s, gate)
 
-	blocker, _ := submitHdr(t, ts, longSpec())
+	blockerSpec := smallSpec()
+	blockerSpec.Pairs = []string{"2Xgobmk"}
+	blocker, _ := submitHdr(t, ts, blockerSpec)
 	waitRunning(t, ts, blocker.ID)
 
 	spec := smallSpec()
@@ -224,6 +228,7 @@ func TestCacheThunderingHerd(t *testing.T) {
 	if misses != 1 || coalesced != herd-1 {
 		t.Fatalf("dispositions = %d miss / %d coalesced, want 1/%d", misses, coalesced, herd-1)
 	}
+	close(gate) // the blocker runs, then the herd's one simulation
 
 	// Every SSE stream — follower or leader — must reach done and close.
 	var sseWG sync.WaitGroup

@@ -490,12 +490,13 @@ func (l *eventLog) publish(name string, data []byte) {
 	}
 }
 
-// seed installs replayed history without re-persisting or fanning out.
-// Called only during log replay, before the job is visible to subscribers.
+// seed installs replayed history without re-persisting or fanning out; the
+// log takes ownership of evs. Called only during log replay, on a fresh log
+// not yet visible to subscribers.
 func (l *eventLog) seed(evs []event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.hist = append(l.hist, evs...)
+	l.hist = evs
 }
 
 // close ends the stream: no further events are accepted and every
@@ -510,7 +511,7 @@ func (l *eventLog) close() {
 	for ch := range l.subs {
 		close(ch)
 	}
-	l.subs = map[chan event]struct{}{}
+	l.subs = nil
 }
 
 // subscribe returns the event history so far plus a channel of subsequent

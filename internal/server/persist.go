@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"timecache/internal/harness"
@@ -42,15 +44,21 @@ type legRecord struct {
 }
 
 type resultRecord struct {
-	State    State         `json:"state"`
-	Error    string        `json:"error,omitempty"`
-	Done     int           `json:"done"`
-	Total    int           `json:"total"`
-	Started  time.Time     `json:"started"`
-	Finished time.Time     `json:"finished"`
-	Header   []string      `json:"header,omitempty"`
-	Rows     [][]string    `json:"rows,omitempty"`
-	Res      *JobResources `json:"resources,omitempty"`
+	resultHead
+	Header []string      `json:"header,omitempty"`
+	Rows   [][]string    `json:"rows,omitempty"`
+	Res    *JobResources `json:"resources,omitempty"`
+}
+
+// resultHead is a resultRecord's per-job part; the table and resource
+// account that follow it repeat across every job with the same result.
+type resultHead struct {
+	State    State     `json:"state"`
+	Error    string    `json:"error,omitempty"`
+	Done     int       `json:"done"`
+	Total    int       `json:"total"`
+	Started  time.Time `json:"started"`
+	Finished time.Time `json:"finished"`
 }
 
 // appendRecord journals one record. Persistence failures are logged and
@@ -101,8 +109,11 @@ func (s *Server) persistResult(j *job) {
 	}
 	j.mu.Lock()
 	rec := resultRecord{
-		State: j.state, Error: j.errMsg, Done: j.done, Total: j.total,
-		Started: j.started, Finished: j.finished, Res: j.resources,
+		resultHead: resultHead{
+			State: j.state, Error: j.errMsg, Done: j.done, Total: j.total,
+			Started: j.started, Finished: j.finished,
+		},
+		Res: j.resources,
 	}
 	if j.state == StateDone && j.table != nil {
 		rec.Header, rec.Rows = j.table.Header, j.table.Rows
@@ -111,13 +122,198 @@ func (s *Server) persistResult(j *job) {
 	s.appendRecord(jobstore.KindResult, j.id, rec)
 }
 
+// rawJSON holds one JSON value undecoded. Unlike json.RawMessage it does
+// not copy: json.Unmarshal hands UnmarshalJSON a slice of its own input,
+// which in replay is a record payload (immutable, see jobstore.Record), so
+// the value stays valid for as long as replay holds it.
+type rawJSON []byte
+
+func (r *rawJSON) UnmarshalJSON(b []byte) error {
+	*r = b
+	return nil
+}
+
+// unmarshalPresent decodes raw into v unless the field was absent.
+func unmarshalPresent(raw rawJSON, v any) error {
+	if len(raw) == 0 {
+		return nil
+	}
+	return json.Unmarshal(raw, v)
+}
+
+// acceptedReplay and resultReplay read acceptedRecord and resultRecord with
+// the spec, table and resource account left undecoded, so replay decodes
+// each distinct one once (replayInterner).
+type acceptedReplay struct {
+	Spec    rawJSON   `json:"spec"`
+	Created time.Time `json:"created"`
+	Cache   string    `json:"cache,omitempty"`
+	Legs    int       `json:"legs"`
+}
+
+type resultReplay struct {
+	resultHead
+	Header rawJSON `json:"header,omitempty"`
+	Rows   rawJSON `json:"rows,omitempty"`
+	Res    rawJSON `json:"resources,omitempty"`
+}
+
+// replayedSpec is one distinct accepted spec and its cache key, computed on
+// first use.
+type replayedSpec struct {
+	spec Spec
+	key  string
+}
+
+func (rs *replayedSpec) cacheKey() string {
+	if rs.key == "" {
+		rs.key = rs.spec.cacheKey()
+	}
+	return rs.key
+}
+
+// replayedResult is a decoded resultRecord. Its table and resources are
+// shared with every other replayed job whose record carried the same bytes.
+type replayedResult struct {
+	resultHead
+	table *stats.Table
+	res   *JobResources
+}
+
 // replayedJob accumulates one job's records during log replay.
 type replayedJob struct {
-	id       string
-	accepted *acceptedRecord
-	events   []event
-	legs     map[int]legRecord
-	result   *resultRecord
+	id      string
+	spec    *replayedSpec // nil until the accepted record
+	created time.Time
+	cache   string
+	events  []event
+	// rawLegs are the job's leg record payloads. Only a job that resumes
+	// reads them, so replay decodes them (into legs) for such jobs alone.
+	rawLegs [][]byte
+	legs    map[int]legRecord
+	result  *replayedResult
+}
+
+// decodeLegs decodes the leg records of a job that resumes; a later record
+// for the same leg wins.
+func (rj *replayedJob) decodeLegs() error {
+	rj.legs = make(map[int]legRecord, len(rj.rawLegs))
+	for _, raw := range rj.rawLegs {
+		var l legRecord
+		if err := json.Unmarshal(raw, &l); err != nil {
+			return fmt.Errorf("job %s leg record: %w", rj.id, err)
+		}
+		rj.legs[l.Leg] = l
+	}
+	return nil
+}
+
+// entryIdentity is what makes two done jobs' cache entries identical: the
+// same key, table and metadata.
+type entryIdentity struct {
+	key         string
+	table       *stats.Table
+	res         *JobResources
+	done, total int
+}
+
+// replayInterner shares what replay decodes between jobs. A result cache's
+// history is mostly repeats (thousands of jobs over a handful of specs), so
+// each distinct spec, table and resource account is decoded once, and each
+// distinct cache entry rendered once; the jobs that repeat one share its
+// pointer, as live cache hits share an entry's table. Decoded values are
+// never written after replay, like every other cache entry.
+type replayInterner struct {
+	specs   map[string]*replayedSpec
+	tables  map[string]*stats.Table
+	res     map[string]*JobResources
+	entries map[entryIdentity]*resultcache.Entry
+	key     []byte // scratch table key: header ‖ 0 ‖ rows
+}
+
+func newReplayInterner() *replayInterner {
+	return &replayInterner{
+		specs:   map[string]*replayedSpec{},
+		tables:  map[string]*stats.Table{},
+		res:     map[string]*JobResources{},
+		entries: map[entryIdentity]*resultcache.Entry{},
+	}
+}
+
+func (in *replayInterner) spec(raw rawJSON) (*replayedSpec, error) {
+	if rs, ok := in.specs[string(raw)]; ok {
+		return rs, nil
+	}
+	rs := &replayedSpec{}
+	if err := unmarshalPresent(raw, &rs.spec); err != nil {
+		return nil, err
+	}
+	in.specs[string(raw)] = rs
+	return rs, nil
+}
+
+// table interns a result table by its header and rows bytes. JSON text
+// holds no raw NUL, so the separator keeps the key unambiguous.
+func (in *replayInterner) table(header, rows rawJSON) (*stats.Table, error) {
+	in.key = append(append(append(in.key[:0], header...), 0), rows...)
+	if t, ok := in.tables[string(in.key)]; ok {
+		return t, nil
+	}
+	t := &stats.Table{}
+	if err := unmarshalPresent(header, &t.Header); err != nil {
+		return nil, err
+	}
+	if err := unmarshalPresent(rows, &t.Rows); err != nil {
+		return nil, err
+	}
+	in.tables[string(in.key)] = t
+	return t, nil
+}
+
+func (in *replayInterner) resources(raw rawJSON) (*JobResources, error) {
+	if r, ok := in.res[string(raw)]; ok {
+		return r, nil
+	}
+	var r *JobResources
+	if err := unmarshalPresent(raw, &r); err != nil {
+		return nil, err
+	}
+	in.res[string(raw)] = r
+	return r, nil
+}
+
+func (in *replayInterner) result(payload []byte) (*replayedResult, error) {
+	var raw resultReplay
+	if err := json.Unmarshal(payload, &raw); err != nil {
+		return nil, err
+	}
+	rr := &replayedResult{resultHead: raw.resultHead}
+	var err error
+	if rr.table, err = in.table(raw.Header, raw.Rows); err != nil {
+		return nil, err
+	}
+	if rr.res, err = in.resources(raw.Res); err != nil {
+		return nil, err
+	}
+	return rr, nil
+}
+
+// entry returns the cache entry for a done job, rendering it only for the
+// first job with its identity. Seeding that same entry again leaves the
+// cache exactly as seeding an equal copy would: same key, size and recency.
+func (in *replayInterner) entry(id entryIdentity) *resultcache.Entry {
+	if e, ok := in.entries[id]; ok {
+		return e
+	}
+	e := &resultcache.Entry{
+		Key:      id.key,
+		CSV:      []byte(id.table.CSV()),
+		Markdown: []byte(id.table.Markdown()),
+		Table:    id.table,
+		Meta:     mustJSON(cachedMeta{Resources: id.res, Done: id.done, Total: id.total}),
+	}
+	in.entries[id] = e
+	return e
 }
 
 // replay rebuilds the server's job table from the durable log. Runs in New,
@@ -132,26 +328,34 @@ type replayedJob struct {
 //     admission re-runs in original submission order, so the first live job
 //     of a fingerprint becomes the new singleflight leader — a follower
 //     whose leader died mid-crash is re-led — and later ones re-coalesce.
+//
+// Work is done per distinct value, not per job (replayInterner): a restart
+// over thousands of repeats decodes and renders each distinct result once.
 func (s *Server) replay() {
 	if s.cfg.Store == nil {
 		return
 	}
+	in := newReplayInterner()
 	byID := map[string]*replayedJob{}
 	var order []string
 	err := s.cfg.Store.Replay(func(r jobstore.Record) error {
 		rj := byID[r.JobID]
 		if rj == nil {
-			rj = &replayedJob{id: r.JobID, legs: map[int]legRecord{}}
+			rj = &replayedJob{id: r.JobID}
 			byID[r.JobID] = rj
 			order = append(order, r.JobID)
 		}
 		switch r.Kind {
 		case jobstore.KindAccepted:
-			var a acceptedRecord
-			if err := json.Unmarshal(r.Payload, &a); err != nil {
+			var a acceptedReplay
+			err := json.Unmarshal(r.Payload, &a)
+			if err == nil {
+				rj.spec, err = in.spec(a.Spec)
+			}
+			if err != nil {
 				return fmt.Errorf("job %s accepted record: %w", r.JobID, err)
 			}
-			rj.accepted = &a
+			rj.created, rj.cache = a.Created, a.Cache
 		case jobstore.KindEvent:
 			var e eventRecord
 			if err := json.Unmarshal(r.Payload, &e); err != nil {
@@ -159,22 +363,25 @@ func (s *Server) replay() {
 			}
 			rj.events = append(rj.events, event{name: e.Name, data: e.Data})
 		case jobstore.KindLeg:
-			var l legRecord
-			if err := json.Unmarshal(r.Payload, &l); err != nil {
-				return fmt.Errorf("job %s leg record: %w", r.JobID, err)
-			}
-			rj.legs[l.Leg] = l
+			rj.rawLegs = append(rj.rawLegs, r.Payload)
 		case jobstore.KindResult:
-			var res resultRecord
-			if err := json.Unmarshal(r.Payload, &res); err != nil {
+			res, err := in.result(r.Payload)
+			if err != nil {
 				return fmt.Errorf("job %s result record: %w", r.JobID, err)
 			}
-			rj.result = &res
+			rj.result = res
 		case jobstore.KindState:
 			// Informational; terminal-ness is decided by the resultRecord.
 		}
 		return nil
 	})
+	// Leg records matter only to jobs that resume. Decode theirs before any
+	// job is rebuilt, so a corrupt one still fails the whole replay.
+	for _, id := range order {
+		if rj := byID[id]; err == nil && rj.spec != nil && rj.result == nil {
+			err = rj.decodeLegs()
+		}
+	}
 	if err != nil {
 		// A log this build cannot read is a deployment problem; refuse to
 		// guess at state and start empty rather than half-replayed.
@@ -185,15 +392,17 @@ func (s *Server) replay() {
 	var maxID uint64
 	for _, id := range order {
 		rj := byID[id]
-		if rj.accepted == nil {
+		if rj.spec == nil {
 			continue // acceptance compacted away or torn off; nothing to rebuild
 		}
-		var n uint64
-		if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n > maxID {
-			maxID = n
+		// Only "job-<digits>" can collide with an id New issues.
+		if digits, ok := strings.CutPrefix(id, "job-"); ok {
+			if n, err := strconv.ParseUint(digits, 10, 64); err == nil && n > maxID {
+				maxID = n
+			}
 		}
 		if rj.result != nil {
-			s.restoreTerminal(rj)
+			s.restoreTerminal(rj, in)
 		} else {
 			s.resumeJob(rj)
 		}
@@ -208,19 +417,22 @@ func (s *Server) replay() {
 
 // restoreTerminal rebuilds a finished job read-only and re-seeds the result
 // cache from a done job's table.
-func (s *Server) restoreTerminal(rj *replayedJob) {
-	j := newJob(rj.id, rj.accepted.Spec, rj.accepted.Created)
+func (s *Server) restoreTerminal(rj *replayedJob, in *replayInterner) {
+	spec := rj.spec.spec
+	j := newJob(rj.id, spec, rj.created)
 	j.trace = telemetry.NewSpanRecorder(s.clk.Now)
-	j.log = s.log.With("job", rj.id, "experiment", rj.accepted.Spec.Experiment)
-	j.cacheDisp = rj.accepted.Cache
+	// A terminal job logs nothing more (every j.log call sits on a path a
+	// finished job never takes), so it gets no job-scoped logger of its own.
+	j.log = s.log
+	j.cacheDisp = rj.cache
 	res := rj.result
 	j.state = res.State
 	j.errMsg = res.Error
 	j.done, j.total = res.Done, res.Total
 	j.started, j.finished = res.Started, res.Finished
-	j.resources = res.Res
+	j.resources = res.res
 	if res.State == StateDone {
-		j.table = &stats.Table{Header: res.Header, Rows: res.Rows}
+		j.table = res.table
 	}
 	j.events.seed(rj.events)
 	j.events.close()
@@ -231,14 +443,10 @@ func (s *Server) restoreTerminal(rj *replayedJob) {
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 
-	if res.State == StateDone && s.cfg.Cache != nil && !j.spec.NoCache && j.table != nil {
-		s.cfg.Cache.Seed(&resultcache.Entry{
-			Key:      j.spec.cacheKey(),
-			CSV:      []byte(j.table.CSV()),
-			Markdown: []byte(j.table.Markdown()),
-			Table:    j.table,
-			Meta:     mustJSON(cachedMeta{Resources: res.Res, Done: res.Done, Total: res.Total}),
-		})
+	if res.State == StateDone && s.cfg.Cache != nil && !spec.NoCache {
+		s.cfg.Cache.Seed(in.entry(entryIdentity{
+			key: rj.spec.cacheKey(), table: res.table, res: res.res, done: res.Done, total: res.Total,
+		}))
 	}
 }
 
@@ -246,8 +454,8 @@ func (s *Server) restoreTerminal(rj *replayedJob) {
 // tables and resource deltas, pending legs go back to the scheduler, and the
 // deadline restarts from now.
 func (s *Server) resumeJob(rj *replayedJob) {
-	spec := rj.accepted.Spec
-	j := newJob(rj.id, spec, rj.accepted.Created)
+	spec := rj.spec.spec
+	j := newJob(rj.id, spec, rj.created)
 	j.trace = telemetry.NewSpanRecorder(s.clk.Now)
 	j.log = s.log.With("job", rj.id, "experiment", spec.Experiment)
 	j.events.seed(rj.events)
@@ -268,7 +476,7 @@ func (s *Server) resumeJob(rj *replayedJob) {
 	// live job of a fingerprint leads and later ones re-coalesce — which is
 	// how a follower orphaned by its leader's death gets re-led.
 	if s.cfg.Cache != nil && !spec.NoCache {
-		entry, flight, leader := s.cfg.Cache.Begin(spec.cacheKey())
+		entry, flight, leader := s.cfg.Cache.Begin(rj.spec.cacheKey())
 		switch {
 		case entry != nil:
 			s.finishReplayedFromCache(j, entry)

@@ -31,17 +31,6 @@ func smallSpec() Spec {
 	}
 }
 
-// longSpec runs long enough (hundreds of ms) that a test can reliably
-// observe it mid-run.
-func longSpec() Spec {
-	return Spec{
-		Experiment:    "table2",
-		Pairs:         []string{"2Xlbm", "2Xgobmk", "leslie+gobmk"},
-		InstrsPerProc: 3_000_000,
-		WarmupInstrs:  100_000,
-	}
-}
-
 func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
@@ -412,12 +401,15 @@ func TestCancelQueued(t *testing.T) {
 	}
 }
 
-// TestCancelRunning: DELETE while the simulation is mid-run interrupts the
-// machine (kernel-level interrupt poll) and lands the job in cancelled,
-// fast — not after the job would have finished.
+// TestCancelRunning: DELETE while a leg is running cancels the job's
+// context and lands the job in cancelled, fast — not after the job would
+// have finished. The leg is held on a gated executor that is never opened,
+// so only the cancellation can end it. (kernel.RunCtx's own tests cover
+// the interrupt reaching a machine mid-simulation.)
 func TestCancelRunning(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 1})
-	st, _ := submit(t, ts, longSpec())
+	s, ts := startServer(t, Config{Workers: 0})
+	startGatedExecutor(s, make(chan struct{}))
+	st, _ := submit(t, ts, smallSpec())
 	// Wait until a worker has it.
 	deadline := time.Now().Add(10 * time.Second)
 	for getStatus(t, ts, st.ID).State != StateRunning {
@@ -462,8 +454,9 @@ func waitRunning(t *testing.T, ts *httptest.Server, id string) {
 // timeout, and must fail after.
 func TestJobTimeout(t *testing.T) {
 	fake := clock.NewFake(time.Time{})
-	_, ts := startServer(t, Config{Workers: 1, Clock: fake})
-	spec := longSpec()
+	s, ts := startServer(t, Config{Workers: 0, Clock: fake})
+	startGatedExecutor(s, make(chan struct{}))
+	spec := smallSpec()
 	spec.TimeoutMS = 60_000
 	st, _ := submit(t, ts, spec)
 	waitRunning(t, ts, st.ID)
@@ -540,8 +533,9 @@ func TestDrain(t *testing.T) {
 // when the wall does.
 func TestDrainHardStop(t *testing.T) {
 	fake := clock.NewFake(time.Time{})
-	s, ts := startServer(t, Config{Workers: 1, Clock: fake})
-	st, _ := submit(t, ts, longSpec())
+	s, ts := startServer(t, Config{Workers: 0, Clock: fake})
+	startGatedExecutor(s, make(chan struct{}))
+	st, _ := submit(t, ts, smallSpec())
 	waitRunning(t, ts, st.ID)
 	errCh := make(chan error, 1)
 	go func() { errCh <- s.DrainWithGrace(5 * time.Second) }()
