@@ -2,8 +2,25 @@ package timecache
 
 import (
 	"timecache/internal/attack"
+	"timecache/internal/machine"
 	"timecache/internal/replacement"
 )
+
+// runAttack runs one attack scenario on a machine defended by the registry
+// kind defenseKind ("" is none) and converts its result. An unknown kind is
+// an error naming the valid kinds.
+func runAttack[R, P any](defenseKind string, run func(machine.Config) (R, error), conv func(R) P) (P, error) {
+	var zero P
+	kind, err := checkDefense(defenseKind)
+	if err != nil {
+		return zero, err
+	}
+	r, err := run(machine.Config{Defense: kind})
+	if err != nil {
+		return zero, err
+	}
+	return conv(r), nil
+}
 
 // MicrobenchmarkResult reports the paper's §VI-A1 microbenchmark: an
 // attacker flushes a 256-line shared array, sleeps while the victim writes
@@ -15,13 +32,11 @@ type MicrobenchmarkResult struct {
 }
 
 // RunMicrobenchmark executes the §VI-A1 microbenchmark attack under the
-// given defense mode.
-func RunMicrobenchmark(mode Mode) (MicrobenchmarkResult, error) {
-	r, err := attack.RunMicrobenchmark(mode.secMode())
-	if err != nil {
-		return MicrobenchmarkResult{}, err
-	}
-	return MicrobenchmarkResult{Lines: r.Lines, Hits: r.Hits, MeanLatency: r.MeanLatency}, nil
+// defense registry kind defenseKind.
+func RunMicrobenchmark(defenseKind string) (MicrobenchmarkResult, error) {
+	return runAttack(defenseKind, attack.RunMicrobenchmark, func(r attack.MicrobenchResult) MicrobenchmarkResult {
+		return MicrobenchmarkResult{Lines: r.Lines, Hits: r.Hits, MeanLatency: r.MeanLatency}
+	})
 }
 
 // RSAAttackResult reports the §VI-A2 flush+reload (or evict+reload) attack
@@ -51,23 +66,19 @@ func toRSAResult(r attack.RSAResult) RSAAttackResult {
 }
 
 // RunRSAAttack mounts the flush+reload RSA key extraction of §VI-A2.
-func RunRSAAttack(mode Mode, keyBits int, seed uint64) (RSAAttackResult, error) {
-	r, err := attack.RunRSA(mode.secMode(), keyBits, seed)
-	if err != nil {
-		return RSAAttackResult{}, err
-	}
-	return toRSAResult(r), nil
+func RunRSAAttack(defenseKind string, keyBits int, seed uint64) (RSAAttackResult, error) {
+	return runAttack(defenseKind, func(c machine.Config) (attack.RSAResult, error) {
+		return attack.RunRSAConfig(c, keyBits, seed)
+	}, toRSAResult)
 }
 
 // RunEvictReloadAttack mounts the evict+reload variant, which displaces the
 // monitored lines with attacker-constructed eviction sets instead of
 // clflush.
-func RunEvictReloadAttack(mode Mode, keyBits int, seed uint64) (RSAAttackResult, error) {
-	r, err := attack.RunEvictReload(mode.secMode(), keyBits, seed)
-	if err != nil {
-		return RSAAttackResult{}, err
-	}
-	return toRSAResult(r), nil
+func RunEvictReloadAttack(defenseKind string, keyBits int, seed uint64) (RSAAttackResult, error) {
+	return runAttack(defenseKind, func(c machine.Config) (attack.RSAResult, error) {
+		return attack.RunEvictReload(c, keyBits, seed)
+	}, toRSAResult)
 }
 
 // SecretAttackResult reports how well a generic attack recovered a victim's
@@ -96,56 +107,50 @@ func toSecretResult(r attack.SecretResult) SecretAttackResult {
 // RunFlushFlushAttack mounts the flush+flush attack (§VII-C). TimeCache
 // alone does not stop it; constantTimeFlush (a fixed-latency clflush with
 // dummy writeback) does.
-func RunFlushFlushAttack(mode Mode, constantTimeFlush bool, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunFlushFlush(mode.secMode(), constantTimeFlush, bits, seed)
-	if err != nil {
-		return SecretAttackResult{}, err
-	}
-	return toSecretResult(r), nil
+func RunFlushFlushAttack(defenseKind string, constantTimeFlush bool, bits int, seed uint64) (SecretAttackResult, error) {
+	return runAttack(defenseKind, func(c machine.Config) (attack.SecretResult, error) {
+		c.ConstantTimeFlush = constantTimeFlush
+		return attack.RunFlushFlushConfig(c, bits, seed)
+	}, toSecretResult)
 }
 
 // RunPrimeProbeAttack mounts the prime+probe contention attack, which needs
 // no shared memory and is outside TimeCache's threat model; randomizeIndex
 // (CEASER-lite) defeats it.
-func RunPrimeProbeAttack(mode Mode, randomizeIndex bool, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunPrimeProbe(mode.secMode(), randomizeIndex, bits, seed)
-	if err != nil {
-		return SecretAttackResult{}, err
-	}
-	return toSecretResult(r), nil
+func RunPrimeProbeAttack(defenseKind string, randomizeIndex bool, bits int, seed uint64) (SecretAttackResult, error) {
+	return runAttack(defenseKind, func(c machine.Config) (attack.SecretResult, error) {
+		if randomizeIndex {
+			c.RandomizedIndex = 0xC0FFEE
+		}
+		return attack.RunPrimeProbeConfig(c, bits, seed)
+	}, toSecretResult)
 }
 
 // RunLRUAttack mounts the cache-LRU-state attack (§VII-A) under the given
 // replacement policy ("lru", "tree-plru", or "random"); random replacement
 // destroys the channel.
-func RunLRUAttack(mode Mode, policy string, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunLRU(mode.secMode(), replacement.Kind(policy), bits, seed)
-	if err != nil {
-		return SecretAttackResult{}, err
-	}
-	return toSecretResult(r), nil
+func RunLRUAttack(defenseKind, policy string, bits int, seed uint64) (SecretAttackResult, error) {
+	return runAttack(defenseKind, func(c machine.Config) (attack.SecretResult, error) {
+		return attack.RunLRUConfig(c, replacement.Kind(policy), bits, seed)
+	}, toSecretResult)
 }
 
 // RunSMTAttack mounts flush+reload from a hyperthread: attacker and victim
 // run simultaneously on the two hardware threads of one core, sharing the
 // L1 caches (paper §III covers this placement; per-hardware-context s-bits
 // defend it with no context switches involved).
-func RunSMTAttack(mode Mode, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunSMT(mode.secMode(), bits, seed)
-	if err != nil {
-		return SecretAttackResult{}, err
-	}
-	return toSecretResult(r), nil
+func RunSMTAttack(defenseKind string, bits int, seed uint64) (SecretAttackResult, error) {
+	return runAttack(defenseKind, func(c machine.Config) (attack.SecretResult, error) {
+		return attack.RunSMTConfig(c, bits, seed)
+	}, toSecretResult)
 }
 
 // RunCoherenceAttack mounts the invalidate+transfer attack (§VII-B) across
 // two cores; TimeCache removes the remote-forward timing difference.
-func RunCoherenceAttack(mode Mode, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunCoherence(mode.secMode(), bits, seed)
-	if err != nil {
-		return SecretAttackResult{}, err
-	}
-	return toSecretResult(r), nil
+func RunCoherenceAttack(defenseKind string, bits int, seed uint64) (SecretAttackResult, error) {
+	return runAttack(defenseKind, func(c machine.Config) (attack.SecretResult, error) {
+		return attack.RunCoherenceConfig(c, bits, seed)
+	}, toSecretResult)
 }
 
 // SpectreResult reports the Spectre-style covert-channel experiment: the
@@ -160,12 +165,12 @@ type SpectreResult struct {
 // RunSpectreChannel demonstrates the paper's §VIII/§IX claim that breaking
 // the reuse channel also breaks Spectre's transmission: the attacker
 // recovers the secret on the baseline and learns nothing under TimeCache.
-func RunSpectreChannel(mode Mode, secret []byte) (SpectreResult, error) {
-	r, err := attack.RunSpectre(mode.secMode(), secret)
-	if err != nil {
-		return SpectreResult{}, err
-	}
-	return SpectreResult{Secret: r.Secret, Recovered: r.Recovered, BytesCorrect: r.BytesCorrect, Hits: r.Hits}, nil
+func RunSpectreChannel(defenseKind string, secret []byte) (SpectreResult, error) {
+	return runAttack(defenseKind, func(c machine.Config) (attack.SpectreResult, error) {
+		return attack.RunSpectre(c, secret)
+	}, func(r attack.SpectreResult) SpectreResult {
+		return SpectreResult{Secret: r.Secret, Recovered: r.Recovered, BytesCorrect: r.BytesCorrect, Hits: r.Hits}
+	})
 }
 
 // EvictTimeResult reports the §VII-D evict+time experiment: the victim's
@@ -180,14 +185,14 @@ type EvictTimeResult struct {
 }
 
 // RunEvictTimeAttack measures the evict+time channel of §VII-D.
-func RunEvictTimeAttack(mode Mode, iters int) (EvictTimeResult, error) {
-	r, err := attack.RunEvictTime(mode.secMode(), iters)
-	if err != nil {
-		return EvictTimeResult{}, err
-	}
-	return EvictTimeResult{
-		VictimCyclesFlushed:     r.VictimCyclesFlushed,
-		VictimCyclesUndisturbed: r.VictimCyclesUndisturbed,
-		Leaks:                   r.Leaks(),
-	}, nil
+func RunEvictTimeAttack(defenseKind string, iters int) (EvictTimeResult, error) {
+	return runAttack(defenseKind, func(c machine.Config) (attack.EvictTimeResult, error) {
+		return attack.RunEvictTime(c, iters)
+	}, func(r attack.EvictTimeResult) EvictTimeResult {
+		return EvictTimeResult{
+			VictimCyclesFlushed:     r.VictimCyclesFlushed,
+			VictimCyclesUndisturbed: r.VictimCyclesUndisturbed,
+			Leaks:                   r.Leaks(),
+		}
+	})
 }

@@ -11,38 +11,38 @@ import (
 func TestAttackWrapperSweep(t *testing.T) {
 	const bits, seed = 16, 3
 
-	if r, err := RunEvictReloadAttack(TimeCache, bits, seed); err != nil || r.Hits != 0 {
+	if r, err := RunEvictReloadAttack("timecache", bits, seed); err != nil || r.Hits != 0 {
 		t.Fatalf("evict+reload: %+v err=%v", r, err)
 	}
-	if r, err := RunFlushFlushAttack(TimeCache, true, bits, seed); err != nil || r.Accuracy > 0.95 {
+	if r, err := RunFlushFlushAttack("timecache", true, bits, seed); err != nil || r.Accuracy > 0.95 {
 		t.Fatalf("flush+flush(ct): %+v err=%v", r, err)
 	}
-	if r, err := RunPrimeProbeAttack(Baseline, false, bits, seed); err != nil || r.Accuracy < 0.8 {
+	if r, err := RunPrimeProbeAttack("none", false, bits, seed); err != nil || r.Accuracy < 0.8 {
 		t.Fatalf("prime+probe: %+v err=%v", r, err)
 	}
-	if r, err := RunLRUAttack(Baseline, "lru", bits, seed); err != nil || r.Accuracy < 0.8 {
+	if r, err := RunLRUAttack("none", "lru", bits, seed); err != nil || r.Accuracy < 0.8 {
 		t.Fatalf("lru: %+v err=%v", r, err)
 	}
-	if _, err := RunLRUAttack(Baseline, "bogus-policy", bits, seed); err == nil {
+	if _, err := RunLRUAttack("none", "bogus-policy", bits, seed); err == nil {
 		t.Fatal("unknown replacement policy must error")
 	}
-	if r, err := RunCoherenceAttack(TimeCache, bits, seed); err != nil || r.Accuracy > 0.8 {
+	if r, err := RunCoherenceAttack("timecache", bits, seed); err != nil || r.Accuracy > 0.8 {
 		t.Fatalf("coherence: %+v err=%v", r, err)
 	}
-	if r, err := RunSMTAttack(TimeCache, bits, seed); err != nil || r.Accuracy > 0.8 {
+	if r, err := RunSMTAttack("timecache", bits, seed); err != nil || r.Accuracy > 0.8 {
 		t.Fatalf("smt: %+v err=%v", r, err)
 	}
-	if r, err := RunEvictTimeAttack(Baseline, 500); err != nil || !r.Leaks {
+	if r, err := RunEvictTimeAttack("none", 500); err != nil || !r.Leaks {
 		t.Fatalf("evict+time: %+v err=%v", r, err)
 	}
-	if r, err := RunSpectreChannel(TimeCache, []byte("ab")); err != nil || r.Hits != 0 {
+	if r, err := RunSpectreChannel("timecache", []byte("ab")); err != nil || r.Hits != 0 {
 		t.Fatalf("spectre: %+v err=%v", r, err)
 	}
-	if _, err := RunSpectreChannel(TimeCache, nil); err == nil {
+	if _, err := RunSpectreChannel("timecache", nil); err == nil {
 		t.Fatal("empty spectre secret must error")
 	}
 	// Bit-string fields must be populated and consistent.
-	r, err := RunSMTAttack(Baseline, bits, seed)
+	r, err := RunSMTAttack("none", bits, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestAttackWrapperSweep(t *testing.T) {
 
 // TestLimitedPointerConfig exercises the MaxSharers public plumbing.
 func TestLimitedPointerConfig(t *testing.T) {
-	sys, err := New(Config{Mode: TimeCache, MaxSharers: 1})
+	sys, err := New(Config{Defense: "timecache", MaxSharers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

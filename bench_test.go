@@ -137,11 +137,11 @@ func BenchmarkFig10LLCSensitivity(b *testing.B) {
 // 256-line shared array, baseline versus TimeCache (paper: all vs zero).
 func BenchmarkMicrobenchmarkAttack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := RunMicrobenchmark(Baseline)
+		base, err := RunMicrobenchmark("none")
 		if err != nil {
 			b.Fatal(err)
 		}
-		def, err := RunMicrobenchmark(TimeCache)
+		def, err := RunMicrobenchmark("timecache")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,11 +155,11 @@ func BenchmarkMicrobenchmarkAttack(b *testing.B) {
 // the defense).
 func BenchmarkRSAAttack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := RunRSAAttack(Baseline, 64, uint64(i)+1)
+		base, err := RunRSAAttack("none", 64, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		def, err := RunRSAAttack(TimeCache, 64, uint64(i)+1)
+		def, err := RunRSAAttack("timecache", 64, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkSbitSaveRestore(b *testing.B) {
 // misses relative to the 32-bit configuration.
 func BenchmarkRolloverOverhead(b *testing.B) {
 	run := func(bits uint) uint64 {
-		sys, err := New(Config{Mode: TimeCache, TimestampBits: bits})
+		sys, err := New(Config{Defense: "timecache", TimestampBits: bits})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -224,23 +224,23 @@ func BenchmarkRolloverOverhead(b *testing.B) {
 // under TimeCache, with and without its designated mitigation.
 func BenchmarkOtherAttacks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ff, err := RunFlushFlushAttack(TimeCache, false, 32, 5)
+		ff, err := RunFlushFlushAttack("timecache", false, 32, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ffFixed, err := RunFlushFlushAttack(TimeCache, true, 32, 5)
+		ffFixed, err := RunFlushFlushAttack("timecache", true, 32, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		coh, err := RunCoherenceAttack(TimeCache, 32, 5)
+		coh, err := RunCoherenceAttack("timecache", 32, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		lru, err := RunLRUAttack(TimeCache, "lru", 32, 5)
+		lru, err := RunLRUAttack("timecache", "lru", 32, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pp, err := RunPrimeProbeAttack(TimeCache, false, 32, 5)
+		pp, err := RunPrimeProbeAttack("timecache", false, 32, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func BenchmarkGateLevelComparator(b *testing.B) {
 // area savings into extra first-access misses.
 func BenchmarkLimitedPointerTracker(b *testing.B) {
 	run := func(maxSharers int) (firstAccess uint64) {
-		sys, err := New(Config{Mode: TimeCache, Cores: 2, MaxSharers: maxSharers})
+		sys, err := New(Config{Defense: "timecache", Cores: 2, MaxSharers: maxSharers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func BenchmarkLimitedPointerTracker(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	const instrs = 200_000
 	for i := 0; i < b.N; i++ {
-		sys, err := New(Config{Mode: TimeCache})
+		sys, err := New(Config{Defense: "timecache"})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	asm-run prog.s                    # run one program, print results
-//	asm-run -mode timecache -n 2 prog.s   # two shared-text instances
+//	asm-run -defense timecache -n 2 prog.s   # two shared-text instances
 //	echo 'movi r1, 42
 //	sys 0' | asm-run -               # read source from stdin
 package main
@@ -17,40 +17,38 @@ import (
 	"os"
 
 	"timecache"
+	"timecache/internal/defense"
 	"timecache/internal/stats"
 )
 
 func main() {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
+		fatal(err)
+	}
+}
+
+// run parses args on fs and assembles, runs and reports the program.
+func run(fs *flag.FlagSet, args []string) error {
 	var (
-		modeFlag = flag.String("mode", "baseline", "baseline | timecache | ftm")
-		n        = flag.Int("n", 1, "instances to run (sharing text when > 1)")
-		max      = flag.Uint64("max", 1_000_000_000, "cycle budget")
-		verbose  = flag.Bool("v", false, "print per-cache statistics")
+		kind    = defense.FlagVar(fs, defense.None)
+		n       = fs.Int("n", 1, "instances to run (sharing text when > 1)")
+		max     = fs.Uint64("max", 1_000_000_000, "cycle budget")
+		verbose = fs.Bool("v", false, "print per-cache statistics")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fatal(fmt.Errorf("usage: asm-run [flags] <file.s | ->"))
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return fmt.Errorf("usage: asm-run [flags] <file.s | ->")
 	}
 
-	src, err := readSource(flag.Arg(0))
+	src, err := readSource(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	var mode timecache.Mode
-	switch *modeFlag {
-	case "baseline":
-		mode = timecache.Baseline
-	case "timecache":
-		mode = timecache.TimeCache
-	case "ftm":
-		mode = timecache.FTM
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *modeFlag))
-	}
-
-	sys, err := timecache.New(timecache.Config{Mode: mode})
+	sys, err := timecache.New(timecache.Config{Defense: kind.String()})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var procs []*timecache.Process
 	for i := 0; i < *n; i++ {
@@ -60,7 +58,7 @@ func main() {
 		}
 		p, err := sys.LoadAsm(string(src), opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		procs = append(procs, p)
 	}
@@ -90,9 +88,10 @@ func main() {
 	}
 	for _, p := range procs {
 		if p.Err() != nil || !p.Exited() {
-			os.Exit(1)
+			return fmt.Errorf("a process faulted or did not finish")
 		}
 	}
+	return nil
 }
 
 func readSource(arg string) ([]byte, error) {

@@ -62,26 +62,26 @@ func main() {
 }
 
 func micro() error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunMicrobenchmark(mode)
+	for _, kind := range []string{"none", "timecache"} {
+		r, err := timecache.RunMicrobenchmark(kind)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-9s: %3d/%d shared lines observed as hits (mean probe %.1f cycles)\n",
-			mode, r.Hits, r.Lines, r.MeanLatency)
+			kind, r.Hits, r.Lines, r.MeanLatency)
 	}
 	fmt.Println("paper §VI-A1: the attacker must see zero hits under the defense")
 	return nil
 }
 
 func rsaAttack(bits int, seed uint64) error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunRSAAttack(mode, bits, seed)
+	for _, kind := range []string{"none", "timecache"} {
+		r, err := timecache.RunRSAAttack(kind, bits, seed)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-9s: accuracy %.1f%%, %d probe hits, victim correct: %v\n",
-			mode, r.Accuracy*100, r.Hits, r.VictimCorrect)
+			kind, r.Accuracy*100, r.Hits, r.VictimCorrect)
 		fmt.Printf("  key      : %s\n  recovered: %s\n", r.KeyBits, r.RecoveredBits)
 	}
 	fmt.Println("paper §VI-A2: flush+reload extracts the key on the baseline; TimeCache blinds it")
@@ -89,23 +89,23 @@ func rsaAttack(bits int, seed uint64) error {
 }
 
 func evictReload(bits int, seed uint64) error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunEvictReloadAttack(mode, bits, seed)
+	for _, kind := range []string{"none", "timecache"} {
+		r, err := timecache.RunEvictReloadAttack(kind, bits, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-9s: accuracy %.1f%%, %d probe hits\n", mode, r.Accuracy*100, r.Hits)
+		fmt.Printf("%-9s: accuracy %.1f%%, %d probe hits\n", kind, r.Accuracy*100, r.Hits)
 	}
 	fmt.Println("evict+reload (no clflush needed) is blocked the same way")
 	return nil
 }
 
 func flushFlush(bits int, seed uint64) error {
-	leaky, err := timecache.RunFlushFlushAttack(timecache.TimeCache, false, bits, seed)
+	leaky, err := timecache.RunFlushFlushAttack("timecache", false, bits, seed)
 	if err != nil {
 		return err
 	}
-	fixed, err := timecache.RunFlushFlushAttack(timecache.TimeCache, true, bits, seed)
+	fixed, err := timecache.RunFlushFlushAttack("timecache", true, bits, seed)
 	if err != nil {
 		return err
 	}
@@ -116,11 +116,11 @@ func flushFlush(bits int, seed uint64) error {
 }
 
 func primeProbe(bits int, seed uint64) error {
-	tc, err := timecache.RunPrimeProbeAttack(timecache.TimeCache, false, bits, seed)
+	tc, err := timecache.RunPrimeProbeAttack("timecache", false, bits, seed)
 	if err != nil {
 		return err
 	}
-	rnd, err := timecache.RunPrimeProbeAttack(timecache.Baseline, true, bits, seed)
+	rnd, err := timecache.RunPrimeProbeAttack("none", true, bits, seed)
 	if err != nil {
 		return err
 	}
@@ -131,11 +131,11 @@ func primeProbe(bits int, seed uint64) error {
 }
 
 func lru(bits int, seed uint64) error {
-	det, err := timecache.RunLRUAttack(timecache.TimeCache, "lru", bits, seed)
+	det, err := timecache.RunLRUAttack("timecache", "lru", bits, seed)
 	if err != nil {
 		return err
 	}
-	rnd, err := timecache.RunLRUAttack(timecache.TimeCache, "random", bits, seed)
+	rnd, err := timecache.RunLRUAttack("timecache", "random", bits, seed)
 	if err != nil {
 		return err
 	}
@@ -146,37 +146,37 @@ func lru(bits int, seed uint64) error {
 }
 
 func coherence(bits int, seed uint64) error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunCoherenceAttack(mode, bits, seed)
+	for _, kind := range []string{"none", "timecache"} {
+		r, err := timecache.RunCoherenceAttack(kind, bits, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-9s: accuracy %.1f%%\n", mode, r.Accuracy*100)
+		fmt.Printf("%-9s: accuracy %.1f%%\n", kind, r.Accuracy*100)
 	}
 	fmt.Println("paper §VII-B: waiting for the DRAM response hides the remote-L1 forward")
 	return nil
 }
 
 func smt(bits int, seed uint64) error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunSMTAttack(mode, bits, seed)
+	for _, kind := range []string{"none", "timecache"} {
+		r, err := timecache.RunSMTAttack(kind, bits, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-9s: accuracy %.1f%%\n", mode, r.Accuracy*100)
+		fmt.Printf("%-9s: accuracy %.1f%%\n", kind, r.Accuracy*100)
 	}
 	fmt.Println("paper §III: hyperthread attackers sharing the L1 are inside the threat model")
 	return nil
 }
 
 func evictTime() error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunEvictTimeAttack(mode, 2000)
+	for _, kind := range []string{"none", "timecache"} {
+		r, err := timecache.RunEvictTimeAttack(kind, 2000)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-9s: victim %d cycles flushed vs %d undisturbed (leaks: %v)\n",
-			mode, r.VictimCyclesFlushed, r.VictimCyclesUndisturbed, r.Leaks)
+			kind, r.VictimCyclesFlushed, r.VictimCyclesUndisturbed, r.Leaks)
 	}
 	fmt.Println("paper §VII-D: evict+time persists but stays noisy and impractical")
 	return nil

@@ -4,16 +4,16 @@
 //
 // Usage:
 //
-//	timecache-sim -mode timecache -workloads lbm,wrf -instrs 300000
-//	timecache-sim -mode baseline  -workloads 2Xperlbench
+//	timecache-sim -defense timecache -workloads lbm,wrf -instrs 300000
+//	timecache-sim -defense none      -workloads 2Xperlbench
 //	timecache-sim -compare -workloads 2Xlbm   # run baseline AND timecache
 //	timecache-sim -llc-sweep 512K,1M,2M,4M -workloads 2Xlbm -j4
 //
 // Telemetry outputs (any may be combined; see internal/telemetry):
 //
-//	timecache-sim -mode timecache -metrics-out m.csv -sample-every 5000
-//	timecache-sim -mode timecache -trace-json t.json    # load in Perfetto
-//	timecache-sim -mode timecache -manifest run.json -hist
+//	timecache-sim -defense timecache -metrics-out m.csv -sample-every 5000
+//	timecache-sim -defense timecache -trace-json t.json    # load in Perfetto
+//	timecache-sim -defense timecache -manifest run.json -hist
 //
 // In -compare mode the telemetry outputs come from the timecache leg.
 package main
@@ -31,49 +31,59 @@ import (
 	"time"
 
 	"timecache"
+	"timecache/internal/defense"
 	"timecache/internal/harness"
 	"timecache/internal/stats"
 	"timecache/internal/telemetry"
 )
 
 func main() {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
+		fatal(err)
+	}
+}
+
+// run parses args on fs and runs what the flags select.
+func run(fs *flag.FlagSet, args []string) error {
 	var (
-		modeFlag  = flag.String("mode", "timecache", "defense mode: baseline | timecache | ftm")
-		workloads = flag.String("workloads", "2Xlbm", "comma-separated SPEC profile names, or 2X<name> for a pair")
-		instrs    = flag.Uint64("instrs", 300_000, "instructions per process")
-		llc       = flag.Int("llc", 2<<20, "LLC size in bytes")
-		llcSweep  = flag.String("llc-sweep", "", "comma-separated LLC sizes (e.g. 512K,1M,2M,4M): run the llc-sweep job over the -workloads pairs and report the geomean normalized time per size")
-		matrixRun = flag.Bool("matrix", false, "run the defense×attack evaluation matrix and print the leakage/overhead grid")
-		defenses  = flag.String("defenses", "", "comma-separated defense kinds for -matrix (default: every registered defense)")
-		attacks   = flag.String("attacks", "", "comma-separated attack names for -matrix (default: the full corpus)")
-		attackBit = flag.Int("attack-bits", 0, "secret length each -matrix attack transmits (default 32)")
-		cores     = flag.Int("cores", 1, "number of cores")
-		compare   = flag.Bool("compare", false, "run baseline and timecache and report normalized time")
-		gate      = flag.Bool("gatelevel", false, "use the gate-level bit-serial comparator")
-		cohCheck  = flag.Bool("coherence-check", false, "cross-check the LLC sharer directory against brute-force L1 probes on every coherence event (debug; slow)")
-		jobs      = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent legs for -llc-sweep and -matrix (-j1 = sequential)")
-		timeout   = flag.Duration("timeout", 0, "overall deadline (e.g. 30s); on expiry the run stops cleanly mid-simulation")
+		kind      = defense.FlagVar(fs, defense.TimeCache)
+		workloads = fs.String("workloads", "2Xlbm", "comma-separated SPEC profile names, or 2X<name> for a pair")
+		instrs    = fs.Uint64("instrs", 300_000, "instructions per process")
+		llc       = fs.Int("llc", 2<<20, "LLC size in bytes")
+		llcSweep  = fs.String("llc-sweep", "", "comma-separated LLC sizes (e.g. 512K,1M,2M,4M): run the llc-sweep job over the -workloads pairs and report the geomean normalized time per size")
+		matrixRun = fs.Bool("matrix", false, "run the defense×attack evaluation matrix and print the leakage/overhead grid")
+		defenses  = fs.String("defenses", "", "comma-separated defense kinds for -matrix (default: every registered defense)")
+		attacks   = fs.String("attacks", "", "comma-separated attack names for -matrix (default: the full corpus)")
+		attackBit = fs.Int("attack-bits", 0, "secret length each -matrix attack transmits (default 32)")
+		cores     = fs.Int("cores", 1, "number of cores")
+		compare   = fs.Bool("compare", false, "run baseline and timecache and report normalized time")
+		gate      = fs.Bool("gatelevel", false, "use the gate-level bit-serial comparator")
+		cohCheck  = fs.Bool("coherence-check", false, "cross-check the LLC sharer directory against brute-force L1 probes on every coherence event (debug; slow)")
+		jobs      = fs.Int("j", runtime.GOMAXPROCS(0), "concurrent legs for -llc-sweep and -matrix (-j1 = sequential)")
+		timeout   = fs.Duration("timeout", 0, "overall deadline (e.g. 30s); on expiry the run stops cleanly mid-simulation")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this path at exit")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this path")
+		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this path at exit")
 
-		metricsOut  = flag.String("metrics-out", "", "write interval-metrics CSV to this path")
-		histOut     = flag.String("hist-out", "", "write latency-histogram CSV to this path")
-		traceJSON   = flag.String("trace-json", "", "write Chrome trace-event JSON (Perfetto-loadable) to this path")
-		manifest    = flag.String("manifest", "", "write a JSON run manifest to this path")
-		sampleEvery = flag.Uint64("sample-every", 0, "interval sampler period in instructions (default 10000)")
-		traceAcc    = flag.Bool("trace-accesses", false, "add per-access instant events to the trace (verbose)")
-		showHist    = flag.Bool("hist", false, "print latency histograms after the run")
+		metricsOut  = fs.String("metrics-out", "", "write interval-metrics CSV to this path")
+		histOut     = fs.String("hist-out", "", "write latency-histogram CSV to this path")
+		traceJSON   = fs.String("trace-json", "", "write Chrome trace-event JSON (Perfetto-loadable) to this path")
+		manifest    = fs.String("manifest", "", "write a JSON run manifest to this path")
+		sampleEvery = fs.Uint64("sample-every", 0, "interval sampler period in instructions (default 10000)")
+		traceAcc    = fs.Bool("trace-accesses", false, "add per-access instant events to the trace (verbose)")
+		showHist    = fs.Bool("hist", false, "print latency histograms after the run")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -120,53 +130,38 @@ func main() {
 			AttackBits: *attackBit,
 		}
 		if err := runJob("Defense × attack matrix (leaked bits per attack; slowdown vs none):", j, jobOpts); err != nil {
-			fatalCtx(err, *timeout)
+			return ctxErr(err, *timeout)
 		}
-		return
+		return nil
 	}
 	if *llcSweep != "" {
 		if *cores != 1 {
-			fatal(fmt.Errorf("-llc-sweep runs each pair on one core; -cores %d is not supported", *cores))
+			return fmt.Errorf("-llc-sweep runs each pair on one core; -cores %d is not supported", *cores)
 		}
 		sizes, err := parseSizes(*llcSweep)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		j := harness.Job{Experiment: harness.ExpLLCSweep, Pairs: splitList(*workloads), LLCSizes: sizes}
 		title := fmt.Sprintf("LLC sweep (%s, %d instrs/proc, warm-up excluded):", *workloads, *instrs)
 		if err := runJob(title, j, jobOpts); err != nil {
-			fatalCtx(err, *timeout)
+			return ctxErr(err, *timeout)
 		}
-		return
+		return nil
 	}
 	if *compare {
 		if err := runCompare(ctx, *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn, *showHist); err != nil {
-			fatalCtx(err, *timeout)
+			return ctxErr(err, *timeout)
 		}
-		return
+		return nil
 	}
-	mode, err := parseMode(*modeFlag)
+	cycles, st, col, err := runOnce(ctx, kind.String(), *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn)
 	if err != nil {
-		fatal(err)
+		return ctxErr(err, *timeout)
 	}
-	cycles, st, col, err := runOnce(ctx, mode, *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn)
-	if err != nil {
-		fatalCtx(err, *timeout)
-	}
-	printStats(mode, cycles, st)
+	printStats(kind.String(), cycles, st)
 	reportTelemetry(col, *showHist)
-}
-
-func parseMode(s string) (timecache.Mode, error) {
-	switch strings.ToLower(s) {
-	case "baseline":
-		return timecache.Baseline, nil
-	case "timecache":
-		return timecache.TimeCache, nil
-	case "ftm":
-		return timecache.FTM, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
+	return nil
 }
 
 // expand turns "2Xlbm" into ["lbm","lbm"] and passes other names through.
@@ -187,9 +182,9 @@ func expand(list string) []string {
 	return out
 }
 
-func runOnce(ctx context.Context, mode timecache.Mode, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry bool) (uint64, timecache.Stats, *telemetry.Collector, error) {
+func runOnce(ctx context.Context, kind, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry bool) (uint64, timecache.Stats, *telemetry.Collector, error) {
 	sys, err := timecache.New(timecache.Config{
-		Mode: mode, LLCSize: llc, Cores: cores, GateLevel: gate,
+		Defense: kind, LLCSize: llc, Cores: cores, GateLevel: gate,
 		CoherenceCheck: cohCheck,
 	})
 	if err != nil {
@@ -200,7 +195,7 @@ func runOnce(ctx context.Context, mode timecache.Mode, workloads string, instrs 
 		col = sys.AttachTelemetry(tcfg)
 		col.SetMeta("workloads", workloads)
 		col.SetMeta("instrs_per_proc", instrs)
-		col.SetMeta("mode", mode.String())
+		col.SetMeta("defense", kind)
 	}
 	names := expand(workloads)
 	if len(names) == 0 {
@@ -288,15 +283,15 @@ func runJob(title string, j harness.Job, opts harness.Options) error {
 }
 
 func runCompare(ctx context.Context, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry, showHist bool) error {
-	bCycles, _, _, err := runOnce(ctx, timecache.Baseline, workloads, instrs, llc, cores, gate, cohCheck, telemetry.Config{}, false)
+	bCycles, _, _, err := runOnce(ctx, defense.None, workloads, instrs, llc, cores, gate, cohCheck, telemetry.Config{}, false)
 	if err != nil {
 		return err
 	}
-	tCycles, st, col, err := runOnce(ctx, timecache.TimeCache, workloads, instrs, llc, cores, gate, cohCheck, tcfg, withTelemetry)
+	tCycles, st, col, err := runOnce(ctx, defense.TimeCache, workloads, instrs, llc, cores, gate, cohCheck, tcfg, withTelemetry)
 	if err != nil {
 		return err
 	}
-	printStats(timecache.TimeCache, tCycles, st)
+	printStats(defense.TimeCache, tCycles, st)
 	reportTelemetry(col, showHist)
 	norm := float64(tCycles) / float64(bCycles)
 	fmt.Printf("\nbaseline cycles : %d\n", bCycles)
@@ -322,9 +317,9 @@ func reportTelemetry(col *telemetry.Collector, showHist bool) {
 		len(col.Sampler().Samples()), col.Histograms().Total(), col.Trace().Len())
 }
 
-func printStats(mode timecache.Mode, cycles uint64, st timecache.Stats) {
-	fmt.Printf("mode=%s cycles=%d switches=%d syscalls=%d bookkeeping=%d cycles\n\n",
-		mode, cycles, st.ContextSwitches, st.Syscalls, st.BookkeepingCycles)
+func printStats(kind string, cycles uint64, st timecache.Stats) {
+	fmt.Printf("defense=%s cycles=%d switches=%d syscalls=%d bookkeeping=%d cycles\n\n",
+		kind, cycles, st.ContextSwitches, st.Syscalls, st.BookkeepingCycles)
 	tb := stats.NewTable("cache", "accesses", "hits", "misses", "first-access", "evictions")
 	for _, c := range st.Caches {
 		tb.Add(c.Name, c.Accesses, c.Hits, c.Misses, c.FirstAccess, c.Evictions)
@@ -337,12 +332,11 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// fatalCtx distinguishes a -timeout expiry (expected, reported as a clean
+// ctxErr distinguishes a -timeout expiry (expected, reported as a clean
 // partial-results stop) from a real failure.
-func fatalCtx(err error, timeout time.Duration) {
+func ctxErr(err error, timeout time.Duration) error {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "timecache-sim: -timeout %s expired: %v; partial results discarded\n", timeout, err)
-		os.Exit(1)
+		return fmt.Errorf("-timeout %s expired: %v; partial results discarded", timeout, err)
 	}
-	fatal(err)
+	return err
 }

@@ -7,7 +7,7 @@
 //
 //	trace-tool record -workload gobmk -instrs 100000 -o gobmk.trace
 //	trace-tool info   -i gobmk.trace
-//	trace-tool replay -i gobmk.trace -mode timecache -llc 1048576
+//	trace-tool replay -i gobmk.trace -defense timecache -llc 1048576
 package main
 
 import (
@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"os"
 
-	"timecache/internal/cache"
+	"timecache/internal/defense"
 	"timecache/internal/kernel"
 	"timecache/internal/machine"
 	"timecache/internal/mem"
@@ -35,7 +35,7 @@ func main() {
 	case "info":
 		err = info(os.Args[2:])
 	case "replay":
-		err = replay(os.Args[2:])
+		err = replay(flag.NewFlagSet("replay", flag.ExitOnError), os.Args[2:])
 	default:
 		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
 	}
@@ -46,13 +46,13 @@ func main() {
 
 // machineFlags registers the machine-shape flags shared by record and
 // replay and returns a builder that assembles the configured machine.
-func machineFlags(fs *flag.FlagSet) func(mode cache.SecMode) *kernel.Kernel {
+func machineFlags(fs *flag.FlagSet) func(kind string) *kernel.Kernel {
 	frames := fs.Int("frames", 16384, "physical memory frames (64 MB default)")
 	llc := fs.Int("llc", 0, "LLC size in bytes (0 = paper default, 2 MB)")
 	slice := fs.Uint64("slice", 0, "scheduler time slice in cycles (0 = default)")
-	return func(mode cache.SecMode) *kernel.Kernel {
+	return func(kind string) *kernel.Kernel {
 		m := machine.New(machine.Config{
-			Mode:        mode,
+			Defense:     kind,
 			LLCSize:     *llc,
 			SliceCycles: *slice,
 			PhysFrames:  *frames,
@@ -80,7 +80,7 @@ func record(args []string) error {
 	}
 	defer f.Close()
 
-	k := build(cache.SecOff)
+	k := build(defense.None)
 	as, err := workload.BuildSharedAS(k, prof)
 	if err != nil {
 		return err
@@ -134,23 +134,13 @@ func info(args []string) error {
 	return nil
 }
 
-func replay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+// replay parses args on fs and replays the trace on the configured machine.
+func replay(fs *flag.FlagSet, args []string) error {
 	in := fs.String("i", "workload.trace", "trace file")
-	modeFlag := fs.String("mode", "timecache", "baseline | timecache | ftm")
+	kind := defense.FlagVar(fs, defense.TimeCache)
 	build := machineFlags(fs)
-	fs.Parse(args)
-
-	var mode cache.SecMode
-	switch *modeFlag {
-	case "baseline":
-		mode = cache.SecOff
-	case "timecache":
-		mode = cache.SecTimeCache
-	case "ftm":
-		mode = cache.SecFTM
-	default:
-		return fmt.Errorf("unknown mode %q", *modeFlag)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 	f, err := os.Open(*in)
 	if err != nil {
@@ -162,7 +152,7 @@ func replay(args []string) error {
 		return err
 	}
 
-	k := build(mode)
+	k := build(kind.String())
 	// Replay into a flat identity-mapped space big enough for the trace's
 	// addresses: map every page the trace touches.
 	as := kernel.NewAddressSpace(k.Physical())
@@ -184,7 +174,7 @@ func replay(args []string) error {
 		return err
 	}
 	cycles := k.Run(1 << 62)
-	fmt.Printf("replayed %d records in %d cycles (mode=%s)\n", rep.Replayed(), cycles, mode)
+	fmt.Printf("replayed %d records in %d cycles (defense=%s)\n", rep.Replayed(), cycles, kind)
 	tb := stats.NewTable("cache", "accesses", "hits", "misses", "first-access")
 	for _, c := range k.Hierarchy().Caches() {
 		tb.Add(c.Name(), c.Stats.Accesses, c.Stats.Hits, c.Stats.Misses, c.Stats.FirstAccess)

@@ -8,7 +8,7 @@ import (
 
 // Build a machine, run a tiny program, and read its result.
 func ExampleSystem_LoadAsm() {
-	sys, _ := timecache.New(timecache.Config{Mode: timecache.TimeCache})
+	sys, _ := timecache.New(timecache.Config{Defense: "timecache"})
 	p, _ := sys.LoadAsm(`
 		movi r1, 6
 		movi r2, 7
@@ -23,8 +23,8 @@ func ExampleSystem_LoadAsm() {
 // The headline security result: the flush+reload RSA key extraction
 // succeeds on an undefended cache and observes nothing under TimeCache.
 func ExampleRunRSAAttack() {
-	base, _ := timecache.RunRSAAttack(timecache.Baseline, 32, 7)
-	defended, _ := timecache.RunRSAAttack(timecache.TimeCache, 32, 7)
+	base, _ := timecache.RunRSAAttack("none", 32, 7)
+	defended, _ := timecache.RunRSAAttack("timecache", 32, 7)
 	fmt.Printf("baseline recovered the key: %v\n", base.Accuracy == 1)
 	fmt.Printf("timecache probe hits: %d\n", defended.Hits)
 	// Output:
@@ -35,8 +35,8 @@ func ExampleRunRSAAttack() {
 // The §VI-A1 microbenchmark: flush a shared array, let the victim write
 // it, time the reloads.
 func ExampleRunMicrobenchmark() {
-	base, _ := timecache.RunMicrobenchmark(timecache.Baseline)
-	defended, _ := timecache.RunMicrobenchmark(timecache.TimeCache)
+	base, _ := timecache.RunMicrobenchmark("none")
+	defended, _ := timecache.RunMicrobenchmark("timecache")
 	fmt.Printf("baseline: %d/%d hits, timecache: %d/%d hits\n",
 		base.Hits, base.Lines, defended.Hits, defended.Lines)
 	// Output: baseline: 256/256 hits, timecache: 0/256 hits

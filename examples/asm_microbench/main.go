@@ -85,8 +85,8 @@ miss:
 `
 
 func main() {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		sys, err := timecache.New(timecache.Config{Mode: mode})
+	for _, kind := range []string{"none", "timecache"} {
+		sys, err := timecache.New(timecache.Config{Defense: kind})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func main() {
 			log.Fatalf("victim faulted: %v", err)
 		}
 		fmt.Printf("%-9s: attacker observed %3d/256 shared lines as cache hits\n",
-			mode, attacker.ExitCode())
+			kind, attacker.ExitCode())
 	}
 	fmt.Println()
 	fmt.Println("The attacker binary itself is unchanged between runs; only the cache")

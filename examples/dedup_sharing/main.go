@@ -27,8 +27,8 @@ loop:
 `
 
 func main() {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		sys, err := timecache.New(timecache.Config{Mode: mode})
+	for _, kind := range []string{"none", "timecache"} {
+		sys, err := timecache.New(timecache.Config{Defense: kind})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func main() {
 		for _, c := range st.Caches {
 			firstAccess += c.FirstAccess
 		}
-		fmt.Printf("--- %s ---\n", mode)
+		fmt.Printf("--- %s ---\n", kind)
 		fmt.Printf("pages merged by KSM scan : %d (COW preserved: %d breaks during run)\n",
 			merged, st.COWBreaks)
 		fmt.Printf("run                      : %d cycles, %d first-access misses\n\n",

@@ -25,8 +25,8 @@ loop:
 `
 
 func main() {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		sys, err := timecache.New(timecache.Config{Mode: mode})
+	for _, kind := range []string{"none", "timecache"} {
+		sys, err := timecache.New(timecache.Config{Defense: kind})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func main() {
 			firstAccess += c.FirstAccess
 		}
 		fmt.Printf("%-9s: %10d cycles, %4d context switches, %6d first-access misses\n",
-			mode, cycles, st.ContextSwitches, firstAccess)
+			kind, cycles, st.ContextSwitches, firstAccess)
 	}
 	fmt.Println()
 	fmt.Println("The baseline never delays reuse of another process's cached lines;")

@@ -20,12 +20,12 @@ func main() {
 	fmt.Println("flush+reload against square-and-multiply RSA")
 	fmt.Printf("key length: %d bits, seed %#x\n\n", keyBits, seed)
 
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		res, err := timecache.RunRSAAttack(mode, keyBits, seed)
+	for _, kind := range []string{"none", "timecache"} {
+		res, err := timecache.RunRSAAttack(kind, keyBits, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("--- %s ---\n", mode)
+		fmt.Printf("--- %s ---\n", kind)
 		fmt.Printf("secret key: %s\n", res.KeyBits)
 		fmt.Printf("recovered : %s\n", res.RecoveredBits)
 		fmt.Printf("accuracy  : %.1f%%   probe hits: %d   victim result correct: %v\n\n",
@@ -37,7 +37,7 @@ func main() {
 
 	// The evict+reload variant needs no clflush: the attacker displaces the
 	// monitored lines with LLC eviction sets it constructed itself.
-	er, err := timecache.RunEvictReloadAttack(timecache.TimeCache, 48, seed)
+	er, err := timecache.RunEvictReloadAttack("timecache", 48, seed)
 	if err != nil {
 		log.Fatal(err)
 	}

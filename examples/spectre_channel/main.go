@@ -19,12 +19,12 @@ func main() {
 	secret := []byte("squeamish ossifrage")
 	fmt.Printf("victim's secret: %q\n\n", secret)
 
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		res, err := timecache.RunSpectreChannel(mode, secret)
+	for _, kind := range []string{"none", "timecache"} {
+		res, err := timecache.RunSpectreChannel(kind, secret)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("--- %s ---\n", mode)
+		fmt.Printf("--- %s ---\n", kind)
 		fmt.Printf("recovered      : %q\n", printable(res.Recovered))
 		fmt.Printf("bytes correct  : %d/%d   probe hits: %d\n\n",
 			res.BytesCorrect, len(secret), res.Hits)

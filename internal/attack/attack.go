@@ -23,12 +23,6 @@ type Machine struct {
 	K *kernel.Kernel
 }
 
-// NewMachine builds a simulated machine with the given hierarchy mode and
-// core count, using the paper's default geometry.
-func NewMachine(mode cache.SecMode, cores int) *Machine {
-	return NewMachineConfig(machine.Config{Mode: mode, Cores: cores})
-}
-
 // NewMachineConfig assembles a machine from the given configuration. When
 // cfg.PhysFrames is zero it applies the attack frame budget — LLC working
 // sets plus eviction sets plus slack — instead of the machine default.

@@ -10,14 +10,14 @@ import (
 )
 
 func TestMicrobenchmarkBaselineVsTimeCache(t *testing.T) {
-	base, err := RunMicrobenchmark(cache.SecOff)
+	base, err := RunMicrobenchmark(machine.Config{Defense: defense.None})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Hits < base.Lines*9/10 {
 		t.Fatalf("baseline attack should hit nearly all %d lines, got %d", base.Lines, base.Hits)
 	}
-	def, err := RunMicrobenchmark(cache.SecTimeCache)
+	def, err := RunMicrobenchmark(machine.Config{Defense: defense.TimeCache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestMicrobenchmarkBaselineVsTimeCache(t *testing.T) {
 
 func TestRSAFlushReload(t *testing.T) {
 	const bits = 64
-	base, err := RunRSA(cache.SecOff, bits, 12345)
+	base, err := RunRSAConfig(machine.Config{Defense: defense.None}, bits, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRSAFlushReload(t *testing.T) {
 		t.Fatalf("baseline key recovery accuracy %.2f, want >= 0.95 (key %s, got %s)",
 			base.Accuracy, base.Key, base.Recovered)
 	}
-	def, err := RunRSA(cache.SecTimeCache, bits, 12345)
+	def, err := RunRSAConfig(machine.Config{Defense: defense.TimeCache}, bits, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRSAFTMFailsAgainstSameCoreAttack(t *testing.T) {
 	// FTM only tracks per-core presence at the LLC: a same-core attacker
 	// and victim share the core's presence bit, so the attack goes through
 	// (the paper's argument for TimeCache's stronger threat model).
-	res, err := RunRSA(cache.SecFTM, 48, 99)
+	res, err := RunRSAConfig(machine.Config{Defense: defense.FTM}, 48, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRSAFTMFailsAgainstSameCoreAttack(t *testing.T) {
 
 func TestEvictReload(t *testing.T) {
 	const bits = 32
-	base, err := RunEvictReload(cache.SecOff, bits, 777)
+	base, err := RunEvictReload(machine.Config{Defense: defense.None}, bits, 777)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestEvictReload(t *testing.T) {
 		t.Fatalf("baseline evict+reload accuracy %.2f (key %s, got %s)",
 			base.Accuracy, base.Key, base.Recovered)
 	}
-	def, err := RunEvictReload(cache.SecTimeCache, bits, 777)
+	def, err := RunEvictReload(machine.Config{Defense: defense.TimeCache}, bits, 777)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestEvictReload(t *testing.T) {
 func TestFlushFlush(t *testing.T) {
 	const bits = 48
 	// Flush+flush bypasses reuse hits: TimeCache alone does not stop it.
-	leaky, err := RunFlushFlush(cache.SecTimeCache, false, bits, 5)
+	leaky, err := RunFlushFlushConfig(machine.Config{Defense: defense.TimeCache}, bits, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFlushFlush(t *testing.T) {
 		t.Fatalf("flush+flush should leak under TimeCache alone, accuracy %.2f", leaky.Accuracy)
 	}
 	// The constant-time clflush mitigation closes it.
-	fixed, err := RunFlushFlush(cache.SecTimeCache, true, bits, 5)
+	fixed, err := RunFlushFlushConfig(machine.Config{Defense: defense.TimeCache, ConstantTimeFlush: true}, bits, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFlushFlush(t *testing.T) {
 func TestPrimeProbe(t *testing.T) {
 	const bits = 32
 	// Contention channel: works on the baseline...
-	base, err := RunPrimeProbe(cache.SecOff, false, bits, 21)
+	base, err := RunPrimeProbeConfig(machine.Config{Defense: defense.None}, bits, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestPrimeProbe(t *testing.T) {
 		t.Fatalf("prime+probe baseline accuracy %.2f", base.Accuracy)
 	}
 	// ...and TimeCache does not claim to stop it (out of threat model).
-	tc, err := RunPrimeProbe(cache.SecTimeCache, false, bits, 21)
+	tc, err := RunPrimeProbeConfig(machine.Config{Defense: defense.TimeCache}, bits, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestPrimeProbe(t *testing.T) {
 		t.Fatalf("prime+probe should still work under TimeCache, accuracy %.2f", tc.Accuracy)
 	}
 	// Index randomization (CEASER-lite) breaks eviction-set construction.
-	rnd, err := RunPrimeProbe(cache.SecOff, true, bits, 21)
+	rnd, err := RunPrimeProbeConfig(machine.Config{Defense: defense.None, RandomizedIndex: 0xC0FFEE}, bits, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestLRUAttack(t *testing.T) {
 	const bits = 32
 	// The LRU state channel survives TimeCache (replacement metadata still
 	// updates on delayed first accesses)...
-	tc, err := RunLRU(cache.SecTimeCache, replacement.LRU, bits, 31)
+	tc, err := RunLRUConfig(machine.Config{Defense: defense.TimeCache}, replacement.LRU, bits, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestLRUAttack(t *testing.T) {
 		t.Fatalf("LRU attack should work under TimeCache+LRU, accuracy %.2f", tc.Accuracy)
 	}
 	// ...and random replacement destroys it.
-	rnd, err := RunLRU(cache.SecTimeCache, replacement.Random, bits, 31)
+	rnd, err := RunLRUConfig(machine.Config{Defense: defense.TimeCache}, replacement.Random, bits, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +168,14 @@ func TestLRUAttack(t *testing.T) {
 
 func TestCoherenceInvalidateTransfer(t *testing.T) {
 	const bits = 32
-	base, err := RunCoherence(cache.SecOff, bits, 17)
+	base, err := RunCoherenceConfig(machine.Config{Defense: defense.None}, bits, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Accuracy < 0.9 {
 		t.Fatalf("invalidate+transfer baseline accuracy %.2f", base.Accuracy)
 	}
-	def, err := RunCoherence(cache.SecTimeCache, bits, 17)
+	def, err := RunCoherenceConfig(machine.Config{Defense: defense.TimeCache}, bits, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,20 +185,20 @@ func TestCoherenceInvalidateTransfer(t *testing.T) {
 }
 
 func TestEvictTimeLeaksEitherWay(t *testing.T) {
-	for _, mode := range []cache.SecMode{cache.SecOff, cache.SecTimeCache} {
-		res, err := RunEvictTime(mode, 2000)
+	for _, kind := range []string{defense.None, defense.TimeCache} {
+		res, err := RunEvictTime(machine.Config{Defense: kind}, 2000)
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%v: %v", kind, err)
 		}
 		if !res.Leaks() {
 			t.Fatalf("%v: evict+time difference missing: flushed=%d undisturbed=%d",
-				mode, res.VictimCyclesFlushed, res.VictimCyclesUndisturbed)
+				kind, res.VictimCyclesFlushed, res.VictimCyclesUndisturbed)
 		}
 	}
 }
 
 func TestBuildEvictionSetConflicts(t *testing.T) {
-	m := NewMachine(cache.SecOff, 1)
+	m := NewMachineConfig(machine.Config{})
 	as, err := m.MapSharedAt("es", cache.LineSize)
 	if err != nil {
 		t.Fatal(err)
@@ -228,14 +228,14 @@ func TestSMTHyperthreadAttack(t *testing.T) {
 	const bits = 32
 	// Attacker and victim on sibling hardware threads of one core, sharing
 	// the L1: the strongest placement in the paper's threat model.
-	base, err := RunSMT(cache.SecOff, bits, 9)
+	base, err := RunSMTConfig(machine.Config{Defense: defense.None}, bits, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Accuracy < 0.9 {
 		t.Fatalf("SMT flush+reload should succeed on baseline, accuracy %.2f", base.Accuracy)
 	}
-	def, err := RunSMT(cache.SecTimeCache, bits, 9)
+	def, err := RunSMTConfig(machine.Config{Defense: defense.TimeCache}, bits, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +252,8 @@ func TestSMTHyperthreadAttack(t *testing.T) {
 // differ (that difference IS the leak).
 func TestNonInterference(t *testing.T) {
 	const bits = 48
-	run := func(mode cache.SecMode, seed uint64) [][]uint64 {
-		r, err := RunRSA(mode, bits, seed)
+	run := func(kind string, seed uint64) [][]uint64 {
+		r, err := RunRSAConfig(machine.Config{Defense: kind}, bits, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,11 +276,11 @@ func TestNonInterference(t *testing.T) {
 		return true
 	}
 	// Two different keys (seeds chosen to give different bit patterns).
-	tcA, tcB := run(cache.SecTimeCache, 1), run(cache.SecTimeCache, 2)
+	tcA, tcB := run(defense.TimeCache, 1), run(defense.TimeCache, 2)
 	if !same(tcA, tcB) {
 		t.Fatal("TimeCache: attacker latency sequences differ across keys — information leaks")
 	}
-	baseA, baseB := run(cache.SecOff, 1), run(cache.SecOff, 2)
+	baseA, baseB := run(defense.None, 1), run(defense.None, 2)
 	if same(baseA, baseB) {
 		t.Fatal("baseline: latency sequences identical across keys — the channel the test relies on is gone")
 	}
@@ -288,7 +288,7 @@ func TestNonInterference(t *testing.T) {
 
 func TestSpectreCovertChannel(t *testing.T) {
 	secret := []byte("SPECULATE!")
-	base, err := RunSpectre(cache.SecOff, secret)
+	base, err := RunSpectre(machine.Config{Defense: defense.None}, secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestSpectreCovertChannel(t *testing.T) {
 		t.Fatalf("baseline Spectre transmission should work, recovered %q (%.0f%%)",
 			base.Recovered, acc*100)
 	}
-	def, err := RunSpectre(cache.SecTimeCache, secret)
+	def, err := RunSpectre(machine.Config{Defense: defense.TimeCache}, secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +331,7 @@ func TestHolisticDefenseComposition(t *testing.T) {
 	const bits = 24
 
 	// Reuse attack against the composed defense: still zero hits.
-	m := NewMachineConfig(machine.Config{Mode: cache.SecTimeCache, RandomizedIndex: 0xFEED})
-	rsaRes, err := runRSAOn(m, bits, 11)
+	rsaRes, err := RunRSAConfig(machine.Config{Defense: defense.TimeCache, RandomizedIndex: 0xFEED}, bits, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +341,7 @@ func TestHolisticDefenseComposition(t *testing.T) {
 
 	// Contention attack against the composed defense: eviction sets no
 	// longer map to one set, so prime+probe collapses to chance.
-	pp, err := RunPrimeProbe(cache.SecTimeCache, true, bits, 11)
+	pp, err := RunPrimeProbeConfig(machine.Config{Defense: defense.TimeCache, RandomizedIndex: 0xC0FFEE}, bits, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +357,7 @@ func TestFTMDefendsCrossCoreOnly(t *testing.T) {
 	// TestRSAFTMFailsAgainstSameCoreAttack is exactly the paper's argument
 	// for TimeCache's stronger threat model.
 	const bits = 24
-	base, err := RunSMT(cache.SecOff, bits, 13) // 2 hardware contexts, no switches
+	base, err := RunSMTConfig(machine.Config{Defense: defense.None}, bits, 13) // 2 hardware contexts, no switches
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +365,7 @@ func TestFTMDefendsCrossCoreOnly(t *testing.T) {
 		t.Fatalf("undefended cross-context attack should work, accuracy %.2f", base.Accuracy)
 	}
 	// Same placement on separate CORES under FTM: cross-core reuse blocked.
-	m := NewMachineConfig(machine.Config{Mode: cache.SecFTM, Cores: 2})
+	m := NewMachineConfig(machine.Config{Defense: defense.FTM, Cores: 2})
 	asA, err := m.MapSharedAt("ftmx", cache.LineSize)
 	if err != nil {
 		t.Fatal(err)

@@ -1,58 +1,11 @@
 package attack
 
 import (
-	"reflect"
 	"testing"
 
-	"timecache/internal/cache"
 	"timecache/internal/defense"
 	"timecache/internal/machine"
 )
-
-// TestAttackDefenseConfigEquivalence: every attack's Config entry point,
-// given a registry Defense kind, reproduces the mode-based entry point's
-// result exactly — the matrix job's attack cells measure the same channels
-// the standalone attack suite always did.
-func TestAttackDefenseConfigEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	want, err := RunRSA(cache.SecTimeCache, 48, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunRSAConfig(machine.Config{Defense: defense.TimeCache}, 48, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("flush+reload: registry spelling diverged:\n got %+v\nwant %+v", got, want)
-	}
-
-	ffWant, err := RunFlushFlush(cache.SecOff, false, 16, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffGot, err := RunFlushFlushConfig(machine.Config{Defense: defense.None}, 16, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ffWant, ffGot) {
-		t.Errorf("flush+flush: registry spelling diverged:\n got %+v\nwant %+v", ffGot, ffWant)
-	}
-
-	smtWant, err := RunSMT(cache.SecTimeCache, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smtGot, err := RunSMTConfig(machine.Config{Defense: defense.TimeCache}, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(smtWant, smtGot) {
-		t.Errorf("smt: registry spelling diverged:\n got %+v\nwant %+v", smtGot, smtWant)
-	}
-}
 
 // TestLLCOccupancyChannel pins the cache-occupancy channel's shape: it needs
 // no shared memory, so it leaks through the insecure baseline and straight

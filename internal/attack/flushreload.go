@@ -91,13 +91,14 @@ func (v *microVictim) Step(env sim.Env) bool {
 	return true
 }
 
-// RunMicrobenchmark executes the §VI-A1 attack: a 256-line shared
-// memory-mapped array, an attacker that flushes/sleeps/times, and a victim
-// that writes the array during the attacker's sleep. On the baseline every
-// line hits; with TimeCache the attacker must observe zero hits.
-func RunMicrobenchmark(mode cache.SecMode) (MicrobenchResult, error) {
+// RunMicrobenchmark executes the §VI-A1 attack on a machine assembled from
+// cfg: a 256-line shared memory-mapped array, an attacker that
+// flushes/sleeps/times, and a victim that writes the array during the
+// attacker's sleep. On the baseline every line hits; with TimeCache the
+// attacker must observe zero hits.
+func RunMicrobenchmark(cfg machine.Config) (MicrobenchResult, error) {
 	const lines = 256
-	m := NewMachine(mode, 1)
+	m := NewMachineConfig(cfg)
 	size := uint64(lines * cache.LineSize)
 
 	asA, err := m.MapSharedAt("shrd_mem", size)
@@ -148,24 +149,13 @@ type RSAResult struct {
 	Latencies [][]uint64
 }
 
-// RunRSA mounts the flush+reload attack on the square-and-multiply victim:
-// the attacker monitors the Square, Multiply, and Reduce entry lines of the
-// shared GnuPG-like library while the victim exponentiates with a secret
-// key, recovering one key bit per interleaved round from whether Multiply
-// was observed.
-func RunRSA(mode cache.SecMode, keyBits int, seed uint64) (RSAResult, error) {
-	return runRSAOn(NewMachine(mode, 1), keyBits, seed)
-}
-
-// RunRSAConfig mounts the flush+reload RSA attack on a machine assembled
-// from cfg (the defense×attack matrix selects the defense through
-// cfg.Defense).
+// RunRSAConfig mounts the flush+reload attack on the square-and-multiply
+// victim, on a machine assembled from cfg: the attacker monitors the
+// Square, Multiply, and Reduce entry lines of the shared GnuPG-like library
+// while the victim exponentiates with a secret key, recovering one key bit
+// per interleaved round from whether Multiply was observed.
 func RunRSAConfig(cfg machine.Config, keyBits int, seed uint64) (RSAResult, error) {
-	return runRSAOn(NewMachineConfig(cfg), keyBits, seed)
-}
-
-// runRSAOn mounts the flush+reload RSA attack on an existing machine.
-func runRSAOn(m *Machine, keyBits int, seed uint64) (RSAResult, error) {
+	m := NewMachineConfig(cfg)
 	lib := rsa.DefaultLibrary(sharedBase)
 	key := rsa.GenerateKey(keyBits, seed)
 	const base, modulus = 0x10001, 0xFFFFFFFB // 2^32-5, prime
@@ -219,8 +209,8 @@ func runRSAOn(m *Machine, keyBits int, seed uint64) (RSAResult, error) {
 // clflush the attacker evicts the monitored lines by touching eviction sets
 // it constructed for the LLC (and which, being larger than the L1 ways,
 // also displace the L1 copies).
-func RunEvictReload(mode cache.SecMode, keyBits int, seed uint64) (RSAResult, error) {
-	m := NewMachine(mode, 1)
+func RunEvictReload(cfg machine.Config, keyBits int, seed uint64) (RSAResult, error) {
+	m := NewMachineConfig(cfg)
 	lib := rsa.DefaultLibrary(sharedBase)
 	key := rsa.GenerateKey(keyBits, seed)
 	const base, modulus = 0x10001, 0xFFFFFFFB

@@ -8,18 +8,13 @@ import (
 	"timecache/internal/sim"
 )
 
-// RunSMT mounts a flush+reload attack from a hyperthread: attacker and
-// victim run simultaneously on the two hardware threads of one core,
-// sharing the L1 caches. The paper's threat model (§III) explicitly covers
-// this placement: per-hardware-context s-bits deny the attacker reuse hits
-// even on the same physical core, with no context switches involved.
-func RunSMT(mode cache.SecMode, nbits int, seed uint64) (SecretResult, error) {
-	return RunSMTConfig(machine.Config{Mode: mode}, nbits, seed)
-}
-
-// RunSMTConfig mounts the hyperthread attack on a machine assembled from
-// cfg; the scenario is one physical core with two hardware threads, so
-// Cores and ThreadsPerCore are forced.
+// RunSMTConfig mounts a flush+reload attack from a hyperthread on a machine
+// assembled from cfg: attacker and victim run simultaneously on the two
+// hardware threads of one core, sharing the L1 caches, so Cores and
+// ThreadsPerCore are forced. The paper's threat model (§III) explicitly
+// covers this placement: per-hardware-context s-bits deny the attacker
+// reuse hits even on the same physical core, with no context switches
+// involved.
 func RunSMTConfig(cfg machine.Config, nbits int, seed uint64) (SecretResult, error) {
 	cfg.Cores, cfg.ThreadsPerCore = 1, 2
 	m := NewMachineConfig(cfg)

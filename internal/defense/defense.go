@@ -9,14 +9,14 @@
 //     state of its own (Clepsydra-style timed eviction, FASE-style
 //     selective flushing), installed with Hierarchy.SetDefense.
 //
-// The historical modes (baseline/timecache/ftm and the ablation's
+// The historical defenses (baseline/timecache/ftm and the ablation's
 // partitioned and flush-on-switch variants) are pure-static kinds: their
-// per-access path pays only a nil check, and the three s-bit modes configure
-// the machine exactly as the equivalent machine.Config.Mode does, so their
-// results are byte-identical.
+// per-access path pays only a nil check. The registry kind is the only
+// defense selector above internal/machine.
 package defense
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 
@@ -103,6 +103,28 @@ func StaticOf(kind string) (Static, error) {
 	return Static{}, fmt.Errorf("defense: unknown kind %q (valid: %s)", kind, strings.Join(Kinds(), ", "))
 }
 
+// Flag is a flag.Value holding a registry kind. Set rejects an unknown kind
+// with StaticOf's error, so a CLI's -defense flag is checked as it parses.
+type Flag string
+
+// FlagVar registers the -defense flag on fs with default def.
+func FlagVar(fs *flag.FlagSet, def string) *Flag {
+	f := Flag(def)
+	fs.Var(&f, "defense", "defense registry kind: "+strings.Join(Kinds(), " | "))
+	return &f
+}
+
+func (f *Flag) String() string { return string(*f) }
+
+// Set implements flag.Value.
+func (f *Flag) Set(kind string) error {
+	if _, err := StaticOf(kind); err != nil {
+		return err
+	}
+	*f = Flag(kind)
+	return nil
+}
+
 // NewRuntime builds kind's runtime defense over h, or nil when the kind is
 // pure-static. The caller must have validated kind (machine.Config
 // validation, job validation); an unknown kind panics.
@@ -117,8 +139,9 @@ func NewRuntime(kind string, h *cache.Hierarchy) cache.Defense {
 	return k.runtime(h)
 }
 
-// KindOfMode maps a structural SecMode to its registry kind, for migrating
-// mode-based call sites onto the seam.
+// KindOfMode maps a structural SecMode to its registry kind. Only
+// machine.Config's legacy Mode fold and the benchmark module use it; it
+// goes with machine.Config.Mode (ROADMAP item 1(b)).
 func KindOfMode(m cache.SecMode) string {
 	switch m {
 	case cache.SecTimeCache:

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"timecache/internal/attack"
-	"timecache/internal/cache"
 	"timecache/internal/defense"
 	"timecache/internal/machine"
 	"timecache/internal/runner"
@@ -401,31 +400,30 @@ func bookkeepingLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Ta
 // flush+reload under baseline and TimeCache): four short sequential runs.
 func securityLeg(j Job, _ int, _ *machine.Pool, opts Options) (*stats.Table, error) {
 	tab := stats.NewTable("experiment", "mode", "result")
-	modes := []cache.SecMode{cache.SecOff, cache.SecTimeCache}
-	for _, mode := range modes {
+	for _, leg := range pairedLegs {
 		if err := opts.ctx().Err(); err != nil {
 			return nil, err
 		}
 		start := opts.legStart()
-		mb, err := attack.RunMicrobenchmark(mode)
+		mb, err := attack.RunMicrobenchmark(machine.Config{Defense: leg.kind})
 		if err != nil {
 			return nil, err
 		}
-		opts.finishLeg("microbenchmark/"+mode.String(), start, nil)
-		tab.Add("microbenchmark (§VI-A1)", mode.String(),
+		opts.finishLeg("microbenchmark/"+leg.name, start, nil)
+		tab.Add("microbenchmark (§VI-A1)", leg.name,
 			fmt.Sprintf("%d/%d lines hit", mb.Hits, mb.Lines))
 	}
-	for _, mode := range modes {
+	for _, leg := range pairedLegs {
 		if err := opts.ctx().Err(); err != nil {
 			return nil, err
 		}
 		start := opts.legStart()
-		rsa, err := attack.RunRSA(mode, j.KeyBits, j.Seed)
+		rsa, err := attack.RunRSAConfig(machine.Config{Defense: leg.kind}, j.KeyBits, j.Seed)
 		if err != nil {
 			return nil, err
 		}
-		opts.finishLeg("rsa/"+mode.String(), start, nil)
-		tab.Add("RSA flush+reload (§VI-A2)", mode.String(),
+		opts.finishLeg("rsa/"+leg.name, start, nil)
+		tab.Add("RSA flush+reload (§VI-A2)", leg.name,
 			fmt.Sprintf("%.0f%% of key bits, %d hits, victim correct=%v",
 				rsa.Accuracy*100, rsa.Hits, rsa.VictimCorrect))
 	}

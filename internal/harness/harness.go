@@ -129,16 +129,17 @@ func (o Options) newPool() *machine.Pool {
 	return machine.NewPool()
 }
 
-// attachTelemetry attaches a collector for a run labeled label/mode, or
-// returns nil when telemetry is off.
-func (o Options) attachTelemetry(k *kernel.Kernel, label string, mode cache.SecMode) *telemetry.Collector {
+// attachTelemetry attaches a collector for a run labeled label/leg (leg is
+// the paired row's display name, "baseline" or "timecache"), or returns nil
+// when telemetry is off.
+func (o Options) attachTelemetry(k *kernel.Kernel, label, leg string) *telemetry.Collector {
 	if o.Telemetry == nil {
 		return nil
 	}
-	cfg := o.Telemetry.WithSuffix(sanitizeLabel(label) + "_" + mode.String())
+	cfg := o.Telemetry.WithSuffix(sanitizeLabel(label) + "_" + leg)
 	col := telemetry.New(cfg).Attach(k)
 	col.SetMeta("workload", label)
-	col.SetMeta("mode", mode.String())
+	col.SetMeta("mode", leg)
 	return col
 }
 
@@ -285,15 +286,11 @@ type pairResult struct {
 	ContextSwitches uint64
 }
 
-// machineConfig derives the machine assembly config for an experiment. The
-// defense registry kind is spelled out alongside the legacy mode so every
-// experiment leg runs through the Defense seam (for the historical modes the
-// two spellings configure identical machines; TestDefenseEquivalence pins
-// that).
-func machineConfig(mode cache.SecMode, cores int, opts Options, frames int) machine.Config {
+// machineConfig derives the machine assembly config for an experiment leg
+// under the defense registry kind.
+func machineConfig(kind string, cores int, opts Options, frames int) machine.Config {
 	return machine.Config{
-		Mode:           mode,
-		Defense:        defense.KindOfMode(mode),
+		Defense:        kind,
 		Cores:          cores,
 		LLCSize:        opts.LLCSize,
 		GateLevel:      opts.GateLevel,
@@ -315,9 +312,9 @@ func frameBudget(frames int) int {
 // snapKey identifies a shared warmup prefix on the pool's snapshot shelf.
 // Two legs share warm state exactly when the full machine Config, the
 // workload spawn recipe (kind + profile names + seeds are fixed per kind),
-// and the instruction budgets all match — mode, LLC size, slice length,
-// partitioning, and flush policy are all part of machine.Config, so
-// distinct sweep legs can never alias.
+// and the instruction budgets all match — defense kind, LLC size and slice
+// length are all part of machine.Config, so distinct sweep legs can never
+// alias.
 type snapKey struct {
 	cfg    machine.Config
 	kind   string // "spec" (two processes, one core) or "parsec" (2 threads, 2 cores)
@@ -331,7 +328,7 @@ type snapKey struct {
 // from a snapshot fork, or cold-with-capture depending on Options.Snapshot.
 type machineRun struct {
 	label string         // span name and error-message subject, e.g. "2Xlbm/timecache"
-	mcfg  machine.Config // machine shape (includes mode and overrides)
+	mcfg  machine.Config // machine shape (includes defense kind and overrides)
 	key   snapKey        // warmup-prefix identity on the snapshot shelf
 	// attach, when non-nil, attaches telemetry to the kernel (cold path
 	// only; telemetry disables snapshotting).
@@ -504,11 +501,11 @@ func runFork(pool *machine.Pool, opts Options, l machineRun, s *machine.Snapshot
 }
 
 // runSpec runs one Fig. 7 workload (two processes, one core) on a machine
-// from pool (nil builds fresh) configured for mode and the defense registry
-// kind, and returns its steady-state measurement. labelSuffix names the
-// run's span/error label ("<pair>/<suffix>"): the mode name for the paired
-// runs, the row name for ablation and matrix runs.
-func runSpec(pool *machine.Pool, pair workload.Pair, mode cache.SecMode, kind, labelSuffix string, opts Options,
+// from pool (nil builds fresh) configured for the defense registry kind,
+// and returns its steady-state measurement. labelSuffix names the run's
+// span/error label ("<pair>/<suffix>"): the row name of the paired,
+// ablation and matrix runs.
+func runSpec(pool *machine.Pool, pair workload.Pair, kind, labelSuffix string, opts Options,
 	attach func(*kernel.Kernel) *telemetry.Collector) (measurement, error) {
 	pa, err := workload.Spec(pair.A)
 	if err != nil {
@@ -518,8 +515,7 @@ func runSpec(pool *machine.Pool, pair workload.Pair, mode cache.SecMode, kind, l
 	if err != nil {
 		return measurement{}, err
 	}
-	mcfg := machineConfig(mode, 1, opts, workload.FramesNeeded(pa)+workload.FramesNeeded(pb)+1024)
-	mcfg.Defense = kind
+	mcfg := machineConfig(kind, 1, opts, workload.FramesNeeded(pa)+workload.FramesNeeded(pb)+1024)
 	total := opts.WarmupInstrs + opts.InstrsPerProc
 	return runMachine(pool, opts, machineRun{
 		label:  pair.Label + "/" + labelSuffix,
@@ -582,18 +578,21 @@ func result(label string, mb, mt measurement) pairResult {
 	return res
 }
 
+// pairedLegs are a paired row's two legs, under the display names its
+// spans, telemetry suffixes and the security table have always used.
+var pairedLegs = [2]ablationConfig{{"baseline", defense.None}, {"timecache", defense.TimeCache}}
+
 // runPaired measures one row: a workload under the baseline and then under
-// TimeCache, once per mode.
-func runPaired(label string, once func(cache.SecMode) (measurement, error)) (pairResult, error) {
-	mb, err := once(cache.SecOff)
-	if err != nil {
-		return pairResult{}, err
+// TimeCache, once per leg.
+func runPaired(label string, once func(ablationConfig) (measurement, error)) (pairResult, error) {
+	var m [2]measurement
+	for i, leg := range pairedLegs {
+		var err error
+		if m[i], err = once(leg); err != nil {
+			return pairResult{}, err
+		}
 	}
-	mt, err := once(cache.SecTimeCache)
-	if err != nil {
-		return pairResult{}, err
-	}
-	return result(label, mb, mt), nil
+	return result(label, m[0], m[1]), nil
 }
 
 // runSpecPair measures one Fig. 7 / Table II row on machines drawn from pool
@@ -601,28 +600,28 @@ func runPaired(label string, once func(cache.SecMode) (measurement, error)) (pai
 // calls).
 func runSpecPair(pool *machine.Pool, pair workload.Pair, opts Options) (pairResult, error) {
 	opts = opts.withDefaults()
-	return runPaired(pair.Label, func(mode cache.SecMode) (measurement, error) {
-		return runSpec(pool, pair, mode, defense.KindOfMode(mode), mode.String(), opts,
-			func(k *kernel.Kernel) *telemetry.Collector { return opts.attachTelemetry(k, pair.Label, mode) })
+	return runPaired(pair.Label, func(leg ablationConfig) (measurement, error) {
+		return runSpec(pool, pair, leg.kind, leg.name, opts,
+			func(k *kernel.Kernel) *telemetry.Collector { return opts.attachTelemetry(k, pair.Label, leg.name) })
 	})
 }
 
 // runParsecOnce runs one 2-thread/2-core PARSEC workload on a machine from
 // pool (nil builds fresh).
-func runParsecOnce(pool *machine.Pool, name string, mode cache.SecMode, opts Options) (measurement, error) {
+func runParsecOnce(pool *machine.Pool, name string, leg ablationConfig, opts Options) (measurement, error) {
 	prof, err := workload.Parsec(name)
 	if err != nil {
 		return measurement{}, err
 	}
 	frames := workload.FramesNeeded(prof) + 1024
-	mcfg := machineConfig(mode, 2, opts, frames)
+	mcfg := machineConfig(leg.kind, 2, opts, frames)
 	total := opts.WarmupInstrs + opts.InstrsPerProc
 	l := machineRun{
-		label: name + "/" + mode.String(),
+		label: name + "/" + leg.name,
 		mcfg:  mcfg,
 		key:   snapKey{cfg: mcfg, kind: "parsec", a: name, warmup: opts.WarmupInstrs, total: total},
 		attach: func(k *kernel.Kernel) *telemetry.Collector {
-			return opts.attachTelemetry(k, name, mode)
+			return opts.attachTelemetry(k, name, leg.name)
 		},
 		spawn: func(k *kernel.Kernel, onWarm func()) (int, error) {
 			as, err := workload.BuildSharedAS(k, prof)
@@ -645,7 +644,7 @@ func runParsecOnce(pool *machine.Pool, name string, mode cache.SecMode, opts Opt
 // runParsec measures one Fig. 9 row on machines drawn from pool.
 func runParsec(pool *machine.Pool, name string, opts Options) (pairResult, error) {
 	opts = opts.withDefaults()
-	return runPaired(name, func(mode cache.SecMode) (measurement, error) { return runParsecOnce(pool, name, mode, opts) })
+	return runPaired(name, func(leg ablationConfig) (measurement, error) { return runParsecOnce(pool, name, leg, opts) })
 }
 
 // ablationConfig names one ablation row: the registry kind that configures
@@ -677,7 +676,7 @@ func ablationConfigs() []ablationConfig {
 // kind and returns its measured cycles. The ablation and the matrix's
 // slowdown columns both normalize these against the "none" kind.
 func runDefense(pool *machine.Pool, pair workload.Pair, kind, label string, opts Options) (uint64, error) {
-	m, err := runSpec(pool, pair, cache.SecOff, kind, label, opts, nil)
+	m, err := runSpec(pool, pair, kind, label, opts, nil)
 	return m.cycles, err
 }
 

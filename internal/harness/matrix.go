@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"timecache/internal/attack"
-	"timecache/internal/cache"
 	"timecache/internal/defense"
 	"timecache/internal/machine"
 	"timecache/internal/replacement"
@@ -133,8 +132,7 @@ func runMatrixAttack(def, att string, bits int, seed uint64, opts Options) (floa
 		return 0, err
 	}
 	start := opts.legStart()
-	cfg := machineConfig(cache.SecOff, 1, opts, 0)
-	cfg.Defense = def
+	cfg := machineConfig(def, 1, opts, 0)
 	acc, err := matrixAttackByName(att).run(cfg, bits, seed)
 	if err != nil {
 		return 0, err

@@ -73,7 +73,8 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 	// Scan every segment to count live records and repair the tail.
 	for i, seg := range segs {
 		final := i == len(segs)-1
-		n, valid, err := scanSegment(seg, final)
+		n := 0
+		valid, err := walkSegment(seg, final, "jobstore", func(Record, []byte) error { n++; return nil })
 		if err != nil {
 			return nil, err
 		}
@@ -135,31 +136,45 @@ func seqOf(path string) int {
 	return seq
 }
 
-// scanSegment walks a segment's frames. Returns the record count and the
-// byte offset of the last valid frame end. In the final segment a truncated
-// tail stops the scan cleanly; anywhere else (or any CRC failure) it is an
-// error.
-func scanSegment(path string, final bool) (records int, validBytes int64, err error) {
+// walkSegment reads one segment and calls fn with each decoded record and
+// its raw frame, returning the byte offset just past the last valid frame.
+// In the final segment a truncated tail ends the walk cleanly; anywhere
+// else, and for any CRC or decode failure, it is an error naming the
+// segment and offset after prefix. Errors from fn are returned unchanged.
+func walkSegment(path string, final bool, prefix string, fn func(r Record, frame []byte) error) (validBytes int64, err error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	off := 0
 	for off < len(buf) {
 		body, n, err := ReadFrame(buf[off:])
 		if err != nil {
 			if IsTruncated(err) && final {
-				return records, int64(off), nil
+				break
 			}
-			return 0, 0, fmt.Errorf("jobstore: segment %s offset %d: %w", path, off, err)
+			return 0, fmt.Errorf("%s: segment %s offset %d: %w", prefix, path, off, err)
 		}
-		if _, err := Decode(body); err != nil {
-			return 0, 0, fmt.Errorf("jobstore: segment %s offset %d: %w", path, off, err)
+		rec, err := Decode(body)
+		if err != nil {
+			return 0, fmt.Errorf("%s: segment %s offset %d: %w", prefix, path, off, err)
 		}
-		records++
+		if err := fn(rec, buf[off:off+n]); err != nil {
+			return 0, err
+		}
 		off += n
 	}
-	return records, int64(off), nil
+	return int64(off), nil
+}
+
+// walkLog walks every segment in order; only the last may have a torn tail.
+func walkLog(segs []string, prefix string, fn func(r Record, frame []byte) error) error {
+	for i, seg := range segs {
+		if _, err := walkSegment(seg, i == len(segs)-1, prefix, fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (d *Disk) Append(r Record) error {
@@ -223,32 +238,7 @@ func (d *Disk) Replay(fn func(r Record) error) error {
 	if err != nil {
 		return err
 	}
-	for i, seg := range segs {
-		final := i == len(segs)-1
-		buf, err := os.ReadFile(seg)
-		if err != nil {
-			return err
-		}
-		off := 0
-		for off < len(buf) {
-			body, n, err := ReadFrame(buf[off:])
-			if err != nil {
-				if IsTruncated(err) && final {
-					break // torn tail already repaired on next Open
-				}
-				return fmt.Errorf("jobstore: segment %s offset %d: %w", seg, off, err)
-			}
-			rec, err := Decode(body)
-			if err != nil {
-				return fmt.Errorf("jobstore: segment %s offset %d: %w", seg, off, err)
-			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-			off += n
-		}
-	}
-	return nil
+	return walkLog(segs, "jobstore", func(r Record, _ []byte) error { return fn(r) })
 }
 
 // Compact rewrites the log keeping only records keep approves. The surviving
@@ -283,37 +273,20 @@ func (d *Disk) Compact(keep func(r Record) bool) error {
 	w := bufio.NewWriterSize(tmp, 256<<10)
 	var kept uint64
 	var keptBytes int64
-	for i, seg := range segs {
-		buf, err := os.ReadFile(seg)
-		if err != nil {
-			tmp.Close()
+	err = walkLog(segs, "jobstore: compact", func(r Record, frame []byte) error {
+		if !keep(r) {
+			return nil
+		}
+		if _, err := w.Write(frame); err != nil {
 			return err
 		}
-		off := 0
-		for off < len(buf) {
-			body, n, err := ReadFrame(buf[off:])
-			if err != nil {
-				if IsTruncated(err) && i == len(segs)-1 {
-					break
-				}
-				tmp.Close()
-				return fmt.Errorf("jobstore: compact: segment %s offset %d: %w", seg, off, err)
-			}
-			rec, err := Decode(body)
-			if err != nil {
-				tmp.Close()
-				return fmt.Errorf("jobstore: compact: segment %s offset %d: %w", seg, off, err)
-			}
-			if keep(rec) {
-				if _, err := w.Write(buf[off : off+n]); err != nil {
-					tmp.Close()
-					return err
-				}
-				kept++
-				keptBytes += int64(n)
-			}
-			off += n
-		}
+		kept++
+		keptBytes += int64(len(frame))
+		return nil
+	})
+	if err != nil {
+		tmp.Close()
+		return err
 	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()

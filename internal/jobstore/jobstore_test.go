@@ -372,3 +372,84 @@ func TestDiskAppendAfterClose(t *testing.T) {
 		t.Errorf("AppendErrors = %d, want 1", d.Stats().AppendErrors)
 	}
 }
+
+// TestDiskCorruptNonFinalSegment damages an earlier segment after Open
+// has accepted the log: a flipped byte (CRC failure) or a torn frame there
+// is lost history, not a crash footprint, so Replay and Compact must both
+// fail, and the failed Compact must leave the old segments in place and
+// byte for byte unchanged, readable again once the damage is undone.
+func TestDiskCorruptNonFinalSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"crc", func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b }},
+		{"torn", func(b []byte) []byte { return b[:len(b)-1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := Open(dir, DiskOptions{Sync: SyncNone, SegmentBytes: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			for i := 0; i < 20; i++ {
+				if err := d.Append(rec(KindEvent, "job-1", strings.Repeat("p", 64))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d.Stats().Segments < 2 {
+				t.Fatalf("Segments = %d, want >= 2", d.Stats().Segments)
+			}
+			seg := filepath.Join(dir, "wal-000000.log")
+			orig, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := tc.damage(append([]byte(nil), orig...))
+			if err := os.WriteFile(seg, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			snapshot := func() map[string]string {
+				ents, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := map[string]string{}
+				for _, e := range ents {
+					b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[e.Name()] = string(b)
+				}
+				return out
+			}
+			before := snapshot()
+
+			if err := d.Replay(func(Record) error { return nil }); err == nil {
+				t.Error("Replay over a damaged non-final segment succeeded")
+			} else if !strings.Contains(err.Error(), seg) {
+				t.Errorf("Replay error %q does not name the segment", err)
+			}
+			if err := d.Compact(func(Record) bool { return true }); err == nil {
+				t.Fatal("Compact over a damaged non-final segment succeeded")
+			} else if !strings.Contains(err.Error(), "jobstore: compact: segment "+seg) {
+				t.Errorf("Compact error %q does not name the segment", err)
+			}
+			if after := snapshot(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("failed Compact changed the log directory: %d files before, %d after", len(before), len(after))
+			}
+			if d.Stats().Compactions != 0 {
+				t.Errorf("Compactions = %d after a failed Compact", d.Stats().Compactions)
+			}
+
+			if err := os.WriteFile(seg, orig, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(collect(t, d)); got != 20 {
+				t.Fatalf("replay after undoing the damage: %d records, want 20", got)
+			}
+		})
+	}
+}

@@ -63,38 +63,54 @@ func TestDefenseConfigMapping(t *testing.T) {
 	}
 }
 
-// TestDefenseConfigEquivalence is the byte-identity claim at the machine
-// layer: a mode-based kind configured through the registry runs cycle- and
-// counter-identical to the same machine configured through Mode, and the
-// kinds with no Mode spelling (dawg-lite, flush-on-switch) run
-// deterministically and actually change the run relative to none.
+// TestDefenseConfigEquivalence: every structural kind assembles a
+// deterministic machine (two fresh machines run cycle- and
+// counter-identical), and each kind that can fire on this one-core run
+// actually changes it relative to none. FTM cannot: its presence bits are
+// per core, so one core's processes never miss on each other's lines.
 func TestDefenseConfigEquivalence(t *testing.T) {
-	run := func(cfg Config) string {
-		cfg.PhysFrames = 8192
-		return runWorkloadPair(t, New(cfg))
+	run := func(kind string) string {
+		return runWorkloadPair(t, New(Config{Defense: kind, PhysFrames: 8192}))
 	}
-	none := run(Config{Defense: defense.None})
-	modes := map[string]cache.SecMode{
-		defense.None:      cache.SecOff,
-		defense.TimeCache: cache.SecTimeCache,
-		defense.FTM:       cache.SecFTM,
-	}
+	none := run(defense.None)
 	for _, kind := range []string{defense.None, defense.TimeCache, defense.FTM, defense.DAWGLite, defense.FlushOnSwitch} {
 		t.Run(kind, func(t *testing.T) {
-			got := run(Config{Defense: kind})
-			if mode, ok := modes[kind]; ok {
-				if want := run(Config{Mode: mode}); got != want {
-					t.Errorf("registry spelling diverged from Mode:\n got %s\nwant %s", got, want)
-				}
-				return
-			}
-			if again := run(Config{Defense: kind}); again != got {
+			got := run(kind)
+			if again := run(kind); again != got {
 				t.Errorf("two fresh machines disagree:\n got %s\nwant %s", again, got)
 			}
-			if got == none {
+			if kind != defense.None && kind != defense.FTM && got == none {
 				t.Errorf("%s ran identically to none: the defense never engaged", kind)
 			}
 		})
+	}
+}
+
+// TestPoolFoldsLegacyMode: New and Pool.Get fold the legacy Mode spelling
+// into Defense and clear it, so a machine built under the benchmark
+// module's {Mode: SecTimeCache, Defense: "timecache"} serves a later
+// {Defense: "timecache"} Get as a pool hit, and a Mode-only config keys
+// like its registry kind.
+func TestPoolFoldsLegacyMode(t *testing.T) {
+	p := NewPool()
+	legacy := p.Get(Config{Mode: cache.SecTimeCache, Defense: defense.TimeCache, PhysFrames: 8192})
+	if legacy.cfg.Mode != cache.SecOff || legacy.cfg.Defense != defense.TimeCache {
+		t.Fatalf("machine config not canonical: %+v", legacy.cfg)
+	}
+	p.Put(legacy)
+	if got := p.Get(Config{Defense: defense.TimeCache, PhysFrames: 8192}); got != legacy {
+		t.Fatal("a {Defense: timecache} Get missed the machine built under the legacy spelling")
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("PoolStats = %+v, want 1 hit and 1 miss", st)
+	}
+	p.Put(legacy)
+	if got := p.Get(Config{Mode: cache.SecTimeCache, PhysFrames: 8192}); got != legacy {
+		t.Fatal("a Mode-only Get did not fold into its registry kind")
+	}
+	none := New(Config{PhysFrames: 8192})
+	if none.cfg != (Config{Defense: defense.None, PhysFrames: 8192}) {
+		t.Fatalf("zero defense config not canonical: %+v", none.cfg)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package machine is the single assembly point for a simulated machine: one
-// Config describes the whole shape (defense mode, core count, cache
+// Config describes the whole shape (defense kind, core count, cache
 // geometry, kernel parameters, physical memory size), and New composes the
 // clock-bearing kernel, cache hierarchy, and physical memory from it.
 //
@@ -37,17 +37,20 @@ const DefaultPhysFrames = 32768
 // Config is comparable (it has no slice, map, or func fields) so it can key
 // a Pool: two configs are the same machine shape iff they are ==.
 type Config struct {
-	// Mode selects the defense (cache.SecOff, SecTimeCache, SecFTM).
+	// Mode is the legacy defense spelling (cache.SecOff, SecTimeCache,
+	// SecFTM). It is kept only for the benchmark module, which still
+	// builds its leg configs with it, and goes with ROADMAP item 1(b). New
+	// and Pool.Get fold it into Defense when Defense is empty and then
+	// clear it, so it never reaches a pool key or a machine's config.
 	Mode cache.SecMode
-	// Defense, when non-empty, selects the defense by registry kind
-	// (internal/defense: "none", "timecache", "ftm", "dawg-lite",
-	// "flush-on-switch", "clepsydra", "fase"), overriding Mode and
-	// installing the kind's runtime defense instance on the hierarchy when
-	// it has one. Way partitioning and flush-on-switch are selectable only
-	// here. Because Config is comparable, the field participates in pool
-	// and snapshot-shelf keys automatically: machines with different
-	// defenses never alias. An unknown kind panics at assembly; validate at
-	// the job layer first.
+	// Defense selects the defense by registry kind (internal/defense:
+	// "none", "timecache", "ftm", "dawg-lite", "flush-on-switch",
+	// "clepsydra", "fase"; empty means "none") and installs the kind's
+	// runtime defense instance on the hierarchy when it has one. Because
+	// Config is comparable, the field participates in pool and
+	// snapshot-shelf keys automatically: machines with different defenses
+	// never alias. An unknown kind panics at assembly; validate with
+	// defense.StaticOf first.
 	Defense string
 	// Cores is the number of cores; zero keeps the default (1).
 	Cores int
@@ -138,15 +141,22 @@ func (c Config) KernelConfig() kernel.Config {
 	return k
 }
 
-// static resolves the effective structural defense configuration: the
-// Defense registry kind when set, else Mode alone. The two spellings of the
-// mode-based defenses produce identical machines
-// (TestDefenseConfigEquivalence pins this).
-func (c Config) static() defense.Static {
+// canonical is the one spelling of c that New, Pool.Get and every mapping
+// use: a legacy Mode is folded into an empty Defense and then cleared, so
+// pool keys, a machine's config and its behaviour depend on the registry
+// kind alone.
+func (c Config) canonical() Config {
 	if c.Defense == "" {
-		return defense.Static{Mode: c.Mode}
+		c.Defense = defense.KindOfMode(c.Mode)
 	}
-	st, err := defense.StaticOf(c.Defense)
+	c.Mode = cache.SecOff
+	return c
+}
+
+// static resolves the structural defense configuration of c's registry
+// kind.
+func (c Config) static() defense.Static {
+	st, err := defense.StaticOf(c.canonical().Defense)
 	if err != nil {
 		panic(err)
 	}
@@ -172,16 +182,15 @@ type Machine struct {
 
 // New assembles a machine from cfg.
 func New(cfg Config) *Machine {
+	cfg = cfg.canonical()
 	hcfg := cfg.HierarchyConfig()
 	hier := cache.NewHierarchy(hcfg)
-	if cfg.Defense != "" {
-		// Defense kinds with runtime state (clepsydra, fase) get their
-		// instance here, once per machine: Reset resets it in place, and
-		// Snapshot/Fork build the destination through New so CopyFrom
-		// always finds a same-kind instance to deep-copy into.
-		if d := defense.NewRuntime(cfg.Defense, hier); d != nil {
-			hier.SetDefense(d)
-		}
+	// Defense kinds with runtime state (clepsydra, fase) get their instance
+	// here, once per machine: Reset resets it in place, and Snapshot/Fork
+	// build the destination through New so CopyFrom always finds a
+	// same-kind instance to deep-copy into.
+	if d := defense.NewRuntime(cfg.Defense, hier); d != nil {
+		hier.SetDefense(d)
 	}
 	phys := mem.NewPhysical(cfg.frames(), hcfg.DRAMLat)
 	return &Machine{cfg: cfg, hier: hier, phys: phys, k: kernel.New(cfg.KernelConfig(), hier, phys)}
@@ -287,6 +296,7 @@ func (p *Pool) Get(cfg Config) *Machine {
 	if p == nil {
 		return New(cfg)
 	}
+	cfg = cfg.canonical()
 	p.mu.Lock()
 	if list := p.machines[cfg]; len(list) > 0 {
 		m := list[len(list)-1]

@@ -24,7 +24,7 @@ func TestHierarchyConfigMapping(t *testing.T) {
 	}
 
 	full := Config{
-		Mode:              cache.SecTimeCache,
+		Defense:           defense.TimeCache,
 		Cores:             4,
 		ThreadsPerCore:    2,
 		L1Size:            16 << 10,
@@ -62,7 +62,7 @@ func TestHierarchyConfigMapping(t *testing.T) {
 
 	// Way partitioning is a defense kind, and the kind keeps every other
 	// field's mapping.
-	full.Mode, full.Defense = cache.SecOff, defense.DAWGLite
+	full.Defense = defense.DAWGLite
 	want.Mode, want.Partitioned = cache.SecOff, true
 	if got := full.HierarchyConfig(); got != want {
 		t.Fatalf("dawg-lite Config mapping:\n got %+v\nwant %+v", got, want)
@@ -116,7 +116,7 @@ func runWorkloadPair(t testing.TB, m *Machine) string {
 // enforce the same property end-to-end; this one localizes a violation to
 // the machine layer.
 func TestResetDeterminism(t *testing.T) {
-	cfg := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
+	cfg := Config{Defense: defense.TimeCache, PhysFrames: 8192}
 	fresh := runWorkloadPair(t, New(cfg))
 
 	m := New(cfg)
@@ -151,8 +151,8 @@ func TestResetDetachesTelemetry(t *testing.T) {
 // configs get distinct machines, nil pool → always fresh.
 func TestPoolReuse(t *testing.T) {
 	p := NewPool()
-	a := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
-	b := Config{Mode: cache.SecOff, PhysFrames: 8192}
+	a := Config{Defense: defense.TimeCache, PhysFrames: 8192}
+	b := Config{Defense: defense.None, PhysFrames: 8192}
 
 	m1 := p.Get(a)
 	if m2 := p.Get(a); m2 == m1 {
@@ -193,8 +193,8 @@ func TestPoolConcurrent(t *testing.T) {
 	}
 	pool := NewPool()
 	cfgs := []Config{
-		{Mode: cache.SecTimeCache, PhysFrames: 8192},
-		{Mode: cache.SecOff, PhysFrames: 8192},
+		{Defense: defense.TimeCache, PhysFrames: 8192},
+		{Defense: defense.None, PhysFrames: 8192},
 	}
 	// Reference fingerprints from private fresh machines.
 	want := make([]string, len(cfgs))
@@ -238,7 +238,7 @@ func TestPoolConcurrent(t *testing.T) {
 // BenchmarkMachineNew measures full machine assembly (the per-run cost the
 // pool eliminates) for the paper's default TimeCache shape.
 func BenchmarkMachineNew(b *testing.B) {
-	cfg := Config{Mode: cache.SecTimeCache}
+	cfg := Config{Defense: defense.TimeCache}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		New(cfg)
@@ -249,7 +249,7 @@ func BenchmarkMachineNew(b *testing.B) {
 // state. Compare against BenchmarkMachineNew: the difference is what every
 // pooled sweep leg saves.
 func BenchmarkMachineReset(b *testing.B) {
-	m := New(Config{Mode: cache.SecTimeCache})
+	m := New(Config{Defense: defense.TimeCache})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -262,7 +262,7 @@ func BenchmarkMachineReset(b *testing.B) {
 // sweep behavior), Reuse takes a Reset machine from a pool (the new
 // behavior). The gap is the measured end-to-end pooling win.
 func BenchmarkSweepRebuild(b *testing.B) {
-	cfg := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
+	cfg := Config{Defense: defense.TimeCache, PhysFrames: 8192}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		runWorkloadPair(b, New(cfg))
@@ -270,7 +270,7 @@ func BenchmarkSweepRebuild(b *testing.B) {
 }
 
 func BenchmarkSweepReuse(b *testing.B) {
-	cfg := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
+	cfg := Config{Defense: defense.TimeCache, PhysFrames: 8192}
 	pool := NewPool()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -285,8 +285,8 @@ func BenchmarkSweepReuse(b *testing.B) {
 // returned machine counts a hit, and a nil pool reports zeros forever.
 func TestPoolStats(t *testing.T) {
 	p := NewPool()
-	a := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
-	b := Config{Mode: cache.SecOff, PhysFrames: 8192}
+	a := Config{Defense: defense.TimeCache, PhysFrames: 8192}
+	b := Config{Defense: defense.None, PhysFrames: 8192}
 
 	if s := p.Stats(); s != (PoolStats{IdleCap: DefaultIdleCap}) {
 		t.Fatalf("fresh pool stats = %+v, want zero counters", s)

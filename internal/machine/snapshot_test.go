@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"timecache/internal/cache"
+	"timecache/internal/defense"
 	"timecache/internal/workload"
 )
 
@@ -74,7 +74,7 @@ func warmSnapshot(t testing.TB, cfg Config, total, warmup uint64) (*Snapshot, *M
 // capture is a pure bystander). Every path below must produce one
 // fingerprint.
 func TestSnapshotForkDeterminism(t *testing.T) {
-	cfg := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
+	cfg := Config{Defense: defense.TimeCache, PhysFrames: 8192}
 	const total, warmup = 20_000, 15_000
 
 	cold := New(cfg)
@@ -112,8 +112,8 @@ func TestSnapshotForkDeterminism(t *testing.T) {
 // TestSnapshotConfigMismatch: ForkInto refuses a machine of a different
 // shape instead of silently corrupting it.
 func TestSnapshotConfigMismatch(t *testing.T) {
-	snap, _ := warmSnapshot(t, Config{Mode: cache.SecTimeCache, PhysFrames: 8192}, 20_000, 15_000)
-	other := New(Config{Mode: cache.SecOff, PhysFrames: 8192})
+	snap, _ := warmSnapshot(t, Config{Defense: defense.TimeCache, PhysFrames: 8192}, 20_000, 15_000)
+	other := New(Config{Defense: defense.None, PhysFrames: 8192})
 	if err := snap.ForkInto(other); err == nil {
 		t.Fatal("ForkInto accepted a machine with a different Config")
 	}
@@ -126,7 +126,7 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cfg := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
+	cfg := Config{Defense: defense.TimeCache, PhysFrames: 8192}
 	const total, warmup = 20_000, 15_000
 
 	cold := New(cfg)
@@ -162,7 +162,7 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 // reuses idle machines without Reset, the shelf stores and returns by key
 // with hit/miss accounting, and the shelf is FIFO-bounded.
 func TestPoolForkAndSnapshotShelf(t *testing.T) {
-	cfg := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
+	cfg := Config{Defense: defense.TimeCache, PhysFrames: 8192}
 	const total, warmup = 20_000, 15_000
 
 	cold := New(cfg)
@@ -232,7 +232,7 @@ func TestPoolForkAndSnapshotShelf(t *testing.T) {
 // and count an eviction.
 func TestPoolIdleCapEviction(t *testing.T) {
 	p := NewPool()
-	cfg := Config{Mode: cache.SecOff, PhysFrames: 8192}
+	cfg := Config{Defense: defense.None, PhysFrames: 8192}
 	for i := 0; i < DefaultIdleCap+3; i++ {
 		p.Put(New(cfg))
 	}
@@ -252,7 +252,7 @@ func TestForkRestoreAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
-	cfg := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
+	cfg := Config{Defense: defense.TimeCache, PhysFrames: 8192}
 	snap, _ := warmSnapshot(t, cfg, 20_000, 15_000)
 	dst := snap.Fork() // populate dst's buffers once
 
@@ -276,7 +276,7 @@ const benchTotal, benchWarmup = 20_000, 18_000
 // BenchmarkSweepColdWarmup prices the old way to run repeated same-shape
 // legs: every iteration pays the full warmup from a Reset machine.
 func BenchmarkSweepColdWarmup(b *testing.B) {
-	cfg := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
+	cfg := Config{Defense: defense.TimeCache, PhysFrames: 8192}
 	pool := NewPool()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -293,7 +293,7 @@ func BenchmarkSweepColdWarmup(b *testing.B) {
 // and runs only the measured remainder. The ratio to BenchmarkSweepColdWarmup
 // is the per-leg speedup on warmup-dominated sweeps.
 func BenchmarkSweepFork(b *testing.B) {
-	cfg := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
+	cfg := Config{Defense: defense.TimeCache, PhysFrames: 8192}
 	snap, _ := warmSnapshot(b, cfg, benchTotal, benchWarmup)
 	pool := NewPool()
 	b.ReportAllocs()

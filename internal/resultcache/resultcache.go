@@ -132,26 +132,39 @@ func New(opts ...Option) *Cache {
 //     follower of the flight blocks forever.
 //   - flight != nil, leader false: coalesced — another caller is already
 //     simulating this key; wait on flight.Done() and read flight.Result().
+func (c *Cache) Begin(key string) (entry *Entry, flight *Flight, leader bool) {
+	entry, flight, leader = c.Readmit(key)
+	switch {
+	case entry != nil:
+		c.hits.Add(1)
+	case leader:
+		c.misses.Add(1)
+	default:
+		c.coalesced.Add(1)
+	}
+	return entry, flight, leader
+}
+
+// Readmit resolves an admission exactly as Begin does but moves no
+// admission counter. A coordinator replaying its durable log re-admits the
+// jobs that were live at the crash through it: like Seed, replay is neither
+// a hit, a miss nor a coalesced submission.
 //
 // The store is re-checked after winning leadership, closing the race where
 // the previous leader published between our lookup and our admit — that
 // window resolves to a hit instead of a redundant simulation.
-func (c *Cache) Begin(key string) (entry *Entry, flight *Flight, leader bool) {
+func (c *Cache) Readmit(key string) (entry *Entry, flight *Flight, leader bool) {
 	if e, ok := c.store.Get(key); ok {
-		c.hits.Add(1)
 		return e, nil, false
 	}
 	f, isLeader := c.group.Admit(key)
 	if !isLeader {
-		c.coalesced.Add(1)
 		return nil, f, false
 	}
 	if e, ok := c.store.Get(key); ok {
 		f.Finish(e, nil)
-		c.hits.Add(1)
 		return e, nil, false
 	}
-	c.misses.Add(1)
 	return nil, f, true
 }
 

@@ -471,12 +471,13 @@ func (s *Server) resumeJob(rj *replayedJob) {
 	}
 	s.armJob(j, timeout)
 
-	// Re-run cache admission in submission order. An entry seeded by an
-	// earlier terminal job finishes this one outright; otherwise the first
-	// live job of a fingerprint leads and later ones re-coalesce — which is
-	// how a follower orphaned by its leader's death gets re-led.
+	// Re-run cache admission in submission order, without counting it. An
+	// entry seeded by an earlier terminal job finishes this one outright;
+	// otherwise the first live job of a fingerprint leads and later ones
+	// re-coalesce — which is how a follower orphaned by its leader's death
+	// gets re-led.
 	if s.cfg.Cache != nil && !spec.NoCache {
-		entry, flight, leader := s.cfg.Cache.Begin(rj.spec.cacheKey())
+		entry, flight, leader := s.cfg.Cache.Readmit(rj.spec.cacheKey())
 		switch {
 		case entry != nil:
 			s.finishReplayedFromCache(j, entry)

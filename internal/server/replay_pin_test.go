@@ -287,3 +287,30 @@ func TestReplayPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayCountsNoAdmissions: a restart re-admits the log's live jobs (a
+// resumed leader, its orphaned follower, a hit finished from a seeded
+// entry) without moving the result cache's admission counters, so before
+// any client submits, /v1/cache/stats reads 0 hits, misses and coalesced.
+func TestReplayCountsNoAdmissions(t *testing.T) {
+	log := pinHistory(t)
+	cache := resultcache.New()
+	fake := clock.NewFake(time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC))
+	_, ts := crashServer(t, Config{Workers: 0, Cache: cache, Store: copyStore(t, log, nil), Clock: fake})
+	resp, err := http.Get(ts.URL + "/v1/cache/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st resultcache.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Entries == 0 || st.InFlight == 0 {
+		t.Fatalf("replay neither seeded nor re-led anything: %+v", st)
+	}
+	if st.Hits != 0 || st.Misses != 0 || st.Coalesced != 0 {
+		t.Errorf("restart with no traffic counted admissions: hits=%d misses=%d coalesced=%d, want 0/0/0",
+			st.Hits, st.Misses, st.Coalesced)
+	}
+}

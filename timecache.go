@@ -23,10 +23,9 @@ package timecache
 
 import (
 	"context"
-	"fmt"
 
 	"timecache/internal/asm"
-	"timecache/internal/cache"
+	"timecache/internal/defense"
 	"timecache/internal/kernel"
 	"timecache/internal/machine"
 	"timecache/internal/telemetry"
@@ -34,51 +33,26 @@ import (
 	"timecache/internal/workload"
 )
 
-// Mode selects the defense configuration of a System.
-type Mode int
-
-// Defense modes.
-const (
-	// Baseline is an undefended conventional cache hierarchy.
-	Baseline Mode = iota
-	// TimeCache enables the paper's defense: per-context s-bits with
-	// first-access delays and context-switch Tc/Ts reconciliation.
-	TimeCache
-	// FTM enables the First Time Miss baseline defense (LLC presence bits
-	// per core, no context-switch bookkeeping).
-	FTM
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Baseline:
-		return "baseline"
-	case TimeCache:
-		return "timecache"
-	case FTM:
-		return "ftm"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
+// checkDefense returns the registry kind a Defense field selects ("" is
+// none), or an error naming the valid kinds.
+func checkDefense(kind string) (string, error) {
+	if kind == "" {
+		return defense.None, nil
 	}
-}
-
-func (m Mode) secMode() cache.SecMode {
-	switch m {
-	case TimeCache:
-		return cache.SecTimeCache
-	case FTM:
-		return cache.SecFTM
-	default:
-		return cache.SecOff
-	}
+	_, err := defense.StaticOf(kind)
+	return kind, err
 }
 
 // Config describes a simulated machine. The zero value is completed with
 // the paper's evaluation parameters (one 2 GHz core, 32 KB L1I/L1D, 2 MB
 // LLC, 64 B lines, 32-bit timestamps).
 type Config struct {
-	// Mode selects the defense (Baseline, TimeCache, FTM).
-	Mode Mode
+	// Defense selects the defense by registry kind: "none" (an undefended
+	// hierarchy, also the empty string), "timecache" (the paper's
+	// per-context s-bits), "ftm" (First Time Miss), "dawg-lite",
+	// "flush-on-switch", "clepsydra" or "fase". New rejects any other kind
+	// with an error naming the valid ones.
+	Defense string
 	// Cores is the number of cores (default 1).
 	Cores int
 	// L1Size and LLCSize are cache sizes in bytes (defaults 32 KB / 2 MB).
@@ -123,7 +97,7 @@ func (c Config) withDefaults() Config {
 // machineConfig maps the public Config onto the machine assembly config.
 func (c Config) machineConfig() machine.Config {
 	return machine.Config{
-		Mode:              c.Mode.secMode(),
+		Defense:           c.Defense,
 		Cores:             c.Cores,
 		L1Size:            c.L1Size,
 		LLCSize:           c.LLCSize,
@@ -157,9 +131,13 @@ func New(cfg Config) (*System, error) {
 // one of the identical shape was released earlier (pool may be nil to always
 // build fresh). A reused machine is Reset first and runs exactly like a new
 // one; call Release when done with the System so the machine goes back for
-// the next run.
+// the next run. An unknown Defense kind is an error naming the valid kinds.
 func NewFromPool(pool *machine.Pool, cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
+	var err error
+	if cfg.Defense, err = checkDefense(cfg.Defense); err != nil {
+		return nil, err
+	}
 	m := pool.Get(cfg.machineConfig())
 	return &System{cfg: cfg, m: m, k: m.Kernel(), pool: pool}, nil
 }

@@ -4,10 +4,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"timecache/internal/defense"
 )
 
 func TestNewDefaults(t *testing.T) {
-	s, err := New(Config{Mode: TimeCache})
+	s, err := New(Config{Defense: "timecache"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +70,8 @@ func TestSharedTextFirstAccess(t *testing.T) {
 		blt  r1, r2, loop
 		halt
 	`
-	for _, mode := range []Mode{Baseline, TimeCache} {
-		s, err := New(Config{Mode: mode})
+	for _, kind := range []string{"none", "timecache"} {
+		s, err := New(Config{Defense: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,20 +88,20 @@ func TestSharedTextFirstAccess(t *testing.T) {
 		for _, c := range s.Stats().Caches {
 			fa += c.FirstAccess
 		}
-		if mode == Baseline && fa != 0 {
+		if kind == "none" && fa != 0 {
 			t.Fatalf("baseline recorded %d first accesses", fa)
 		}
-		if mode == TimeCache && fa == 0 {
+		if kind == "timecache" && fa == 0 {
 			t.Fatal("TimeCache recorded no first accesses for shared text")
 		}
-		if mode == TimeCache && s.Stats().BookkeepingCycles == 0 {
+		if kind == "timecache" && s.Stats().BookkeepingCycles == 0 {
 			t.Fatal("TimeCache bookkeeping not charged")
 		}
 	}
 }
 
 func TestSpawnSpecWorkload(t *testing.T) {
-	s, err := New(Config{Mode: TimeCache})
+	s, err := New(Config{Defense: "timecache"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,21 +121,52 @@ func TestSpawnSpecWorkload(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if Baseline.String() != "baseline" || TimeCache.String() != "timecache" || FTM.String() != "ftm" {
-		t.Fatal("mode names wrong")
+// TestConfigDefenseKinds: the public Config reaches every registry kind,
+// the zero value is the undefended machine, and an unknown kind is an error
+// naming the valid kinds, from New and from the attack entry points alike.
+func TestConfigDefenseKinds(t *testing.T) {
+	for _, kind := range append(defense.Kinds(), "") {
+		s, err := New(Config{Defense: kind})
+		if err != nil {
+			t.Fatalf("New(%q): %v", kind, err)
+		}
+		want := kind
+		if kind == "" {
+			want = defense.None
+		}
+		st, _ := defense.StaticOf(want)
+		h := s.m.Hierarchy().Config()
+		if h.Mode != st.Mode || h.Partitioned != st.Partitioned || s.k.Config().FlushOnSwitch != st.FlushOnSwitch {
+			t.Errorf("New(%q) built %+v, want the %s structure %+v", kind, h, want, st)
+		}
+		p, err := s.LoadAsm("movi r1, 7\nsys 0\n", LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Run(1 << 30); p.ExitCode() != 7 {
+			t.Errorf("%q: exit code %d, want 7", kind, p.ExitCode())
+		}
 	}
-	if !strings.HasPrefix(Mode(9).String(), "Mode(") {
-		t.Fatal("unknown mode formatting")
+	wantErr := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), strings.Join(defense.Kinds(), ", ")) {
+			t.Errorf("%s with an unknown kind: error %v, want one listing every kind", what, err)
+		}
 	}
+	_, err := New(Config{Defense: "bogus"})
+	wantErr("New", err)
+	_, err = RunMicrobenchmark("baseline")
+	wantErr("RunMicrobenchmark", err)
+	_, err = RunSMTAttack("TimeCache", 8, 1)
+	wantErr("RunSMTAttack", err)
 }
 
 func TestPublicMicrobenchmark(t *testing.T) {
-	base, err := RunMicrobenchmark(Baseline)
+	base, err := RunMicrobenchmark("none")
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := RunMicrobenchmark(TimeCache)
+	def, err := RunMicrobenchmark("timecache")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +176,14 @@ func TestPublicMicrobenchmark(t *testing.T) {
 }
 
 func TestPublicRSAAttack(t *testing.T) {
-	base, err := RunRSAAttack(Baseline, 32, 5)
+	base, err := RunRSAAttack("none", 32, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Accuracy < 0.9 || !base.VictimCorrect {
 		t.Fatalf("baseline attack should succeed: %+v", base)
 	}
-	def, err := RunRSAAttack(TimeCache, 32, 5)
+	def, err := RunRSAAttack("timecache", 32, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +225,7 @@ func TestExperimentSinglePair(t *testing.T) {
 }
 
 func TestDedupAPI(t *testing.T) {
-	s, err := New(Config{Mode: TimeCache})
+	s, err := New(Config{Defense: "timecache"})
 	if err != nil {
 		t.Fatal(err)
 	}
