@@ -6,7 +6,7 @@
 //
 //	timecache-sim -defense timecache -workloads lbm,wrf -instrs 300000
 //	timecache-sim -defense none      -workloads 2Xperlbench
-//	timecache-sim -compare -workloads 2Xlbm   # run baseline AND timecache
+//	timecache-sim -compare -workloads 2Xlbm   # run none AND the -defense kind
 //	timecache-sim -llc-sweep 512K,1M,2M,4M -workloads 2Xlbm -j4
 //
 // Telemetry outputs (any may be combined; see internal/telemetry):
@@ -15,7 +15,7 @@
 //	timecache-sim -defense timecache -trace-json t.json    # load in Perfetto
 //	timecache-sim -defense timecache -manifest run.json -hist
 //
-// In -compare mode the telemetry outputs come from the timecache leg.
+// In -compare mode the telemetry outputs come from the defended leg.
 package main
 
 import (
@@ -56,7 +56,7 @@ func run(fs *flag.FlagSet, args []string) error {
 		attacks   = fs.String("attacks", "", "comma-separated attack names for -matrix (default: the full corpus)")
 		attackBit = fs.Int("attack-bits", 0, "secret length each -matrix attack transmits (default 32)")
 		cores     = fs.Int("cores", 1, "number of cores")
-		compare   = fs.Bool("compare", false, "run baseline and timecache and report normalized time")
+		compare   = fs.Bool("compare", false, "run the baseline (defense none) and the -defense kind and report normalized time")
 		gate      = fs.Bool("gatelevel", false, "use the gate-level bit-serial comparator")
 		cohCheck  = fs.Bool("coherence-check", false, "cross-check the LLC sharer directory against brute-force L1 probes on every coherence event (debug; slow)")
 		jobs      = fs.Int("j", runtime.GOMAXPROCS(0), "concurrent legs for -llc-sweep and -matrix (-j1 = sequential)")
@@ -150,7 +150,7 @@ func run(fs *flag.FlagSet, args []string) error {
 		return nil
 	}
 	if *compare {
-		if err := runCompare(ctx, *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn, *showHist); err != nil {
+		if err := runCompare(ctx, kind.String(), *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn, *showHist); err != nil {
 			return ctxErr(err, *timeout)
 		}
 		return nil
@@ -282,20 +282,20 @@ func runJob(title string, j harness.Job, opts harness.Options) error {
 	return nil
 }
 
-func runCompare(ctx context.Context, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry, showHist bool) error {
+func runCompare(ctx context.Context, kind, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry, showHist bool) error {
 	bCycles, _, _, err := runOnce(ctx, defense.None, workloads, instrs, llc, cores, gate, cohCheck, telemetry.Config{}, false)
 	if err != nil {
 		return err
 	}
-	tCycles, st, col, err := runOnce(ctx, defense.TimeCache, workloads, instrs, llc, cores, gate, cohCheck, tcfg, withTelemetry)
+	tCycles, st, col, err := runOnce(ctx, kind, workloads, instrs, llc, cores, gate, cohCheck, tcfg, withTelemetry)
 	if err != nil {
 		return err
 	}
-	printStats(defense.TimeCache, tCycles, st)
+	printStats(kind, tCycles, st)
 	reportTelemetry(col, showHist)
 	norm := float64(tCycles) / float64(bCycles)
-	fmt.Printf("\nbaseline cycles : %d\n", bCycles)
-	fmt.Printf("timecache cycles: %d\n", tCycles)
+	fmt.Printf("\n%-16s: %d\n", "baseline cycles", bCycles)
+	fmt.Printf("%-16s: %d\n", kind+" cycles", tCycles)
 	fmt.Printf("normalized time : %.4f (%.2f%% overhead, cold start included)\n",
 		norm, (norm-1)*100)
 	return nil

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -278,12 +279,13 @@ type job struct {
 	// flight is the result-cache singleflight this job participates in:
 	// as leader (cacheDisp == cacheMiss, this job runs the simulation and
 	// publishes the entry) or as follower (cacheDisp == cacheCoalesced,
-	// finalized by waitCoalesced when the leader's flight resolves). Nil
+	// finished by waitCoalesced when the leader's flight resolves). Nil
 	// for hits, bypasses, and cache-disabled servers. Written once before
-	// the job is registered, never mutated after.
+	// any request can reach the job, never mutated after.
 	flight *resultcache.Flight
 	// cacheDisp is the submission's cache disposition (see the cache*
-	// constants); written before registration, immutable after.
+	// constants); written before any request can reach the job, later
+	// only by applyResult.
 	cacheDisp string
 
 	// priority is the scheduler queue index (priorityHigh/priorityNormal);
@@ -309,13 +311,10 @@ type job struct {
 
 	// legs is the job's leg scoreboard (initLegs sizes it from
 	// harness.JobLegs before the job is scheduled). legsDone counts legDone
-	// entries; attempt counts re-executions (lease expiry, worker retry);
-	// wasRunning records that markRunning ran, so finalize knows whether to
-	// decrement the running gauge.
-	legs       []legState
-	legsDone   int
-	attempt    int
-	wasRunning bool
+	// entries; attempt counts re-executions (lease expiry, worker retry).
+	legs     []legState
+	legsDone int
+	attempt  int
 
 	events *eventLog
 	doneCh chan struct{}
@@ -348,6 +347,21 @@ func (j *job) initLegs(n int) {
 	j.legs = make([]legState, n)
 }
 
+// leased reports whether the executor that claimed leg under epoch still
+// holds it: the job is live and the leg neither re-issued nor done.
+func (j *job) leased(leg int, epoch uint64) bool {
+	return !j.state.Terminal() && leg < len(j.legs) &&
+		j.legs[leg].status == legLeased && j.legs[leg].epoch == epoch
+}
+
+// requeueLeg returns a leased leg to pending under a new epoch, so its
+// executor's outcome is stale from now on, and counts the re-execution.
+func (j *job) requeueLeg(leg int) {
+	j.legs[leg].epoch++
+	j.legs[leg].status = legPending
+	j.attempt++
+}
+
 // claimLeg hands out the first pending leg. more reports whether further
 // pending legs remain after this claim (the scheduler keeps the job queued
 // if so). Called with the scheduler's mutex held; takes job.mu (lock order:
@@ -374,34 +388,57 @@ func (j *job) claimLeg() (leg int, epoch uint64, more, claimed bool) {
 }
 
 func newJob(id string, spec Spec, now time.Time) *job {
-	return &job{
-		id:       id,
-		spec:     spec,
-		state:    StateQueued,
-		priority: spec.priorityClass(),
-		created:  now,
-		events:   newEventLog(),
-		doneCh:   make(chan struct{}),
+	j := &job{id: id, state: StateQueued, events: newEventLog(), doneCh: make(chan struct{})}
+	j.applyAccepted(spec, now, "")
+	return j
+}
+
+// Each apply function installs one journaled record kind on the job: live
+// right after the append, in replay record by record. A caller holds j.mu
+// or, in replay, owns a job no other goroutine sees yet.
+
+// applyAccepted installs an acceptedRecord: the spec, the creation time and
+// the cache disposition.
+func (j *job) applyAccepted(spec Spec, created time.Time, cache string) {
+	j.spec, j.created, j.cacheDisp = spec, created, cache
+	j.priority = spec.priorityClass()
+}
+
+// applyLeg installs a legRecord: leg is done with its table and resource
+// delta, and progress counts it. The caller has checked that leg is pending.
+func (j *job) applyLeg(leg int, tab *stats.Table, res JobResources) {
+	l := &j.legs[leg]
+	l.status, l.table, l.res = legDone, tab, res
+	j.legsDone++
+	j.done, j.total = j.legsDone, len(j.legs)
+}
+
+// applyResult installs a resultRecord: the job turns terminal. A record
+// without a disposition, written before results carried one, keeps the
+// accepted record's.
+func (j *job) applyResult(r *jobResult) {
+	j.state, j.errMsg = r.State, r.Error
+	if r.Cache != "" {
+		j.cacheDisp = r.Cache
+	}
+	j.attempt = r.Attempt
+	j.done, j.total = r.Done, r.Total
+	j.started, j.finished = r.Started, r.Finished
+	j.resources = r.res
+	if r.State == StateDone {
+		j.table = r.table
 	}
 }
 
-// resourcesSnapshot returns the job's final resource account (nil until the
-// job has run).
-func (j *job) resourcesSnapshot() *JobResources {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.resources
+// publishProgress emits a "progress" event: done of total legs.
+func (j *job) publishProgress(done, total int) {
+	j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
 }
 
 // status snapshots the job for serialization.
 func (j *job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.statusLocked()
-}
-
-// statusLocked is status for callers already holding j.mu.
-func (j *job) statusLocked() Status {
 	st := Status{
 		ID:         j.id,
 		State:      j.state,
@@ -426,17 +463,18 @@ func (j *job) statusLocked() Status {
 	return st
 }
 
-// result returns the finished table, or an error describing why none exists.
-func (j *job) result() (*stats.Table, error) {
+// result returns the finished table and resource account, or an error
+// describing why none exists.
+func (j *job) result() (*stats.Table, *JobResources, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch {
 	case j.state == StateDone:
-		return j.table, nil
+		return j.table, j.resources, nil
 	case j.state.Terminal():
-		return nil, fmt.Errorf("job %s %s: %s", j.id, j.state, j.errMsg)
+		return nil, nil, fmt.Errorf("job %s %s: %s", j.id, j.state, j.errMsg)
 	default:
-		return nil, fmt.Errorf("job %s is %s; result not ready", j.id, j.state)
+		return nil, nil, fmt.Errorf("job %s is %s; result not ready", j.id, j.state)
 	}
 }
 
@@ -456,8 +494,8 @@ type eventLog struct {
 	subs   map[chan event]struct{}
 	closed bool
 	// persist, when set, journals each published event to the durable job
-	// store (under mu, so the log order and the durable order agree). Events
-	// seeded from a replay bypass it — they are already durable.
+	// store before it is applied (under mu, so the log order and the durable
+	// order agree).
 	persist func(ev event)
 }
 
@@ -476,10 +514,17 @@ func (l *eventLog) publish(name string, data []byte) {
 		return
 	}
 	ev := event{name: name, data: data}
-	l.hist = append(l.hist, ev)
 	if l.persist != nil {
 		l.persist(ev)
 	}
+	l.apply(ev)
+}
+
+// apply appends ev to the history and fans it out to live subscribers.
+// Called by publish under l.mu, and by replay, which owns the log, for the
+// events it reads back (already durable, so not persisted again).
+func (l *eventLog) apply(ev event) {
+	l.hist = append(l.hist, ev)
 	for ch := range l.subs {
 		select {
 		case ch <- ev:
@@ -490,13 +535,20 @@ func (l *eventLog) publish(name string, data []byte) {
 	}
 }
 
-// seed installs replayed history without re-persisting or fanning out; the
-// log takes ownership of evs. Called only during log replay, on a fresh log
-// not yet visible to subscribers.
-func (l *eventLog) seed(evs []event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.hist = evs
+// stateKey opens a Status's state in its JSON.
+var stateKey = []byte(`"state":"`)
+
+// endsWithState reports whether the history ends with a "state" event
+// reporting st. A Status names the key "state" once, at its top level, and
+// no JSON string holds an unescaped quote, so the first stateKey is that
+// key, and the event is read without decoding or allocating.
+func (l *eventLog) endsWithState(st State) bool {
+	n := len(l.hist)
+	if n == 0 || l.hist[n-1].name != "state" {
+		return false
+	}
+	_, v, ok := bytes.Cut(l.hist[n-1].data, stateKey)
+	return ok && len(v) > len(st) && string(v[:len(st)]) == string(st) && v[len(st)] == '"'
 }
 
 // close ends the stream: no further events are accepted and every

@@ -18,7 +18,9 @@ import (
 // job's history; eventRecords mirror the SSE stream verbatim (so a restart
 // replays it byte-identically); legRecords checkpoint completed legs (so an
 // interrupted job resumes at its first unfinished leg); a resultRecord
-// closes the history and makes the job replay read-only.
+// closes the history and makes the job replay read-only. Each is appended
+// before the job applies it (the job's apply* functions), and replay folds
+// the same applies over the log; stateRecords are informational.
 type acceptedRecord struct {
 	Spec    Spec      `json:"spec"`
 	Created time.Time `json:"created"`
@@ -51,14 +53,28 @@ type resultRecord struct {
 }
 
 // resultHead is a resultRecord's per-job part; the table and resource
-// account that follow it repeat across every job with the same result.
+// account that follow it repeat across every job with the same result. It
+// carries the Status fields the accepted record cannot: the disposition,
+// which re-admission may change, and Attempt. A log written before them
+// replays with the accepted disposition and zero attempts.
 type resultHead struct {
 	State    State     `json:"state"`
 	Error    string    `json:"error,omitempty"`
+	Cache    string    `json:"cache,omitempty"`
+	Attempt  int       `json:"attempt,omitempty"`
 	Done     int       `json:"done"`
 	Total    int       `json:"total"`
 	Started  time.Time `json:"started"`
 	Finished time.Time `json:"finished"`
+}
+
+// jobResult is a resultRecord in memory: what finish builds and journals,
+// and what replay decodes. Replay shares the table and resource account
+// with every other job whose record carried the same bytes.
+type jobResult struct {
+	resultHead
+	table *stats.Table
+	res   *JobResources
 }
 
 // appendRecord journals one record. Persistence failures are logged and
@@ -74,52 +90,29 @@ func (s *Server) appendRecord(kind jobstore.Kind, jobID string, payload any) {
 	}
 }
 
-// attachPersistence wires the job's SSE event log into the durable store and
-// journals its acceptance. Called once per job, after admission succeeds and
-// before the first event is published.
+// attachPersistence journals the job's acceptance and its SSE events from
+// now on. Called once per job, after admission succeeds and before the
+// first event is published.
 func (s *Server) attachPersistence(j *job) {
 	if s.cfg.Store == nil {
 		return
 	}
 	j.mu.Lock()
-	legs := len(j.legs)
-	created := j.created
+	rec := acceptedRecord{Spec: j.spec, Created: j.created, Cache: j.cacheDisp, Legs: len(j.legs)}
 	j.mu.Unlock()
-	s.appendRecord(jobstore.KindAccepted, j.id, acceptedRecord{
-		Spec: j.spec, Created: created, Cache: j.cacheDisp, Legs: legs,
-	})
-	j.events.persist = func(ev event) {
-		s.appendRecord(jobstore.KindEvent, j.id, eventRecord{Name: ev.name, Data: ev.data})
-	}
+	s.appendRecord(jobstore.KindAccepted, j.id, rec)
+	s.journalEvents(j)
 }
 
-func (s *Server) persistState(j *job, st State) {
-	s.appendRecord(jobstore.KindState, j.id, stateRecord{State: st, At: s.now()})
-}
-
-func (s *Server) persistLeg(j *job, leg int, tab *stats.Table, res JobResources) {
-	s.appendRecord(jobstore.KindLeg, j.id, legRecord{
-		Leg: leg, Header: tab.Header, Rows: tab.Rows, Resources: res,
-	})
-}
-
-func (s *Server) persistResult(j *job) {
+// journalEvents makes each event the job publishes append its eventRecord
+// first.
+func (s *Server) journalEvents(j *job) {
 	if s.cfg.Store == nil {
 		return
 	}
-	j.mu.Lock()
-	rec := resultRecord{
-		resultHead: resultHead{
-			State: j.state, Error: j.errMsg, Done: j.done, Total: j.total,
-			Started: j.started, Finished: j.finished,
-		},
-		Res: j.resources,
+	j.events.persist = func(ev event) {
+		s.appendRecord(jobstore.KindEvent, j.id, eventRecord{Name: ev.name, Data: ev.data})
 	}
-	if j.state == StateDone && j.table != nil {
-		rec.Header, rec.Rows = j.table.Header, j.table.Rows
-	}
-	j.mu.Unlock()
-	s.appendRecord(jobstore.KindResult, j.id, rec)
 }
 
 // rawJSON holds one JSON value undecoded. Unlike json.RawMessage it does
@@ -148,7 +141,6 @@ type acceptedReplay struct {
 	Spec    rawJSON   `json:"spec"`
 	Created time.Time `json:"created"`
 	Cache   string    `json:"cache,omitempty"`
-	Legs    int       `json:"legs"`
 }
 
 type resultReplay struct {
@@ -172,40 +164,14 @@ func (rs *replayedSpec) cacheKey() string {
 	return rs.key
 }
 
-// replayedResult is a decoded resultRecord. Its table and resources are
-// shared with every other replayed job whose record carried the same bytes.
-type replayedResult struct {
-	resultHead
-	table *stats.Table
-	res   *JobResources
-}
-
-// replayedJob accumulates one job's records during log replay.
+// replayedJob is one job as replay folds its records.
 type replayedJob struct {
-	id      string
-	spec    *replayedSpec // nil until the accepted record
-	created time.Time
-	cache   string
-	events  []event
+	j    *job
+	spec *replayedSpec // nil until the accepted record
 	// rawLegs are the job's leg record payloads. Only a job that resumes
 	// reads them, so replay decodes them (into legs) for such jobs alone.
 	rawLegs [][]byte
-	legs    map[int]legRecord
-	result  *replayedResult
-}
-
-// decodeLegs decodes the leg records of a job that resumes; a later record
-// for the same leg wins.
-func (rj *replayedJob) decodeLegs() error {
-	rj.legs = make(map[int]legRecord, len(rj.rawLegs))
-	for _, raw := range rj.rawLegs {
-		var l legRecord
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return fmt.Errorf("job %s leg record: %w", rj.id, err)
-		}
-		rj.legs[l.Leg] = l
-	}
-	return nil
+	legs    []legRecord
 }
 
 // entryIdentity is what makes two done jobs' cache entries identical: the
@@ -282,12 +248,12 @@ func (in *replayInterner) resources(raw rawJSON) (*JobResources, error) {
 	return r, nil
 }
 
-func (in *replayInterner) result(payload []byte) (*replayedResult, error) {
+func (in *replayInterner) result(payload []byte) (*jobResult, error) {
 	var raw resultReplay
 	if err := json.Unmarshal(payload, &raw); err != nil {
 		return nil, err
 	}
-	rr := &replayedResult{resultHead: raw.resultHead}
+	rr := &jobResult{resultHead: raw.resultHead}
 	var err error
 	if rr.table, err = in.table(raw.Header, raw.Rows); err != nil {
 		return nil, err
@@ -317,17 +283,18 @@ func (in *replayInterner) entry(id entryIdentity) *resultcache.Entry {
 }
 
 // replay rebuilds the server's job table from the durable log. Runs in New,
-// single-threaded, before any executor starts:
+// single-threaded, before any executor starts. It folds each record into
+// its job with the apply function the live path used when it appended the
+// record, then finishes each job in log order:
 //
-//   - a job with a resultRecord is reconstructed read-only — terminal state,
-//     merged table, resource account, and byte-identical SSE history — and a
-//     done job's result re-seeds the result cache (Seed moves no hit/miss
-//     counters, so a post-restart cache hit provably re-simulates nothing);
-//   - a job without one is re-admitted: completed legs are restored from
-//     their legRecords and only the unfinished legs are re-queued. Cache
-//     admission re-runs in original submission order, so the first live job
-//     of a fingerprint becomes the new singleflight leader — a follower
-//     whose leader died mid-crash is re-led — and later ones re-coalesce.
+//   - a job with a resultRecord comes back read-only — terminal state,
+//     merged table, resource account, and byte-identical SSE history — and
+//     a done job's result re-seeds the result cache (Seed moves no hit/miss
+//     counters, so a post-restart cache hit provably re-simulates nothing).
+//     The result record is the commit point of the terminal transition; a
+//     crash between it and the terminal "state" event loses the event, so
+//     replay renders it again from the restored job, as the live path did;
+//   - a job without one is re-admitted (resumeJob).
 //
 // Work is done per distinct value, not per job (replayInterner): a restart
 // over thousands of repeats decodes and renders each distinct result once.
@@ -337,13 +304,13 @@ func (s *Server) replay() {
 	}
 	in := newReplayInterner()
 	byID := map[string]*replayedJob{}
-	var order []string
+	var order []*replayedJob
 	err := s.cfg.Store.Replay(func(r jobstore.Record) error {
 		rj := byID[r.JobID]
 		if rj == nil {
-			rj = &replayedJob{id: r.JobID}
+			rj = &replayedJob{j: newJob(r.JobID, Spec{}, time.Time{})}
 			byID[r.JobID] = rj
-			order = append(order, r.JobID)
+			order = append(order, rj)
 		}
 		switch r.Kind {
 		case jobstore.KindAccepted:
@@ -355,13 +322,13 @@ func (s *Server) replay() {
 			if err != nil {
 				return fmt.Errorf("job %s accepted record: %w", r.JobID, err)
 			}
-			rj.created, rj.cache = a.Created, a.Cache
+			rj.j.applyAccepted(rj.spec.spec, a.Created, a.Cache)
 		case jobstore.KindEvent:
 			var e eventRecord
 			if err := json.Unmarshal(r.Payload, &e); err != nil {
 				return fmt.Errorf("job %s event record: %w", r.JobID, err)
 			}
-			rj.events = append(rj.events, event{name: e.Name, data: e.Data})
+			rj.j.events.apply(event{name: e.Name, data: e.Data})
 		case jobstore.KindLeg:
 			rj.rawLegs = append(rj.rawLegs, r.Payload)
 		case jobstore.KindResult:
@@ -369,17 +336,21 @@ func (s *Server) replay() {
 			if err != nil {
 				return fmt.Errorf("job %s result record: %w", r.JobID, err)
 			}
-			rj.result = res
-		case jobstore.KindState:
-			// Informational; terminal-ness is decided by the resultRecord.
+			rj.j.applyResult(res)
 		}
 		return nil
 	})
 	// Leg records matter only to jobs that resume. Decode theirs before any
 	// job is rebuilt, so a corrupt one still fails the whole replay.
-	for _, id := range order {
-		if rj := byID[id]; err == nil && rj.spec != nil && rj.result == nil {
-			err = rj.decodeLegs()
+	for _, rj := range order {
+		if err != nil || rj.spec == nil || rj.j.state.Terminal() {
+			continue
+		}
+		rj.legs = make([]legRecord, len(rj.rawLegs))
+		for i := 0; i < len(rj.rawLegs) && err == nil; i++ {
+			if err = json.Unmarshal(rj.rawLegs[i], &rj.legs[i]); err != nil {
+				err = fmt.Errorf("job %s leg record: %w", rj.j.id, err)
+			}
 		}
 	}
 	if err != nil {
@@ -390,18 +361,22 @@ func (s *Server) replay() {
 	}
 
 	var maxID uint64
-	for _, id := range order {
-		rj := byID[id]
+	for _, rj := range order {
+		j := rj.j
 		if rj.spec == nil {
 			continue // acceptance compacted away or torn off; nothing to rebuild
 		}
 		// Only "job-<digits>" can collide with an id New issues.
-		if digits, ok := strings.CutPrefix(id, "job-"); ok {
+		if digits, ok := strings.CutPrefix(j.id, "job-"); ok {
 			if n, err := strconv.ParseUint(digits, 10, 64); err == nil && n > maxID {
 				maxID = n
 			}
 		}
-		if rj.result != nil {
+		j.trace = telemetry.NewSpanRecorder(s.clk.Now)
+		s.mu.Lock()
+		s.register(j)
+		s.mu.Unlock()
+		if j.state.Terminal() {
 			s.restoreTerminal(rj, in)
 		} else {
 			s.resumeJob(rj)
@@ -415,197 +390,82 @@ func (s *Server) replay() {
 	s.log.Info("jobstore replay complete", "jobs", len(order))
 }
 
-// restoreTerminal rebuilds a finished job read-only and re-seeds the result
-// cache from a done job's table.
+// restoreTerminal ends a replayed terminal job's history with its terminal
+// state event and re-seeds the result cache from a done job's table. Replay
+// never appends for a terminal job: the event it renders when the log lost
+// it is rendered again, identically, by every later restart.
 func (s *Server) restoreTerminal(rj *replayedJob, in *replayInterner) {
-	spec := rj.spec.spec
-	j := newJob(rj.id, spec, rj.created)
-	j.trace = telemetry.NewSpanRecorder(s.clk.Now)
+	j := rj.j
 	// A terminal job logs nothing more (every j.log call sits on a path a
 	// finished job never takes), so it gets no job-scoped logger of its own.
 	j.log = s.log
-	j.cacheDisp = rj.cache
-	res := rj.result
-	j.state = res.State
-	j.errMsg = res.Error
-	j.done, j.total = res.Done, res.Total
-	j.started, j.finished = res.Started, res.Finished
-	j.resources = res.res
-	if res.State == StateDone {
-		j.table = res.table
+	if !j.events.endsWithState(j.state) {
+		j.events.apply(event{name: "state", data: mustJSON(j.status())})
 	}
-	j.events.seed(rj.events)
 	j.events.close()
 	close(j.doneCh)
-
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-
-	if res.State == StateDone && s.cfg.Cache != nil && !spec.NoCache {
+	if j.state == StateDone && s.cfg.Cache != nil && !j.spec.NoCache {
 		s.cfg.Cache.Seed(in.entry(entryIdentity{
-			key: rj.spec.cacheKey(), table: res.table, res: res.res, done: res.Done, total: res.Total,
+			key: rj.spec.cacheKey(), table: j.table, res: j.resources, done: j.done, total: j.total,
 		}))
 	}
 }
 
 // resumeJob re-admits an interrupted job: completed legs keep their recorded
 // tables and resource deltas, pending legs go back to the scheduler, and the
-// deadline restarts from now.
+// deadline restarts from now. Cache admission re-runs in submission order,
+// without counting it (Readmit): an entry seeded by an earlier terminal job
+// finishes this one outright; otherwise the first live job of a fingerprint
+// leads and later ones re-coalesce — which is how a follower orphaned by its
+// leader's death gets re-led.
 func (s *Server) resumeJob(rj *replayedJob) {
-	spec := rj.spec.spec
-	j := newJob(rj.id, spec, rj.created)
-	j.trace = telemetry.NewSpanRecorder(s.clk.Now)
-	j.log = s.log.With("job", rj.id, "experiment", spec.Experiment)
-	j.events.seed(rj.events)
-	if s.cfg.Store != nil {
-		j.events.persist = func(ev event) {
-			s.appendRecord(jobstore.KindEvent, j.id, eventRecord{Name: ev.name, Data: ev.data})
-		}
+	j := rj.j
+	j.log = s.log.With("job", j.id, "experiment", j.spec.Experiment)
+	s.journalEvents(j)
+	if entry := s.admit(j, rj.spec.cacheKey, (*resultcache.Cache).Readmit); entry != nil {
+		s.finishFromEntry(j, entry)
+		j.log.Info("replayed job served from result cache", "key", entry.Key)
+		return
 	}
-
-	timeout := s.cfg.DefaultTimeout
-	if spec.TimeoutMS > 0 {
-		timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
-	}
-	s.armJob(j, timeout)
-
-	// Re-run cache admission in submission order, without counting it. An
-	// entry seeded by an earlier terminal job finishes this one outright;
-	// otherwise the first live job of a fingerprint leads and later ones
-	// re-coalesce — which is how a follower orphaned by its leader's death
-	// gets re-led.
-	if s.cfg.Cache != nil && !spec.NoCache {
-		entry, flight, leader := s.cfg.Cache.Readmit(rj.spec.cacheKey())
-		switch {
-		case entry != nil:
-			s.finishReplayedFromCache(j, entry)
-			return
-		case leader:
-			flight.SetLeaderTag(j.id)
-			j.flight = flight
-			j.cacheDisp = cacheMiss
-		default:
-			j.flight = flight
-			j.cacheDisp = cacheCoalesced
-		}
-	} else if spec.NoCache && s.cfg.Cache != nil {
-		j.cacheDisp = cacheBypass
-	}
-
+	s.armJob(j)
 	if j.cacheDisp == cacheCoalesced {
-		s.mu.Lock()
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.mu.Unlock()
-		j.flight.OnProgress(func(done, total int) {
-			j.mu.Lock()
-			if j.state.Terminal() {
-				j.mu.Unlock()
-				return
-			}
-			j.done, j.total = done, total
-			j.mu.Unlock()
-			j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
-		})
-		s.followers.Add(1)
-		go s.waitCoalesced(j)
+		s.follow(j)
 		j.log.Info("job replayed as coalesced follower", "leader", j.flight.LeaderTag())
 		return
 	}
-
-	legs, err := harness.JobLegs(spec.harnessJob())
+	legs, err := harness.JobLegs(j.spec.harnessJob())
 	if err != nil {
 		// The spec was valid when accepted; a failure here means the leg
 		// address space changed under the log. Fail the job explicitly.
-		s.registerReplayed(j)
-		s.failReplayed(j, fmt.Errorf("replay: leg count: %w", err))
+		s.finish(j, func(r *jobResult) {
+			r.State, r.Error = StateFailed, fmt.Sprintf("replay: leg count: %v", err)
+		})
 		return
 	}
-	j.initLegs(legs)
-	restored := 0
 	j.mu.Lock()
-	for idx, lr := range rj.legs {
-		if idx < 0 || idx >= legs {
+	j.legs = make([]legState, legs)
+	for _, l := range rj.legs {
+		if l.Leg < 0 || l.Leg >= legs || j.legs[l.Leg].status == legDone {
 			continue
 		}
-		j.legs[idx].status = legDone
-		j.legs[idx].table = &stats.Table{Header: lr.Header, Rows: lr.Rows}
-		j.legs[idx].res = lr.Resources
-		j.legsDone++
-		restored++
+		j.applyLeg(l.Leg, &stats.Table{Header: l.Header, Rows: l.Rows}, l.Resources)
 	}
-	allDone := j.legsDone == legs
+	restored := j.legsDone
+	j.enqueued = s.now()
 	j.mu.Unlock()
 
 	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	s.queued++
 	j.hasSlot = true
 	s.mu.Unlock()
-
-	j.mu.Lock()
-	j.enqueued = s.now()
-	j.mu.Unlock()
 	j.log.Info("job replayed; resuming", "legs", legs, "legs_restored", restored)
-	if allDone {
+	if restored == legs {
 		// Every leg finished but the terminal record was lost: only the
 		// merge remains.
 		s.finalize(j, nil)
 		return
 	}
 	s.sched.enqueue(j)
-}
-
-// finishReplayedFromCache finalizes a resumed job from a seeded cache entry.
-// Unlike finishFromCache it moves no admission metrics — a replayed job is
-// not a new submission.
-func (s *Server) finishReplayedFromCache(j *job, e *resultcache.Entry) {
-	var meta cachedMeta
-	if err := json.Unmarshal(e.Meta, &meta); err != nil {
-		j.log.Warn("cache entry metadata unreadable; serving result without resources", "error", err)
-	}
-	now := s.now()
-	j.mu.Lock()
-	j.state = StateDone
-	j.cacheDisp = cacheHit
-	j.table = e.Table
-	j.resources = meta.Resources
-	j.done, j.total = meta.Done, meta.Total
-	j.finished = now
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-	j.log.Info("replayed job served from result cache", "key", e.Key)
-	j.events.publish("progress", mustJSON(map[string]int{"done": meta.Done, "total": meta.Total}))
-	s.publishState(j)
-	s.persistResult(j)
-	j.events.close()
-	close(j.doneCh)
-}
-
-func (s *Server) registerReplayed(j *job) {
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-}
-
-func (s *Server) failReplayed(j *job, err error) {
-	now := s.now()
-	j.mu.Lock()
-	j.state = StateFailed
-	j.errMsg = err.Error()
-	j.finished = now
-	j.mu.Unlock()
-	s.persistResult(j)
-	s.publishState(j)
-	j.events.close()
-	close(j.doneCh)
 }
 
 // compactStore rewrites the durable log: state and leg records of terminal
@@ -630,8 +490,6 @@ func (s *Server) compactStore() (jobstore.Stats, error) {
 	if n := s.cfg.StoreRetain; n > 0 && len(terminalOrder) > n {
 		for _, id := range terminalOrder[:len(terminalOrder)-n] {
 			drop[id] = true
-		}
-		for _, id := range terminalOrder[:len(terminalOrder)-n] {
 			delete(s.jobs, id)
 		}
 		kept := s.order[:0]
@@ -645,18 +503,8 @@ func (s *Server) compactStore() (jobstore.Stats, error) {
 	s.mu.Unlock()
 
 	err := s.cfg.Store.Compact(func(r jobstore.Record) bool {
-		if drop[r.JobID] {
-			return false
-		}
-		if !terminal[r.JobID] {
-			return true
-		}
-		switch r.Kind {
-		case jobstore.KindAccepted, jobstore.KindEvent, jobstore.KindResult:
-			return true
-		default:
-			return false
-		}
+		readOnly := r.Kind == jobstore.KindAccepted || r.Kind == jobstore.KindEvent || r.Kind == jobstore.KindResult
+		return !drop[r.JobID] && (!terminal[r.JobID] || readOnly)
 	})
 	if err != nil {
 		return jobstore.Stats{}, err

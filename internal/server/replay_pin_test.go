@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +26,8 @@ import (
 // a run counter, so two runs of one spec (around a cache purge) report
 // different resources. The spec's Tenant — free-form and outside the cache
 // key — steers it: "fail" fails every leg, "hold" holds every leg until its
-// context ends, "hold1" holds every leg after the first.
+// context ends, "hold1" holds every leg after the first, and "retry" fails
+// the first leg's first run as a broken worker would (retryably).
 type pinExecutor struct {
 	runs *int
 }
@@ -34,6 +36,8 @@ func (e pinExecutor) runLeg(ctx context.Context, j *job, leg int) (*stats.Table,
 	switch {
 	case j.spec.Tenant == "fail":
 		return nil, JobResources{}, errors.New("pin: injected leg failure")
+	case j.spec.Tenant == "retry" && leg == 0 && j.status().Attempt == 0:
+		return nil, JobResources{}, retryableError{errors.New("pin: injected worker failure")}
 	case j.spec.Tenant == "hold", j.spec.Tenant == "hold1" && leg > 0:
 		<-ctx.Done()
 		return nil, JobResources{}, context.Cause(ctx)
@@ -61,9 +65,30 @@ func pinSpec(pairs ...string) Spec {
 // first leg with a coalesced follower attached. One hit's result record is
 // dropped, so replay resumes that job and finishes it from the cache.
 func pinHistory(t *testing.T) jobstore.Store {
+	return journalPinHistory(t, false)
+}
+
+// armedClock is a fake clock that reports the delay of every timer it arms,
+// so a test advances past a retry's backoff only once the retry is armed.
+type armedClock struct {
+	*clock.Fake
+	armed chan time.Duration
+}
+
+func (c armedClock) AfterFunc(d time.Duration, f func()) clock.WallTimer {
+	tm := c.Fake.AfterFunc(d, f)
+	c.armed <- d
+	return tm
+}
+
+// journalPinHistory is pinHistory, with two more cases when crashCases is
+// set: a job whose first leg ran twice (attempt 1), and a purge followed by
+// a new leader for a spec the log holds done, which the crash leaves queued.
+func journalPinHistory(t *testing.T, crashCases bool) jobstore.Store {
 	t.Helper()
 	store := jobstore.NewMem()
-	fake := clock.NewFake(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	// The history arms one timer, the retry's backoff.
+	fake := armedClock{clock.NewFake(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)), make(chan time.Duration, 1)}
 	s, ts := crashServer(t, Config{Workers: 0, Cache: resultcache.New(), Store: store, Clock: fake})
 	runs := 0
 	s.workers.Add(1)
@@ -126,14 +151,18 @@ func pinHistory(t *testing.T) jobstore.Store {
 	finish(step(b, "miss"), StateDone)
 	lostResult := step(a, "hit")
 	finish(lostResult, StateDone)
+	purge := func() {
+		t.Helper()
+		fake.Advance(time.Second)
+		resp, err := http.DefaultClient.Do(mustRequest(t, http.MethodDelete, ts.URL+"/v1/cache"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
 	// A purge makes the next submission of a re-run: same key, new
 	// resources.
-	fake.Advance(time.Second)
-	resp, err := http.DefaultClient.Do(mustRequest(t, http.MethodDelete, ts.URL+"/v1/cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	purge()
 	finish(step(a, "miss"), StateDone)
 	finish(step(b, "miss"), StateDone)
 	finish(step(c, "miss"), StateDone)
@@ -149,7 +178,7 @@ func pinHistory(t *testing.T) jobstore.Store {
 	cancelled := step(held, "miss")
 	waitRecord(cancelled, event("state", `"state":"running"`))
 	fake.Advance(time.Second)
-	resp, err = http.DefaultClient.Do(mustRequest(t, http.MethodDelete, ts.URL+"/v1/jobs/"+cancelled))
+	resp, err := http.DefaultClient.Do(mustRequest(t, http.MethodDelete, ts.URL+"/v1/jobs/"+cancelled))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +189,22 @@ func pinHistory(t *testing.T) jobstore.Store {
 	bypass.NoCache = true
 	finish(step(bypass, "bypass"), StateDone)
 
+	if crashCases {
+		retried := pinSpec("2Xgobmk", "2Xlbm")
+		retried.Tenant = "retry"
+		id := step(retried, "miss")
+		select {
+		case backoff := <-fake.armed:
+			fake.Advance(backoff)
+		case <-time.After(time.Minute):
+			t.Fatalf("job %s: retry never armed", id)
+		}
+		finish(id, StateDone)
+		if st := jobByID(t, s, id).status(); st.Attempt != 1 {
+			t.Fatalf("retried job %s: attempt %d, want 1", id, st.Attempt)
+		}
+	}
+
 	resumed := pinSpec("2Xgobmk", "leslie+gobmk", "2Xlbm")
 	resumed.Tenant = "hold1"
 	leader := step(resumed, "miss")
@@ -168,6 +213,12 @@ func pinHistory(t *testing.T) jobstore.Store {
 	follower.Tenant = "other"
 	step(follower, "coalesced")
 	finish(step(b, "hit"), StateDone)
+	if crashCases {
+		// The held leg blocks the one executor, so this leader stays
+		// queued; a restart finds its spec's result in the log.
+		purge()
+		step(c, "miss")
+	}
 	store.Freeze()
 	// Unblock the held leg; the frozen log records none of it.
 	if resp, err := http.DefaultClient.Do(mustRequest(t, http.MethodDelete, ts.URL+"/v1/jobs/"+leader)); err == nil {
@@ -312,5 +363,101 @@ func TestReplayCountsNoAdmissions(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 0 || st.Coalesced != 0 {
 		t.Errorf("restart with no traffic counted admissions: hits=%d misses=%d coalesced=%d, want 0/0/0",
 			st.Hits, st.Misses, st.Coalesced)
+	}
+}
+
+// replayView renders what a client can read back from s without changing
+// it: the job list, and every job's status, result in all three formats and
+// SSE history.
+func replayView(s *Server) string {
+	var out bytes.Buffer
+	get := func(path string) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		fmt.Fprintf(&out, "== GET %s -> %d\n%s\n", path, rec.Code, rec.Body)
+	}
+	get("/v1/jobs")
+	s.mu.Lock()
+	ids := append([]string(nil), s.order...)
+	s.mu.Unlock()
+	for _, id := range ids {
+		get("/v1/jobs/" + id)
+		for _, format := range []string{"csv", "md", "json"} {
+			get("/v1/jobs/" + id + "/result?format=" + format)
+		}
+		s.mu.Lock()
+		hist, _, unsub := s.jobs[id].events.subscribe()
+		s.mu.Unlock()
+		unsub()
+		for _, ev := range hist {
+			fmt.Fprintf(&out, "event: %s\ndata: %s\n\n", ev.name, ev.data)
+		}
+	}
+	return out.String()
+}
+
+// TestReplayCrashPrefixes restarts on every prefix of a journaled history,
+// as a crash after each record would leave the log. At every cut:
+//
+//  1. every job that replays terminal ends its SSE history with a state
+//     event reading exactly the status the job serves, so a client that
+//     watched the stream and one that polls agree;
+//  2. replay is a fold of its own log: a second restart, over the log the
+//     first restarted server left, serves the same read-only view.
+func TestReplayCrashPrefixes(t *testing.T) {
+	var recs []jobstore.Record
+	journalPinHistory(t, true).Replay(func(r jobstore.Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	restart := func(log jobstore.Store) *Server {
+		s := New(Config{Workers: 0, Cache: resultcache.New(), Store: log,
+			Clock: clock.NewFake(time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC))})
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		t.Cleanup(func() { s.Drain(ctx) }) // hard-stops what replay re-queued
+		return s
+	}
+	for n := 0; n <= len(recs); n++ {
+		prefix := jobstore.NewMem()
+		for _, r := range recs[:n] {
+			prefix.Append(r)
+		}
+		at := "empty log"
+		if n > 0 {
+			at = fmt.Sprintf("cut after record %d (%s of %s)", n, recs[n-1].Kind, recs[n-1].JobID)
+		}
+		first := restart(prefix)
+		first.mu.Lock()
+		jobs := make([]*job, 0, len(first.order))
+		for _, id := range first.order {
+			jobs = append(jobs, first.jobs[id])
+		}
+		first.mu.Unlock()
+		for _, j := range jobs {
+			st := j.status()
+			if !st.State.Terminal() {
+				continue
+			}
+			hist, _, unsub := j.events.subscribe()
+			unsub()
+			if len(hist) == 0 || hist[len(hist)-1].name != "state" || string(hist[len(hist)-1].data) != string(mustJSON(st)) {
+				last := "no events"
+				if len(hist) > 0 {
+					last = fmt.Sprintf("%s %s", hist[len(hist)-1].name, hist[len(hist)-1].data)
+				}
+				t.Fatalf("%s: job %s replays %s, but its history ends with %s", at, j.id, st.State, last)
+			}
+		}
+		view := replayView(first)
+		if again := replayView(restart(copyStore(t, prefix, nil))); again != view {
+			a, b := strings.Split(view, "\n"), strings.Split(again, "\n")
+			for i := range a {
+				if i >= len(b) || a[i] != b[i] {
+					t.Fatalf("%s: second restart diverges at view line %d\nfirst:  %s\nsecond: %s", at, i+1, a[i], b[min(i, len(b)-1)])
+				}
+			}
+			t.Fatalf("%s: second restart's view is longer", at)
+		}
 	}
 }

@@ -22,13 +22,18 @@
 //
 // With a jobstore.Store configured, every admission, state transition,
 // SSE event, completed leg, and final result is appended to a
-// write-ahead log before it is acknowledged. On restart the coordinator
-// replays the log: terminal jobs come back with their exact result bytes
-// and full event history, interrupted jobs resume at their first
-// unfinished leg, and queued jobs re-enter the queue — clients polling a
-// job ID across a crash observe the same bytes they would have without
-// it. POST /v1/store/compact rewrites the log, keeping terminal jobs'
-// result records and dropping replayed-over intermediate state.
+// write-ahead log before the job applies it. On restart the coordinator
+// replays the log through the same apply functions: terminal jobs come
+// back with their exact result bytes and full event history, interrupted
+// jobs resume at their first unfinished leg, and queued jobs re-enter the
+// queue — clients polling a job ID across a crash observe the same bytes
+// they would have without it. A job's result record is the commit point
+// of its terminal transition: a crash before it leaves the job to resume,
+// a crash after it leaves the job terminal, its SSE history ending with
+// the terminal state event even when the crash took that event. Replay
+// appends nothing for a terminal job, so a second restart serves what the
+// first served. POST /v1/store/compact rewrites the log, keeping terminal
+// jobs' result records and dropping replayed-over intermediate state.
 //
 // When the queue is full the server answers 429 with Retry-After instead
 // of buffering unboundedly; when draining it answers 503. Progress
@@ -378,7 +383,6 @@ func (s *Server) markRunning(j *job) {
 	}
 	j.state = StateRunning
 	j.started = s.now()
-	j.wasRunning = true
 	started, enqueued := j.started, j.enqueued
 	j.mu.Unlock()
 	s.releaseQueueSlot(j)
@@ -386,7 +390,7 @@ func (s *Server) markRunning(j *job) {
 	s.metrics.jobsRunning.Store(s.running.Load())
 	j.trace.Lifecycle("queue-wait", enqueued, started, nil)
 	j.log.Info("job running", "queue_wait", started.Sub(enqueued))
-	s.persistState(j, StateRunning)
+	s.appendRecord(jobstore.KindState, j.id, stateRecord{State: StateRunning, At: started})
 	s.publishState(j)
 }
 
@@ -425,18 +429,11 @@ func (s *Server) runLeg(j *job, leg int, epoch uint64, ex legExecutor) {
 // the job re-enters the scheduler.
 func (s *Server) expireLease(j *job, leg int, epoch uint64, cancelRun context.CancelCauseFunc) {
 	j.mu.Lock()
-	if j.state.Terminal() || leg >= len(j.legs) {
+	if !j.leased(leg, epoch) {
 		j.mu.Unlock()
 		return
 	}
-	l := &j.legs[leg]
-	if l.status != legLeased || l.epoch != epoch {
-		j.mu.Unlock()
-		return
-	}
-	l.epoch++
-	l.status = legPending
-	j.attempt++
+	j.requeueLeg(leg)
 	j.mu.Unlock()
 	s.metrics.leasesExpired.Add(1)
 	j.log.Warn("leg lease expired; re-queueing", "leg", leg, "lease", s.cfg.LeaseTimeout)
@@ -450,26 +447,17 @@ func (s *Server) expireLease(j *job, leg int, epoch uint64, cancelRun context.Ca
 // would have been identical anyway. The last leg in triggers finalize.
 func (s *Server) completeLeg(j *job, leg int, epoch uint64, tab *stats.Table, res JobResources) {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if !j.leased(leg, epoch) {
 		j.mu.Unlock()
 		return
 	}
-	l := &j.legs[leg]
-	if l.status == legDone || l.epoch != epoch {
-		j.mu.Unlock()
-		return
-	}
-	l.status = legDone
-	l.table = tab
-	l.res = res
-	j.legsDone++
-	done, total := j.legsDone, len(j.legs)
-	j.done, j.total = done, total
+	s.appendRecord(jobstore.KindLeg, j.id, legRecord{Leg: leg, Header: tab.Header, Rows: tab.Rows, Resources: res})
+	j.applyLeg(leg, tab, res)
+	done, total := j.done, j.total
 	j.mu.Unlock()
 	s.metrics.legsCompleted.Add(1)
-	s.persistLeg(j, leg, tab, res)
 	// Progress is reported at leg granularity.
-	j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
+	j.publishProgress(done, total)
 	if j.flight != nil {
 		j.flight.Progress(done, total)
 	}
@@ -484,14 +472,9 @@ func (s *Server) completeLeg(j *job, leg int, epoch uint64, tab *stats.Table, re
 // ending — finalizes the job.
 func (s *Server) legError(j *job, leg int, epoch uint64, err error) {
 	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	l := &j.legs[leg]
-	if l.status != legLeased || l.epoch != epoch {
-		// The lease already expired and the leg was re-issued; this
-		// executor's failure is stale news.
+	if !j.leased(leg, epoch) {
+		// The job ended, or the lease expired and the leg was re-issued;
+		// this executor's failure is stale news.
 		j.mu.Unlock()
 		return
 	}
@@ -500,10 +483,8 @@ func (s *Server) legError(j *job, leg int, epoch uint64, err error) {
 		s.finalize(j, context.Cause(j.ctx))
 		return
 	}
-	if isRetryable(err) && !s.draining.Load() && int(l.epoch)+1 < s.cfg.maxLegAttempts() {
-		l.epoch++
-		l.status = legPending
-		j.attempt++
+	if isRetryable(err) && !s.draining.Load() && int(epoch)+1 < s.cfg.maxLegAttempts() {
+		j.requeueLeg(leg)
 		attempt := j.attempt
 		j.mu.Unlock()
 		s.metrics.legRetries.Add(1)
@@ -525,107 +506,193 @@ func (s *Server) legError(j *job, leg int, epoch uint64, err error) {
 	s.finalize(j, err)
 }
 
-// finalize drives the job to its terminal state exactly once: merge the leg
+// finalize ends a job that ran (or was to run) its legs: merge the leg
 // tables positionally, sum the per-leg resource accounts, resolve the
-// result-cache flight, persist the terminal record, close the SSE stream,
-// and settle the metrics. Safe to call from racing paths (last leg, cancel,
-// deadline, drain) — the first caller wins.
+// result-cache flight the job leads, and finish it. Safe to call from
+// racing paths (last leg, cancel, deadline, drain) — the first caller wins.
 func (s *Server) finalize(j *job, runErr error) {
 	runEnd := s.now()
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	started := j.started
-	if started.IsZero() {
-		started = runEnd
-	}
-	res := JobResources{}
-	parts := make([]*stats.Table, len(j.legs))
-	for i := range j.legs {
-		parts[i] = j.legs[i].table
-		res = res.add(j.legs[i].res)
-	}
-	var tab *stats.Table
-	var mergeErr error
-	if runErr == nil {
-		tab, mergeErr = harness.MergeLegTables(j.spec.harnessJob(), parts)
-	}
-	finished := s.now()
-	var (
-		state  State
-		errMsg string
-	)
-	switch cause := context.Cause(j.ctx); {
-	case runErr == nil && mergeErr == nil:
-		state = StateDone
-	case errors.Is(cause, errClientCancel) || errors.Is(cause, errDrainStop):
-		state, errMsg = StateCancelled, cause.Error()
-	case errors.Is(cause, context.DeadlineExceeded):
-		state, errMsg = StateFailed, cause.Error()
-	case mergeErr != nil:
-		state, errMsg = StateFailed, mergeErr.Error()
-	default:
-		state, errMsg = StateFailed, runErr.Error()
-	}
-	doneN, totalN := j.done, j.total
-	if j.flight != nil {
-		// Resolve the result-cache flight this job leads before the job
-		// turns terminal, so a resubmission that sees this job done hits
-		// the cache: publish the fully rendered result for future hits and
-		// current followers, or fail the followers with an error naming
-		// this job.
-		if state == StateDone {
+	started := runEnd
+	r, ok := s.finish(j, func(r *jobResult) {
+		res := JobResources{}
+		parts := make([]*stats.Table, len(j.legs))
+		for i := range j.legs {
+			parts[i] = j.legs[i].table
+			res = res.add(j.legs[i].res)
+		}
+		err := runErr
+		if err == nil {
+			r.table, err = harness.MergeLegTables(j.spec.harnessJob(), parts)
+		}
+		r.State, r.Error = terminalState(j.ctx, err)
+		r.res = &res
+		r.Finished = s.now()
+		if !r.Started.IsZero() {
+			started = r.Started
+		}
+		// The run span covers every leg execution; the render stage merges
+		// the slices. The five lifecycle stages tile the job's wall time.
+		j.trace.Lifecycle("run", started, runEnd, map[string]any{
+			"legs": res.Legs, "sim_cycles": res.SimCycles, "instructions": res.Instructions,
+		})
+		j.trace.Lifecycle("render", runEnd, r.Finished, nil)
+		if j.flight == nil {
+			return
+		}
+		// Resolve the flight before the job turns terminal, so a
+		// resubmission that sees this job done hits the cache: publish the
+		// fully rendered result for future hits and current followers, or
+		// fail the followers with an error naming this job.
+		if r.State == StateDone {
 			s.cfg.Cache.Complete(j.flight, &resultcache.Entry{
 				Key:      j.flight.Key(),
-				CSV:      []byte(tab.CSV()),
-				Markdown: []byte(tab.Markdown()),
-				Table:    tab,
-				Meta:     mustJSON(cachedMeta{Resources: &res, Done: doneN, Total: totalN}),
+				CSV:      []byte(r.table.CSV()),
+				Markdown: []byte(r.table.Markdown()),
+				Table:    r.table,
+				Meta:     mustJSON(cachedMeta{Resources: &res, Done: r.Done, Total: r.Total}),
 			}, nil)
 		} else {
 			s.cfg.Cache.Complete(j.flight, nil,
-				fmt.Errorf("leader job %s %s: %s", j.id, state, errMsg))
+				fmt.Errorf("leader job %s %s: %s", j.id, r.State, r.Error))
 		}
-	}
-	j.finished = finished
-	j.resources = &res
-	j.state, j.errMsg = state, errMsg
-	if state == StateDone {
-		j.table = tab
-	}
-	wasRunning := j.wasRunning
-	j.mu.Unlock()
-	s.releaseQueueSlot(j)
-
-	// The run span covers every leg execution; the render stage merges the
-	// slices and finalizes the result. The five lifecycle stages still tile
-	// the job's whole wall time from request arrival to finished.
-	j.trace.Lifecycle("run", started, runEnd, map[string]any{
-		"legs": res.Legs, "sim_cycles": res.SimCycles, "instructions": res.Instructions,
 	})
-	j.trace.Lifecycle("render", runEnd, finished, nil)
-	s.persistResult(j)
-	s.publishState(j)
-	j.events.close()
-
-	if wasRunning {
+	if !ok {
+		return
+	}
+	s.releaseQueueSlot(j)
+	if !r.Started.IsZero() { // markRunning counted the job as running
 		s.running.Add(-1)
 		s.metrics.jobsRunning.Store(s.running.Load())
 	}
-	s.metrics.finish(state, j.spec.Experiment, finished.Sub(started))
+	res := *r.res
+	s.metrics.finish(r.State, j.spec.Experiment, r.Finished.Sub(started))
 	s.metrics.addJob(res)
-	log := j.log.With("state", state, "duration", finished.Sub(started),
+	log := j.log.With("state", r.State, "duration", r.Finished.Sub(started),
 		"legs", res.Legs, "sim_cycles", res.SimCycles,
 		"pool_hits", res.PoolHits, "pool_misses", res.PoolMisses)
-	switch state {
+	switch r.State {
 	case StateDone:
 		log.Info("job finished")
 	default:
-		log.Warn("job finished", "error", errMsg)
+		log.Warn("job finished", "error", r.Error)
 	}
+}
+
+// terminalState maps how a job ended to its terminal state and error: no
+// error is done; a client cancel or a drain hard-stop (the context's cause)
+// is cancelled; a deadline or any other error is failed.
+func terminalState(ctx context.Context, err error) (State, string) {
+	switch cause := context.Cause(ctx); {
+	case err == nil:
+		return StateDone, ""
+	case errors.Is(cause, errClientCancel) || errors.Is(cause, errDrainStop):
+		return StateCancelled, cause.Error()
+	case errors.Is(cause, context.DeadlineExceeded):
+		return StateFailed, cause.Error()
+	default:
+		return StateFailed, err.Error()
+	}
+}
+
+// finish is the one terminal transition: every path that ends a job goes
+// through it, and the first caller wins. Under j.mu it builds the result
+// from the job as it stands, finished now, and lets outcome set the state
+// and whatever else ended the job. It appends the result record, the
+// commit point a restart replays, and applies it; only then does it publish
+// the terminal state event, end the SSE stream and close doneCh.
+func (s *Server) finish(j *job, outcome func(r *jobResult)) (jobResult, bool) {
+	j.mu.Lock()
+	if j.state.Terminal() {
+		j.mu.Unlock()
+		return jobResult{}, false
+	}
+	r := jobResult{resultHead: resultHead{
+		Cache: j.cacheDisp, Attempt: j.attempt, Done: j.done, Total: j.total,
+		Started: j.started, Finished: s.now(),
+	}}
+	outcome(&r)
+	if s.cfg.Store != nil {
+		rec := resultRecord{resultHead: r.resultHead, Res: r.res}
+		if r.State == StateDone && r.table != nil {
+			rec.Header, rec.Rows = r.table.Header, r.table.Rows
+		}
+		s.appendRecord(jobstore.KindResult, j.id, rec)
+	}
+	j.applyResult(&r)
+	j.mu.Unlock()
+	s.publishState(j)
+	j.events.close()
 	close(j.doneCh)
+	return r, true
+}
+
+// finishFromEntry finishes a job with a cached result: it publishes the
+// entry's progress, then turns the job done with the entry's table,
+// resources and progress — byte-identical to a cold run by the simulator's
+// determinism.
+func (s *Server) finishFromEntry(j *job, e *resultcache.Entry) (jobResult, bool) {
+	var meta cachedMeta
+	if err := json.Unmarshal(e.Meta, &meta); err != nil {
+		j.log.Warn("cache entry metadata unreadable; serving result without resources", "error", err)
+	}
+	j.publishProgress(meta.Done, meta.Total)
+	return s.finish(j, func(r *jobResult) {
+		r.State, r.table, r.res = StateDone, e.Table, meta.Resources
+		r.Done, r.Total = meta.Done, meta.Total
+	})
+}
+
+// register makes the job visible: found by id, listed in submission order.
+// Caller holds s.mu.
+func (s *Server) register(j *job) {
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+}
+
+// admit runs the job's result-cache admission and returns the cached entry
+// on a hit; otherwise the job leads a new flight for its key (miss) or
+// joins the one in progress (coalesced). resolve is the cache's Begin for a
+// new submission and Readmit for a replayed one, so only a submission moves
+// the admission counters. key is computed only when the cache is consulted.
+func (s *Server) admit(j *job, key func() string,
+	resolve func(*resultcache.Cache, string) (*resultcache.Entry, *resultcache.Flight, bool)) *resultcache.Entry {
+	switch {
+	case s.cfg.Cache == nil:
+		return nil
+	case j.spec.NoCache:
+		j.cacheDisp = cacheBypass
+		return nil
+	}
+	entry, flight, leader := resolve(s.cfg.Cache, key())
+	switch {
+	case entry != nil:
+		j.cacheDisp = cacheHit
+	case leader:
+		flight.SetLeaderTag(j.id)
+		j.flight, j.cacheDisp = flight, cacheMiss
+	default:
+		j.flight, j.cacheDisp = flight, cacheCoalesced
+	}
+	return entry
+}
+
+// follow attaches a coalesced job to its leader's flight: no queue slot and
+// no worker — the leader's flight resolves it. It still has its own
+// deadline timer and context, and mirrors the leader's progress onto its
+// own SSE stream. waitCoalesced is its sole finisher.
+func (s *Server) follow(j *job) {
+	j.flight.OnProgress(func(done, total int) {
+		j.mu.Lock()
+		if j.state.Terminal() {
+			j.mu.Unlock()
+			return
+		}
+		j.done, j.total = done, total
+		j.mu.Unlock()
+		j.publishProgress(done, total)
+	})
+	s.followers.Add(1)
+	go s.waitCoalesced(j)
 }
 
 // publishState emits the job's current Status as an SSE "state" event.
@@ -746,126 +813,98 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j.log = s.log.With("job", id, "experiment", spec.Experiment)
 	j.trace.Lifecycle("validate", reqStart, s.now(), map[string]any{"experiment": spec.Experiment})
 
-	// Result-cache admission. A hit finalizes the job immediately — the job
+	// Result-cache admission. A hit finishes the job immediately — the job
 	// still gets its own id, status, SSE history, and result endpoints, but
-	// no queue slot, worker, or deadline timer. A miss makes this job the
-	// leader of a singleflight; concurrent identical submissions become
-	// followers finalized from the leader's flight.
-	if s.cfg.Cache != nil {
-		if spec.NoCache {
-			j.cacheDisp = cacheBypass
-			s.metrics.cacheBypass.Add(1)
-		} else {
-			entry, flight, leader := s.cfg.Cache.Begin(spec.cacheKey())
-			switch {
-			case entry != nil:
-				s.finishFromCache(j, entry, reqStart)
-				w.Header().Set(cacheHeader, cacheHit)
-				writeJSON(w, http.StatusAccepted, j.status())
-				return
-			case leader:
-				flight.SetLeaderTag(id)
-				j.flight = flight
-				j.cacheDisp = cacheMiss
-			default:
-				j.flight = flight
-				j.cacheDisp = cacheCoalesced
-			}
-		}
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if spec.TimeoutMS > 0 {
-		timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
-	}
-	s.armJob(j, timeout)
-
-	if j.cacheDisp == cacheCoalesced {
+	// no queue slot, worker, deadline timer or simulation metric. A miss
+	// makes this job the leader of a singleflight; concurrent identical
+	// submissions become followers finished from the leader's flight.
+	entry := s.admit(j, spec.cacheKey, (*resultcache.Cache).Begin)
+	disp := j.cacheDisp
+	switch {
+	case entry != nil:
+		s.attachPersistence(j)
+		r, _ := s.finishFromEntry(j, entry)
 		s.mu.Lock()
-		s.jobs[id] = j
-		s.order = append(s.order, id)
+		s.register(j)
+		s.mu.Unlock()
+		j.trace.Lifecycle("cache-hit", reqStart, r.Finished, map[string]any{"key": entry.Key})
+		s.metrics.finish(StateDone, spec.Experiment, r.Finished.Sub(reqStart))
+		j.log.Info("job served from result cache", "key", entry.Key)
+	case disp == cacheCoalesced:
+		s.armJob(j)
+		s.mu.Lock()
+		s.register(j)
 		s.mu.Unlock()
 		s.attachPersistence(j)
-		// Follower: no queue slot and no worker — the leader's flight
-		// resolves this job. It still has its own deadline timer and
-		// context, and mirrors the leader's progress onto its own SSE
-		// stream. waitCoalesced is the sole finalizer.
-		j.flight.OnProgress(func(done, total int) {
-			j.mu.Lock()
-			if j.state.Terminal() {
-				j.mu.Unlock()
-				return
-			}
-			j.done, j.total = done, total
-			j.mu.Unlock()
-			j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
-		})
-		s.followers.Add(1)
-		go s.waitCoalesced(j)
-		s.metrics.jobsAccepted.Add(1)
+		s.follow(j)
 		j.log.Info("job coalesced onto in-flight simulation", "leader", j.flight.LeaderTag())
 		s.publishState(j)
-		w.Header().Set(cacheHeader, cacheCoalesced)
-		writeJSON(w, http.StatusAccepted, j.status())
-		return
-	}
-
-	validated := s.now()
-	// Admission-queue backpressure. The depth check and the registration
-	// are one critical section, so no rollback (and no rollback race with a
-	// concurrent submit) is possible: either the job is registered holding
-	// a slot, or it was never visible at all.
-	s.mu.Lock()
-	if s.queued >= s.cfg.queueDepth() {
-		depth := s.cfg.queueDepth()
-		s.mu.Unlock()
-		// Releases the deadline goroutine too: it selects on ctx.Done.
-		j.cancel(errors.New("rejected: queue full"))
-		if j.flight != nil {
-			// The leader of a flight never ran; fail its followers now
-			// rather than leaving them waiting on a simulation that will
-			// never start.
-			s.cfg.Cache.Complete(j.flight, nil,
-				fmt.Errorf("leader job %s rejected: queue full", id))
+	default:
+		if disp == cacheBypass {
+			s.metrics.cacheBypass.Add(1)
 		}
-		s.metrics.jobsRejected.Add(1)
-		j.log.Warn("job rejected: queue full", "queue_depth", depth, "retry_after_s", s.cfg.retryAfter())
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfter()))
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("admission queue full (%d queued); retry later", depth))
-		return
-	}
-	s.queued++
-	j.hasSlot = true
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	queueLen := s.queued
-	s.mu.Unlock()
+		timeout := s.armJob(j)
+		validated := s.now()
+		// Admission-queue backpressure. The depth check and the
+		// registration are one critical section, so no rollback (and no
+		// rollback race with a concurrent submit) is possible: either the
+		// job is registered holding a slot, or it was never visible at all.
+		s.mu.Lock()
+		if s.queued >= s.cfg.queueDepth() {
+			depth := s.cfg.queueDepth()
+			s.mu.Unlock()
+			// Releases the deadline goroutine too: it selects on ctx.Done.
+			j.cancel(errors.New("rejected: queue full"))
+			if j.flight != nil {
+				// The leader of a flight never ran; fail its followers now
+				// rather than leaving them waiting on a simulation that will
+				// never start.
+				s.cfg.Cache.Complete(j.flight, nil,
+					fmt.Errorf("leader job %s rejected: queue full", id))
+			}
+			s.metrics.jobsRejected.Add(1)
+			j.log.Warn("job rejected: queue full", "queue_depth", depth, "retry_after_s", s.cfg.retryAfter())
+			w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfter()))
+			writeError(w, http.StatusTooManyRequests,
+				fmt.Errorf("admission queue full (%d queued); retry later", depth))
+			return
+		}
+		s.queued++
+		j.hasSlot = true
+		s.register(j)
+		queueLen := s.queued
+		s.mu.Unlock()
 
-	j.initLegs(legs)
-	s.attachPersistence(j)
-	enqueued := s.now()
-	j.mu.Lock()
-	j.enqueued = enqueued
-	j.mu.Unlock()
-	j.trace.Lifecycle("enqueue", validated, enqueued, nil)
+		j.initLegs(legs)
+		s.attachPersistence(j)
+		enqueued := s.now()
+		j.mu.Lock()
+		j.enqueued = enqueued
+		j.mu.Unlock()
+		j.trace.Lifecycle("enqueue", validated, enqueued, nil)
+		j.log.Info("job accepted", "queue_len", queueLen, "timeout", timeout, "legs", legs, "priority", j.priority)
+		s.publishState(j)
+		s.sched.enqueue(j)
+	}
 	s.metrics.jobsAccepted.Add(1)
-	j.log.Info("job accepted", "queue_len", queueLen, "timeout", timeout, "legs", legs, "priority", j.priority)
-	s.publishState(j)
-	s.sched.enqueue(j)
-	if j.cacheDisp != "" {
-		w.Header().Set(cacheHeader, j.cacheDisp)
+	if disp != "" {
+		w.Header().Set(cacheHeader, disp)
 	}
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
-// armJob creates the job's cancellable context and, when timeout is
-// positive, its deadline. The deadline is a clock timer, not
+// armJob creates the job's cancellable context and, when the job has a
+// timeout (its spec's, else the server's default), its deadline, and
+// returns the timeout. The deadline is a clock timer, not
 // context.WithDeadline, so a fake clock can expire it deterministically;
 // context.Cause still reads DeadlineExceeded. The timer is released when
 // the job finishes — or, for a job rejected at admission (whose doneCh
 // never closes), when the rejection path cancels the context.
-func (s *Server) armJob(j *job, timeout time.Duration) {
+func (s *Server) armJob(j *job) time.Duration {
+	timeout := s.cfg.DefaultTimeout
+	if j.spec.TimeoutMS > 0 {
+		timeout = time.Duration(j.spec.TimeoutMS) * time.Millisecond
+	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	j.ctx, j.cancel = ctx, cancel
 	if timeout > 0 {
@@ -882,49 +921,12 @@ func (s *Server) armJob(j *job, timeout time.Duration) {
 			timer.Stop()
 		}()
 	}
+	return timeout
 }
 
-// finishFromCache finalizes a submission straight from a cache entry: the
-// job goes directly to done with the cached table, rendered bytes, resource
-// snapshot, and progress totals — byte-identical to a cold run by the
-// simulator's determinism. The only lifecycle stage after validate is a
-// single "cache-hit" span; none of the simulation metrics (legs, sim cycles,
-// pool counters) move, which is the observable proof nothing was simulated.
-func (s *Server) finishFromCache(j *job, e *resultcache.Entry, reqStart time.Time) {
-	var meta cachedMeta
-	if err := json.Unmarshal(e.Meta, &meta); err != nil {
-		j.log.Warn("cache entry metadata unreadable; serving result without resources", "error", err)
-	}
-	now := s.now()
-	j.mu.Lock()
-	j.state = StateDone
-	j.cacheDisp = cacheHit
-	j.table = e.Table
-	j.resources = meta.Resources
-	j.done, j.total = meta.Done, meta.Total
-	j.finished = now
-	j.mu.Unlock()
-	j.trace.Lifecycle("cache-hit", reqStart, now, map[string]any{"key": e.Key})
-
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-	s.attachPersistence(j)
-
-	s.metrics.jobsAccepted.Add(1)
-	s.metrics.finish(StateDone, j.spec.Experiment, now.Sub(reqStart))
-	j.log.Info("job served from result cache", "key", e.Key)
-	j.events.publish("progress", mustJSON(map[string]int{"done": meta.Done, "total": meta.Total}))
-	s.publishState(j)
-	s.persistResult(j)
-	j.events.close()
-	close(j.doneCh)
-}
-
-// waitCoalesced finalizes a follower job when its leader's flight resolves
+// waitCoalesced finishes a follower job when its leader's flight resolves
 // or its own context ends (deadline, client cancel, drain hard-stop),
-// whichever comes first. It is the follower's sole finalizer — the cancel
+// whichever comes first. It is the follower's sole finisher — the cancel
 // handler only cancels the context and lets this goroutine observe it — so
 // the terminal transition happens exactly once.
 func (s *Server) waitCoalesced(j *job) {
@@ -939,55 +941,28 @@ func (s *Server) waitCoalesced(j *job) {
 		flightErr = context.Cause(j.ctx)
 	}
 
-	now := s.now()
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
+	var r jobResult
+	var ok bool
+	if entry != nil && flightErr == nil {
+		r, ok = s.finishFromEntry(j, entry)
+	} else {
+		err := fmt.Errorf("coalesced onto job %s, which did not complete: %v", j.flight.LeaderTag(), flightErr)
+		r, ok = s.finish(j, func(r *jobResult) { r.State, r.Error = terminalState(j.ctx, err) })
+	}
+	if !ok {
 		return
 	}
-	var meta cachedMeta
-	switch cause := context.Cause(j.ctx); {
-	case entry != nil && flightErr == nil:
-		if err := json.Unmarshal(entry.Meta, &meta); err != nil {
-			j.log.Warn("cache entry metadata unreadable; serving result without resources", "error", err)
-		}
-		j.state = StateDone
-		j.table = entry.Table
-		j.resources = meta.Resources
-		j.done, j.total = meta.Done, meta.Total
-	case errors.Is(cause, errClientCancel) || errors.Is(cause, errDrainStop):
-		j.state = StateCancelled
-		j.errMsg = cause.Error()
-	case errors.Is(cause, context.DeadlineExceeded):
-		j.state = StateFailed
-		j.errMsg = cause.Error()
-	default:
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("coalesced onto job %s, which did not complete: %v",
-			j.flight.LeaderTag(), flightErr)
-	}
-	j.finished = now
-	state, errMsg := j.state, j.errMsg
-	j.mu.Unlock()
-
-	j.trace.Lifecycle("coalesced-wait", waitStart, now,
+	j.trace.Lifecycle("coalesced-wait", waitStart, r.Finished,
 		map[string]any{"leader": j.flight.LeaderTag(), "key": j.flight.Key()})
-	if state == StateDone {
-		j.events.publish("progress", mustJSON(map[string]int{"done": meta.Done, "total": meta.Total}))
-	}
-	s.persistResult(j)
-	s.publishState(j)
-	j.events.close()
 	// No addJob: this job consumed no simulation resources of its own.
-	s.metrics.finish(state, j.spec.Experiment, now.Sub(waitStart))
-	log := j.log.With("state", state, "leader", j.flight.LeaderTag(), "wait", now.Sub(waitStart))
-	switch state {
+	s.metrics.finish(r.State, j.spec.Experiment, r.Finished.Sub(waitStart))
+	log := j.log.With("state", r.State, "leader", j.flight.LeaderTag(), "wait", r.Finished.Sub(waitStart))
+	switch r.State {
 	case StateDone:
 		log.Info("coalesced job finished")
 	default:
-		log.Warn("coalesced job finished", "error", errMsg)
+		log.Warn("coalesced job finished", "error", r.Error)
 	}
-	close(j.doneCh)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -1064,46 +1039,19 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	switch {
-	case j.state.Terminal():
-		st := j.statusLocked()
-		j.mu.Unlock()
+	st := j.status()
+	if st.State.Terminal() {
 		writeJSON(w, http.StatusConflict, st)
 		return
-	case j.state == StateQueued && j.cacheDisp == cacheCoalesced:
-		// Coalesced follower: cancel the context and let waitCoalesced —
-		// the follower's sole finalizer — observe it; finalizing inline
-		// here would race it.
-		j.mu.Unlock()
-		j.cancel(errClientCancel)
-		j.trace.Instant("cancel", s.now(), map[string]any{"while": "coalesced"})
-		j.log.Info("coalesced job cancel requested")
-	case j.state == StateQueued:
-		// Not yet picked up: mark terminal here; the worker skips it.
-		j.state = StateCancelled
-		j.errMsg = errClientCancel.Error()
-		j.finished = s.now()
-		j.mu.Unlock()
-		s.releaseQueueSlot(j)
-		j.cancel(errClientCancel)
-		if j.flight != nil {
-			// A flight whose leader never ran: fail the followers now.
-			s.cfg.Cache.Complete(j.flight, nil,
-				fmt.Errorf("leader job %s cancelled while queued", j.id))
-		}
-		j.trace.Instant("cancel", s.now(), map[string]any{"while": "queued"})
-		j.log.Info("job cancelled while queued")
-		s.metrics.finish(StateCancelled, j.spec.Experiment, 0)
-		s.persistResult(j)
-		s.publishState(j)
-		j.events.close()
-		close(j.doneCh)
-	default: // running: the worker observes the context and finalizes.
-		j.mu.Unlock()
-		j.cancel(errClientCancel)
-		j.trace.Instant("cancel", s.now(), map[string]any{"while": "running"})
-		j.log.Info("job cancel requested while running")
+	}
+	j.cancel(errClientCancel)
+	j.trace.Instant("cancel", s.now(), map[string]any{"while": st.State})
+	j.log.Info("job cancel requested", "state", st.State)
+	// A running job's worker, and a coalesced follower's waitCoalesced,
+	// observe the cancelled context and finish the job. A job still waiting
+	// for the scheduler is finished here, and the scheduler skips it.
+	if st.State == StateQueued && st.Cache != cacheCoalesced {
+		s.finalize(j, errClientCancel)
 	}
 	writeJSON(w, http.StatusAccepted, j.status())
 }
@@ -1156,7 +1104,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	tab, err := j.result()
+	tab, res, err := j.result()
 	if err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
@@ -1173,7 +1121,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			"id":        j.id,
 			"header":    tab.Header,
 			"rows":      tab.Rows,
-			"resources": j.resourcesSnapshot(),
+			"resources": res,
 		})
 	default:
 		writeError(w, http.StatusBadRequest,
