@@ -53,11 +53,23 @@ type Disk struct {
 	actSeq  int
 	closed  bool
 	stats   Stats
+	// opened holds the frames Open read, so that the startup Replay and
+	// Compact do not read the log again. The first Append, Compact or Close
+	// drops it; from then on both read the segments from disk.
+	opened []frame
+}
+
+// frame is one record as a segment holds it: decoded, and its raw framed
+// bytes, which compaction copies verbatim.
+type frame struct {
+	rec Record
+	raw []byte
 }
 
 // Open opens (creating if necessary) the log directory and recovers the
 // active segment, truncating a torn tail if the last writer crashed
-// mid-append.
+// mid-append. It reads every segment once and keeps the frames it read for
+// the startup Replay and Compact.
 func Open(dir string, opts DiskOptions) (*Disk, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
@@ -70,11 +82,13 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Scan every segment to count live records and repair the tail.
+	// Read every segment, keeping its frames, and repair the tail.
 	for i, seg := range segs {
 		final := i == len(segs)-1
-		n := 0
-		valid, err := walkSegment(seg, final, "jobstore", func(Record, []byte) error { n++; return nil })
+		valid, err := walkSegment(seg, final, "jobstore", func(r Record, raw []byte) error {
+			d.opened = append(d.opened, frame{rec: r, raw: raw})
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -87,9 +101,9 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 				return nil, fmt.Errorf("jobstore: truncate torn tail of %s: %w", seg, err)
 			}
 		}
-		d.stats.Records += uint64(n)
 		d.stats.Bytes += uint64(valid)
 	}
+	d.stats.Records = uint64(len(d.opened))
 	d.stats.Segments = uint64(len(segs))
 	if len(segs) == 0 {
 		d.actSeq = 0
@@ -167,8 +181,18 @@ func walkSegment(path string, final bool, prefix string, fn func(r Record, frame
 	return int64(off), nil
 }
 
-// walkLog walks every segment in order; only the last may have a torn tail.
-func walkLog(segs []string, prefix string, fn func(r Record, frame []byte) error) error {
+// walkLog calls fn with every live record and its frame: from opened, the
+// frames Open kept, when it is non-nil, else by reading segs in order, of
+// which only the last may have a torn tail.
+func walkLog(opened []frame, segs []string, prefix string, fn func(r Record, frame []byte) error) error {
+	if opened != nil {
+		for _, f := range opened {
+			if err := fn(f.rec, f.raw); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for i, seg := range segs {
 		if _, err := walkSegment(seg, i == len(segs)-1, prefix, fn); err != nil {
 			return err
@@ -190,6 +214,7 @@ func (d *Disk) Append(r Record) error {
 		d.stats.AppendErrors++
 		return ErrClosed
 	}
+	d.opened = nil
 	if d.actSize >= d.opts.SegmentBytes {
 		if err := d.rollLocked(); err != nil {
 			d.stats.AppendErrors++
@@ -233,12 +258,17 @@ func (d *Disk) rollLocked() error {
 
 func (d *Disk) Replay(fn func(r Record) error) error {
 	d.mu.Lock()
-	segs, err := d.segments()
+	opened := d.opened
+	var segs []string
+	var err error
+	if opened == nil {
+		segs, err = d.segments()
+	}
 	d.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return walkLog(segs, "jobstore", func(r Record, _ []byte) error { return fn(r) })
+	return walkLog(opened, segs, "jobstore", func(r Record, _ []byte) error { return fn(r) })
 }
 
 // Compact rewrites the log keeping only records keep approves. The surviving
@@ -253,6 +283,8 @@ func (d *Disk) Compact(keep func(r Record) bool) error {
 	if d.closed {
 		return ErrClosed
 	}
+	opened := d.opened
+	d.opened = nil
 	if err := d.active.Sync(); err != nil {
 		return err
 	}
@@ -273,7 +305,7 @@ func (d *Disk) Compact(keep func(r Record) bool) error {
 	w := bufio.NewWriterSize(tmp, 256<<10)
 	var kept uint64
 	var keptBytes int64
-	err = walkLog(segs, "jobstore: compact", func(r Record, frame []byte) error {
+	err = walkLog(opened, segs, "jobstore: compact", func(r Record, frame []byte) error {
 		if !keep(r) {
 			return nil
 		}
@@ -336,7 +368,7 @@ func (d *Disk) Close() error {
 	if d.closed {
 		return nil
 	}
-	d.closed = true
+	d.closed, d.opened = true, nil
 	if err := d.active.Sync(); err != nil {
 		d.active.Close()
 		return err

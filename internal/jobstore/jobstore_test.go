@@ -453,3 +453,130 @@ func TestDiskCorruptNonFinalSegment(t *testing.T) {
 		})
 	}
 }
+
+// TestDiskWalkOnce: Open reads the log once, and the startup Replay and
+// Compact reuse what it read. Right after Open both see exactly the
+// records and frames a fresh read of the repaired log sees, and neither
+// reads the disk again: a segment damaged after Open goes unnoticed. The
+// first Append drops what Open read, so the next Replay reads the disk,
+// finds the damage, and once it is undone includes the appended record.
+func TestDiskWalkOnce(t *testing.T) {
+	// build writes a three-segment log whose final frame is torn and
+	// returns what a fresh read of the repaired log holds.
+	build := func(t *testing.T) (dir string, want []Record, frames []byte) {
+		dir = t.TempDir()
+		d, err := Open(dir, DiskOptions{Sync: SyncNone, SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 13; i++ {
+			if err := d.Append(rec(KindEvent, fmt.Sprintf("job-%d", i%3), fmt.Sprintf(`{"seq":%d,"pad":"%s"}`, i, strings.Repeat("p", 48)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.Close()
+		segs, err := d.segments()
+		if err != nil || len(segs) < 3 {
+			t.Fatalf("segments %v (%v), want >= 3", segs, err)
+		}
+		last := segs[len(segs)-1]
+		fi, err := os.Stat(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(last, fi.Size()-3); err != nil {
+			t.Fatal(err)
+		}
+		for i, seg := range segs {
+			valid, err := walkSegment(seg, i == len(segs)-1, "fresh", func(r Record, frame []byte) error {
+				want = append(want, r)
+				frames = append(frames, frame...)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == len(segs)-1 && valid == fi.Size()-3 {
+				t.Fatal("the torn frame read as whole")
+			}
+		}
+		return dir, want, frames
+	}
+	damage := func(t *testing.T, dir string) (undo func()) {
+		seg := filepath.Join(dir, "wal-000000.log")
+		orig, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := append([]byte(nil), orig...)
+		bad[len(bad)/2] ^= 0xff
+		if err := os.WriteFile(seg, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if err := os.WriteFile(seg, orig, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("replay", func(t *testing.T) {
+		dir, want, _ := build(t)
+		d, err := Open(dir, DiskOptions{Sync: SyncNone, SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if got := d.Stats().Records; got != uint64(len(want)) {
+			t.Fatalf("Records = %d after Open, want %d", got, len(want))
+		}
+		undo := damage(t, dir)
+		for pass := 0; pass < 2; pass++ {
+			if got := collect(t, d); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Replay %d after Open: %d records, want the %d a fresh read sees", pass, len(got), len(want))
+			}
+		}
+		added := rec(KindState, "job-9", "after-open")
+		added.Version = RecordVersion
+		if err := d.Append(added); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Replay(func(Record) error { return nil }); err == nil {
+			t.Fatal("Replay after Append did not read the damaged segment")
+		}
+		undo()
+		if got := collect(t, d); !reflect.DeepEqual(got, append(want, added)) {
+			t.Fatalf("Replay after Append: %d records, want %d", len(got), len(want)+1)
+		}
+	})
+
+	t.Run("compact", func(t *testing.T) {
+		dir, want, frames := build(t)
+		d, err := Open(dir, DiskOptions{Sync: SyncNone, SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		damage(t, dir)
+		var seen []Record
+		if err := d.Compact(func(r Record) bool { seen = append(seen, r); return true }); err != nil {
+			t.Fatalf("Compact after Open read the disk again: %v", err)
+		}
+		if !reflect.DeepEqual(seen, want) {
+			t.Fatalf("Compact after Open saw %d records, want the %d a fresh read sees", len(seen), len(want))
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "wal-000000.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, frames) {
+			t.Fatalf("compacted log is %d bytes, want the %d bytes of frames a fresh read sees", len(got), len(frames))
+		}
+		if segs, _ := d.segments(); len(segs) != 1 {
+			t.Fatalf("compacted log has %d segments, want 1", len(segs))
+		}
+		if got := collect(t, d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Replay after Compact: %d records, want %d", len(got), len(want))
+		}
+	})
+}

@@ -61,7 +61,7 @@ func FuzzReplay(f *testing.F) {
 	done := Status{ID: "job-000001", State: StateDone, Experiment: spec.Experiment, Cache: cacheMiss,
 		Tenant: "default", Priority: "normal", Done: 1, Total: 1, Created: at, Finished: &at}
 	accepted := jobstore.Record{Kind: jobstore.KindAccepted, JobID: done.ID,
-		Payload: mustJSON(acceptedRecord{Spec: spec, Created: at, Cache: cacheMiss, Legs: 1})}
+		Payload: mustJSON(acceptedRecord{Spec: spec, Created: at, Cache: cacheMiss})}
 	state := jobstore.Record{Kind: jobstore.KindState, JobID: done.ID,
 		Payload: mustJSON(stateRecord{State: StateRunning, At: at})}
 	ev := jobstore.Record{Kind: jobstore.KindEvent, JobID: done.ID,

@@ -58,6 +58,9 @@ type metrics struct {
 	storeSegments     atomic.Int64
 	storeCompactions  atomic.Uint64
 	storeAppendErrors atomic.Uint64
+	// replayTime is how long startup replay and compaction took on the
+	// server's clock. New sets it before any request can read it.
+	replayTime time.Duration
 
 	mu           sync.Mutex
 	finished     map[State]int64
@@ -159,6 +162,8 @@ func (m *metrics) render(cs resultcache.Stats) string {
 	gauge("timecache_jobstore_segments", "Log segments in the job store.", m.storeSegments.Load())
 	counter("timecache_jobstore_compactions_total", "Job-store compactions performed.", m.storeCompactions.Load())
 	counter("timecache_jobstore_append_errors_total", "Job-store appends that failed (job proceeded without durability).", m.storeAppendErrors.Load())
+	fmt.Fprintf(&b, "# HELP %[1]s %[2]s\n# TYPE %[1]s gauge\n%[1]s %[3]g\n", "timecache_jobstore_replay_seconds",
+		"Seconds startup replay and compaction of the job store took.", m.replayTime.Seconds())
 
 	counter("timecache_job_legs_total", "Machine runs (experiment legs) dispatched by finished jobs.", res.Legs)
 	counter("timecache_sim_cycles_total", "Simulated cycles executed by finished jobs.", res.SimCycles)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -25,7 +26,6 @@ type acceptedRecord struct {
 	Spec    Spec      `json:"spec"`
 	Created time.Time `json:"created"`
 	Cache   string    `json:"cache,omitempty"`
-	Legs    int       `json:"legs"`
 }
 
 type stateRecord struct {
@@ -98,7 +98,7 @@ func (s *Server) attachPersistence(j *job) {
 		return
 	}
 	j.mu.Lock()
-	rec := acceptedRecord{Spec: j.spec, Created: j.created, Cache: j.cacheDisp, Legs: len(j.legs)}
+	rec := acceptedRecord{Spec: j.spec, Created: j.created, Cache: j.cacheDisp}
 	j.mu.Unlock()
 	s.appendRecord(jobstore.KindAccepted, j.id, rec)
 	s.journalEvents(j)
@@ -113,41 +113,6 @@ func (s *Server) journalEvents(j *job) {
 	j.events.persist = func(ev event) {
 		s.appendRecord(jobstore.KindEvent, j.id, eventRecord{Name: ev.name, Data: ev.data})
 	}
-}
-
-// rawJSON holds one JSON value undecoded. Unlike json.RawMessage it does
-// not copy: json.Unmarshal hands UnmarshalJSON a slice of its own input,
-// which in replay is a record payload (immutable, see jobstore.Record), so
-// the value stays valid for as long as replay holds it.
-type rawJSON []byte
-
-func (r *rawJSON) UnmarshalJSON(b []byte) error {
-	*r = b
-	return nil
-}
-
-// unmarshalPresent decodes raw into v unless the field was absent.
-func unmarshalPresent(raw rawJSON, v any) error {
-	if len(raw) == 0 {
-		return nil
-	}
-	return json.Unmarshal(raw, v)
-}
-
-// acceptedReplay and resultReplay read acceptedRecord and resultRecord with
-// the spec, table and resource account left undecoded, so replay decodes
-// each distinct one once (replayInterner).
-type acceptedReplay struct {
-	Spec    rawJSON   `json:"spec"`
-	Created time.Time `json:"created"`
-	Cache   string    `json:"cache,omitempty"`
-}
-
-type resultReplay struct {
-	resultHead
-	Header rawJSON `json:"header,omitempty"`
-	Rows   rawJSON `json:"rows,omitempty"`
-	Res    rawJSON `json:"resources,omitempty"`
 }
 
 // replayedSpec is one distinct accepted spec and its cache key, computed on
@@ -206,12 +171,12 @@ func newReplayInterner() *replayInterner {
 	}
 }
 
-func (in *replayInterner) spec(raw rawJSON) (*replayedSpec, error) {
+func (in *replayInterner) spec(raw []byte) (*replayedSpec, error) {
 	if rs, ok := in.specs[string(raw)]; ok {
 		return rs, nil
 	}
 	rs := &replayedSpec{}
-	if err := unmarshalPresent(raw, &rs.spec); err != nil {
+	if err := json.Unmarshal(raw, &rs.spec); err != nil {
 		return nil, err
 	}
 	in.specs[string(raw)] = rs
@@ -220,45 +185,120 @@ func (in *replayInterner) spec(raw rawJSON) (*replayedSpec, error) {
 
 // table interns a result table by its header and rows bytes. JSON text
 // holds no raw NUL, so the separator keeps the key unambiguous.
-func (in *replayInterner) table(header, rows rawJSON) (*stats.Table, error) {
+func (in *replayInterner) table(header, rows []byte) (*stats.Table, error) {
 	in.key = append(append(append(in.key[:0], header...), 0), rows...)
 	if t, ok := in.tables[string(in.key)]; ok {
 		return t, nil
 	}
 	t := &stats.Table{}
-	if err := unmarshalPresent(header, &t.Header); err != nil {
+	if err := json.Unmarshal(header, &t.Header); err != nil {
 		return nil, err
 	}
-	if err := unmarshalPresent(rows, &t.Rows); err != nil {
+	if err := json.Unmarshal(rows, &t.Rows); err != nil {
 		return nil, err
 	}
 	in.tables[string(in.key)] = t
 	return t, nil
 }
 
-func (in *replayInterner) resources(raw rawJSON) (*JobResources, error) {
+func (in *replayInterner) resources(raw []byte) (*JobResources, error) {
 	if r, ok := in.res[string(raw)]; ok {
 		return r, nil
 	}
 	var r *JobResources
-	if err := unmarshalPresent(raw, &r); err != nil {
+	if err := json.Unmarshal(raw, &r); err != nil {
 		return nil, err
 	}
 	in.res[string(raw)] = r
 	return r, nil
 }
 
+// Replay decodes each record kind at one site, in one pass over its
+// payload (walkObject): the per-job scalars are decoded from their value
+// extents, the spec, table and resource account are interned by their
+// bytes, and a member the record kind does not name is skipped. A member
+// that appears twice takes its last value, as in encoding/json. An absent
+// spec, table or resource account reads as null, which decodes to the zero
+// value.
+
+// jsonNull is the value of an absent member.
+var jsonNull = []byte("null")
+
+// accepted decodes an acceptedRecord.
+func (in *replayInterner) accepted(payload []byte) (rs *replayedSpec, created time.Time, cache string, err error) {
+	spec := jsonNull
+	err = walkObject(payload, func(key, val []byte) error {
+		switch string(key) {
+		case "spec":
+			spec = val
+		case "created":
+			return created.UnmarshalJSON(val)
+		case "cache":
+			return decodeString(val, &cache)
+		}
+		return nil
+	})
+	if err == nil {
+		rs, err = in.spec(spec)
+	}
+	return rs, created, cache, err
+}
+
+// decodeEvent decodes an eventRecord. Its data is copied, so the job's
+// history does not hold the log's buffers.
+func decodeEvent(payload []byte) (ev event, err error) {
+	var data []byte
+	err = walkObject(payload, func(key, val []byte) error {
+		switch string(key) {
+		case "name":
+			return decodeString(val, &ev.name)
+		case "data":
+			data = val
+		}
+		return nil
+	})
+	ev.data = bytes.Clone(data)
+	return ev, err
+}
+
+// result decodes a resultRecord.
 func (in *replayInterner) result(payload []byte) (*jobResult, error) {
-	var raw resultReplay
-	if err := json.Unmarshal(payload, &raw); err != nil {
+	rr := &jobResult{}
+	header, rows, res := jsonNull, jsonNull, jsonNull
+	err := walkObject(payload, func(key, val []byte) error {
+		switch string(key) {
+		case "state":
+			return decodeString(val, (*string)(&rr.State))
+		case "error":
+			return decodeString(val, &rr.Error)
+		case "cache":
+			return decodeString(val, &rr.Cache)
+		case "attempt":
+			return decodeInt(val, &rr.Attempt)
+		case "done":
+			return decodeInt(val, &rr.Done)
+		case "total":
+			return decodeInt(val, &rr.Total)
+		case "started":
+			return rr.Started.UnmarshalJSON(val)
+		case "finished":
+			return rr.Finished.UnmarshalJSON(val)
+		case "header":
+			header = val
+		case "rows":
+			rows = val
+		case "resources":
+			res = val
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	rr := &jobResult{resultHead: raw.resultHead}
-	var err error
-	if rr.table, err = in.table(raw.Header, raw.Rows); err != nil {
+	if rr.table, err = in.table(header, rows); err != nil {
 		return nil, err
 	}
-	if rr.res, err = in.resources(raw.Res); err != nil {
+	if rr.res, err = in.resources(res); err != nil {
 		return nil, err
 	}
 	return rr, nil
@@ -299,9 +339,6 @@ func (in *replayInterner) entry(id entryIdentity) *resultcache.Entry {
 // Work is done per distinct value, not per job (replayInterner): a restart
 // over thousands of repeats decodes and renders each distinct result once.
 func (s *Server) replay() {
-	if s.cfg.Store == nil {
-		return
-	}
 	in := newReplayInterner()
 	byID := map[string]*replayedJob{}
 	var order []*replayedJob
@@ -314,21 +351,18 @@ func (s *Server) replay() {
 		}
 		switch r.Kind {
 		case jobstore.KindAccepted:
-			var a acceptedReplay
-			err := json.Unmarshal(r.Payload, &a)
-			if err == nil {
-				rj.spec, err = in.spec(a.Spec)
-			}
+			rs, created, cache, err := in.accepted(r.Payload)
 			if err != nil {
 				return fmt.Errorf("job %s accepted record: %w", r.JobID, err)
 			}
-			rj.j.applyAccepted(rj.spec.spec, a.Created, a.Cache)
+			rj.spec = rs
+			rj.j.applyAccepted(rs.spec, created, cache)
 		case jobstore.KindEvent:
-			var e eventRecord
-			if err := json.Unmarshal(r.Payload, &e); err != nil {
+			ev, err := decodeEvent(r.Payload)
+			if err != nil {
 				return fmt.Errorf("job %s event record: %w", r.JobID, err)
 			}
-			rj.j.events.apply(event{name: e.Name, data: e.Data})
+			rj.j.events.apply(ev)
 		case jobstore.KindLeg:
 			rj.rawLegs = append(rj.rawLegs, r.Payload)
 		case jobstore.KindResult:

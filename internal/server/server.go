@@ -263,11 +263,13 @@ func New(cfg Config) *Server {
 	// single-threaded, and resumed jobs are already queued when the first
 	// executor wakes. Startup compaction then drops the dead weight the
 	// previous process accumulated.
-	s.replay()
 	if cfg.Store != nil {
+		t0 := s.now()
+		s.replay()
 		if _, err := s.compactStore(); err != nil {
 			s.log.Warn("startup compaction failed", "error", err)
 		}
+		s.metrics.replayTime = s.now().Sub(t0)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
