@@ -239,7 +239,10 @@ func resolve(j Job) (kind, Job, error) {
 // RunJob validates and runs a job, returning its rendered result table. The
 // legs fan out across opts.Jobs workers, each with its own machine pool
 // (or the shared opts.Pool), and merge positionally; opts.Progress is
-// reported once per completed leg and opts.Ctx bounds every run.
+// reported once per completed leg and opts.Ctx bounds every run. The
+// workers share one RunMemo (opts.Memo, or a fresh one), so a machine run
+// that several legs need — the ablation's and the matrix's baseline — is
+// simulated once.
 //
 // The job is canonicalized first (Canonical is the single source of truth
 // for every defaulted selection), so the result depends only on the
@@ -251,6 +254,9 @@ func RunJob(j Job, opts Options) (*stats.Table, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
+	if opts.Memo == nil {
+		opts.Memo = &RunMemo{}
+	}
 	parts, err := runner.MapWorkersCtx(opts.ctx(), k.legs(j),
 		runner.Options{Workers: opts.Jobs, Progress: opts.Progress}, opts.newPool,
 		func(pool *machine.Pool, leg int) (*stats.Table, error) { return k.runLeg(j, leg, pool, opts) })
@@ -354,9 +360,9 @@ func llcSweepLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table
 }
 
 // ablationLeg renders one row of the defense ablation: the pair under one
-// registry kind, normalized against the baseline. Every leg runs the
-// baseline first (leg 0 is the baseline itself), so a leg needs nothing
-// from its siblings.
+// registry kind, normalized against the baseline. Every leg asks for the
+// baseline run first (leg 0 is the baseline itself), so a leg needs nothing
+// from its siblings; legs that share the job's RunMemo simulate it once.
 func ablationLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error) {
 	pair, err := pairAt(j.Pairs, 0)
 	if err != nil {

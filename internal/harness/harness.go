@@ -89,6 +89,12 @@ type Options struct {
 	// Snapshot on (except under SnapshotOff) so the fork path is actually
 	// exercised.
 	SnapshotCheck bool
+	// Memo, when non-nil, lets the legs of one job share machine runs: a
+	// run with the same machine Config, spawn recipe and instruction
+	// budgets as one the job already completed takes that run's
+	// measurement instead of simulating again (see RunMemo). RunJob
+	// supplies a fresh memo when it is nil; RunJobLeg uses it as given.
+	Memo *RunMemo
 }
 
 // SnapshotMode controls warm-state snapshot/fork reuse across legs.
@@ -314,7 +320,8 @@ func frameBudget(frames int) int {
 // workload spawn recipe (kind + profile names + seeds are fixed per kind),
 // and the instruction budgets all match — defense kind, LLC size and slice
 // length are all part of machine.Config, so distinct sweep legs can never
-// alias.
+// alias. The same identity keys a job's RunMemo: a run's measurement is a
+// function of its warmup prefix and the rest of its budget.
 type snapKey struct {
 	cfg    machine.Config
 	kind   string // "spec" (two processes, one core) or "parsec" (2 threads, 2 cores)
@@ -339,11 +346,24 @@ type machineRun struct {
 	spawn func(k *kernel.Kernel, onWarm func()) (int, error)
 }
 
-// runMachine executes one run and returns its steady-state measurement,
-// routing through the snapshot shelf per opts.Snapshot. Telemetry runs always take
-// the cold path: a collector observes the whole run, warmup included, so a
-// forked run would change its outputs.
+// runMachine executes one run and returns its steady-state measurement. A
+// run the job's memo (opts.Memo) already holds is not simulated again;
+// otherwise it routes through the snapshot shelf per opts.Snapshot.
+// Telemetry runs bypass the memo and always take the cold path: a collector
+// observes the whole run, warmup included, so a forked or memoized run
+// would change its outputs.
 func runMachine(pool *machine.Pool, opts Options, l machineRun) (measurement, error) {
+	if opts.Memo == nil || opts.Telemetry != nil {
+		return runShelf(pool, opts, l)
+	}
+	return opts.Memo.run(opts, l,
+		func() (measurement, error) { return runShelf(pool, opts, l) },
+		func() (measurement, error) { return runQuietCold(pool, opts, l) })
+}
+
+// runShelf executes one run cold, from a snapshot fork, or cold-with-capture
+// depending on opts.Snapshot.
+func runShelf(pool *machine.Pool, opts Options, l machineRun) (measurement, error) {
 	mode := opts.Snapshot
 	if opts.SnapshotCheck && mode != SnapshotOff {
 		mode = SnapshotOn
@@ -483,13 +503,7 @@ func runFork(pool *machine.Pool, opts Options, l machineRun, s *machine.Snapshot
 	opts.finishLeg(l.label, legStart, k)
 	got := snapCounters(k).sub(warm)
 	if opts.SnapshotCheck {
-		cold := opts
-		cold.Snapshot = SnapshotOff
-		cold.SnapshotCheck = false
-		cold.Telemetry = nil
-		cold.Spans = nil
-		cold.Account = nil
-		ref, err := runCold(pool, cold, l)
+		ref, err := runQuietCold(pool, opts, l)
 		if err != nil {
 			return measurement{}, fmt.Errorf("harness: snapshot-check cold rerun of %s: %w", l.label, err)
 		}
@@ -498,6 +512,17 @@ func runFork(pool *machine.Pool, opts Options, l machineRun, s *machine.Snapshot
 		}
 	}
 	return got, nil
+}
+
+// runQuietCold re-runs l from cold with no account, span or telemetry: the
+// SnapshotCheck reference that a fork or a memo hit must match.
+func runQuietCold(pool *machine.Pool, opts Options, l machineRun) (measurement, error) {
+	opts.Snapshot = SnapshotOff
+	opts.SnapshotCheck = false
+	opts.Telemetry = nil
+	opts.Spans = nil
+	opts.Account = nil
+	return runCold(pool, opts, l)
 }
 
 // runSpec runs one Fig. 7 workload (two processes, one core) on a machine

@@ -77,8 +77,9 @@ func matrixAttackByName(name string) *matrixAttack {
 // matrixLeg renders one matrix row: a leaked-bits column per attack (the
 // binary-channel capacity of the attacker's recovery, 0 = defended) and a
 // normalized-slowdown column per workload pair. The leg mounts its attacks,
-// then runs the pairs under "none" for the normalization baseline, then
-// under its own defense (the "none" row reuses its baseline runs).
+// then asks for the pairs under "none" for the normalization baseline, then
+// runs them under its own defense (the "none" row reuses its baseline
+// runs). Legs that share the job's RunMemo simulate each baseline once.
 func matrixLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error) {
 	pairs, err := selectPairs(j.Pairs)
 	if err != nil {

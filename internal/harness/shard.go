@@ -14,8 +14,10 @@
 //	parsec       one PARSEC workload      (one row)
 //	llc-sweep    one LLC size, all pairs  (one sweep point; geomean is
 //	                                       within-size, so it shards cleanly)
-//	ablation     one defense config       (re-runs the baseline per leg for
-//	                                       normalization; row 0 IS the baseline)
+//	ablation     one defense config       (runs the baseline per leg for
+//	                                       normalization unless the job's
+//	                                       RunMemo holds it; row 0 IS the
+//	                                       baseline)
 //	bookkeeping  one slice length         (one row)
 //	matrix       one defense row          (runs the attack columns, then the
 //	                                       none perf baseline, then its own
@@ -24,7 +26,8 @@
 //
 // A leg runs its machine runs sequentially, so a job's parallelism is its
 // leg count, and a job's resource account is the sum of its legs' accounts
-// however the legs are scheduled.
+// however the legs are scheduled. Legs that share one RunMemo charge each
+// distinct machine run once, to whichever leg simulated it.
 package harness
 
 import (
@@ -49,6 +52,7 @@ func JobLegs(j Job) (int, error) {
 // The leg index addresses the canonical job: RunJobLeg(j, i) computes row
 // block i of RunJob(j) byte-identically, regardless of which process or pool
 // runs it. It never fans out; opts.Jobs and opts.Progress are not read.
+// Legs of one job that pass the same opts.Memo share its machine runs.
 func RunJobLeg(j Job, leg int, opts Options) (*stats.Table, error) {
 	k, j, err := resolve(j)
 	if err != nil {

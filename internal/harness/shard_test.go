@@ -23,17 +23,20 @@ func shardSpecs() map[string]Job {
 }
 
 // runSharded runs every leg of the job on its own fresh pool — the worst
-// case for state sharing, matching a fleet of separate worker processes —
-// and merges the slices positionally.
+// case for machine and snapshot sharing, matching a fleet of separate
+// worker processes — and merges the slices positionally. The legs share
+// one RunMemo, as the job service's in-process legs of one job do.
 func runSharded(job Job, opts Options) (*stats.Table, error) {
 	n, err := JobLegs(job)
 	if err != nil {
 		return nil, err
 	}
 	parts := make([]*stats.Table, n)
+	memo := &RunMemo{}
 	for leg := 0; leg < n; leg++ {
 		o := opts
 		o.Pool = machine.NewPool()
+		o.Memo = memo
 		if parts[leg], err = RunJobLeg(job, leg, o); err != nil {
 			return nil, err
 		}

@@ -83,9 +83,10 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 		return nil, err
 	}
 	// Read every segment, keeping its frames, and repair the tail.
+	ids := idInterner{}
 	for i, seg := range segs {
 		final := i == len(segs)-1
-		valid, err := walkSegment(seg, final, "jobstore", func(r Record, raw []byte) error {
+		valid, err := walkSegment(seg, final, "jobstore", ids, func(r Record, raw []byte) error {
 			d.opened = append(d.opened, frame{rec: r, raw: raw})
 			return nil
 		})
@@ -152,10 +153,11 @@ func seqOf(path string) int {
 
 // walkSegment reads one segment and calls fn with each decoded record and
 // its raw frame, returning the byte offset just past the last valid frame.
-// In the final segment a truncated tail ends the walk cleanly; anywhere
-// else, and for any CRC or decode failure, it is an error naming the
-// segment and offset after prefix. Errors from fn are returned unchanged.
-func walkSegment(path string, final bool, prefix string, fn func(r Record, frame []byte) error) (validBytes int64, err error) {
+// Job ids come from ids, which the walk of a whole log shares. In the final
+// segment a truncated tail ends the walk cleanly; anywhere else, and for
+// any CRC or decode failure, it is an error naming the segment and offset
+// after prefix. Errors from fn are returned unchanged.
+func walkSegment(path string, final bool, prefix string, ids idInterner, fn func(r Record, frame []byte) error) (validBytes int64, err error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
@@ -169,7 +171,7 @@ func walkSegment(path string, final bool, prefix string, fn func(r Record, frame
 			}
 			return 0, fmt.Errorf("%s: segment %s offset %d: %w", prefix, path, off, err)
 		}
-		rec, err := Decode(body)
+		rec, err := decode(body, ids)
 		if err != nil {
 			return 0, fmt.Errorf("%s: segment %s offset %d: %w", prefix, path, off, err)
 		}
@@ -193,8 +195,9 @@ func walkLog(opened []frame, segs []string, prefix string, fn func(r Record, fra
 		}
 		return nil
 	}
+	ids := idInterner{}
 	for i, seg := range segs {
-		if _, err := walkSegment(seg, i == len(segs)-1, prefix, fn); err != nil {
+		if _, err := walkSegment(seg, i == len(segs)-1, prefix, ids, fn); err != nil {
 			return err
 		}
 	}
@@ -321,6 +324,16 @@ func (d *Disk) Compact(keep func(r Record) bool) error {
 		return err
 	}
 	if err := w.Flush(); err != nil {
+		tmp.Close()
+		return err
+	}
+	// os.CreateTemp makes the file 0600; the compacted segment takes the
+	// mode the log's segments were created with.
+	fi, err := d.active.Stat()
+	if err == nil {
+		err = tmp.Chmod(fi.Mode().Perm())
+	}
+	if err != nil {
 		tmp.Close()
 		return err
 	}

@@ -8,10 +8,10 @@ import (
 // FuzzWALRecord fuzzes both layers of the on-log format from both sides:
 //
 //   - Structured inputs (kind, id, payload) must round-trip through
-//     Encode → AppendFrame → ReadFrame → Decode bit-exactly.
+//     Encode → AppendFrame → ReadFrame → decode bit-exactly.
 //   - The same frame with any single byte flipped must be rejected by the
 //     CRC, and any strict prefix must read as a clean truncation.
-//   - Arbitrary bytes fed straight into ReadFrame/Decode must never panic
+//   - Arbitrary bytes fed straight into ReadFrame/decode must never panic
 //     or round-trip to different bytes.
 func FuzzWALRecord(f *testing.F) {
 	f.Add(uint8(KindAccepted), "job-000001", []byte(`{"experiment":"table2"}`))
@@ -33,9 +33,9 @@ func FuzzWALRecord(f *testing.F) {
 			if n != len(framed) || !bytes.Equal(got, body) {
 				t.Fatalf("frame round trip: n=%d len=%d", n, len(framed))
 			}
-			dec, err := Decode(got)
+			dec, err := decode(got, nil)
 			if err != nil {
-				t.Fatalf("Decode of fresh record: %v", err)
+				t.Fatalf("decode of fresh record: %v", err)
 			}
 			if dec.Kind != r.Kind || dec.JobID != r.JobID || !bytes.Equal(dec.Payload, r.Payload) {
 				t.Fatalf("record round trip: got %+v want %+v", dec, r)
@@ -64,7 +64,7 @@ func FuzzWALRecord(f *testing.F) {
 					if bytes.Equal(mb, body) {
 						t.Fatal("corrupted frame read back original body")
 					}
-					if _, err := Decode(mb); err == nil {
+					if _, err := decode(mb, nil); err == nil {
 						t.Fatal("corrupted frame decoded cleanly")
 					}
 				}
@@ -77,7 +77,7 @@ func FuzzWALRecord(f *testing.F) {
 			if n > len(payload) {
 				t.Fatalf("ReadFrame consumed %d of %d bytes", n, len(payload))
 			}
-			if dec, err := Decode(body2); err == nil {
+			if dec, err := decode(body2, nil); err == nil {
 				re, err := dec.Encode()
 				if err != nil {
 					t.Fatalf("re-encode of decoded record: %v", err)
@@ -87,6 +87,6 @@ func FuzzWALRecord(f *testing.F) {
 				}
 			}
 		}
-		_, _ = Decode(payload)
+		_, _ = decode(payload, nil)
 	})
 }

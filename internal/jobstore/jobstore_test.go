@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func rec(kind Kind, id, payload string) Record {
@@ -36,7 +37,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %v: %v", r.Kind, err)
 		}
-		got, err := Decode(body)
+		got, err := decode(body, nil)
 		if err != nil {
 			t.Fatalf("decode %v: %v", r.Kind, err)
 		}
@@ -58,17 +59,17 @@ func TestRecordRejects(t *testing.T) {
 	if _, err := (Record{Kind: KindState, JobID: strings.Repeat("a", maxIDLen+1)}).Encode(); err == nil {
 		t.Error("encode with oversized id succeeded")
 	}
-	if _, err := Decode(nil); err == nil {
+	if _, err := decode(nil, nil); err == nil {
 		t.Error("decode of empty body succeeded")
 	}
-	if _, err := Decode([]byte{99, byte(KindState), 0, 0}); err == nil {
+	if _, err := decode([]byte{99, byte(KindState), 0, 0}, nil); err == nil {
 		t.Error("decode of future version succeeded")
 	}
-	if _, err := Decode([]byte{RecordVersion, 77, 0, 0}); err == nil {
+	if _, err := decode([]byte{RecordVersion, 77, 0, 0}, nil); err == nil {
 		t.Error("decode of unknown kind succeeded")
 	}
 	// id length field overrunning the body must error, not slice out of range.
-	if _, err := Decode([]byte{RecordVersion, byte(KindState), 0xff, 0xff}); err == nil {
+	if _, err := decode([]byte{RecordVersion, byte(KindState), 0xff, 0xff}, nil); err == nil {
 		t.Error("decode with overrunning id length succeeded")
 	}
 }
@@ -126,7 +127,7 @@ func TestMemFreeze(t *testing.T) {
 	}
 }
 
-// TestPayloadOwnership: Decode aliases the body it parses instead of
+// TestPayloadOwnership: decode aliases the body it parses instead of
 // copying it, with the payload's capacity ending at the body's end, while
 // Mem keeps its own copy of every appended payload, so a writer reusing
 // its buffer cannot change what the log replays.
@@ -135,7 +136,7 @@ func TestPayloadOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Decode(body)
+	r, err := decode(body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +489,7 @@ func TestDiskWalkOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, seg := range segs {
-			valid, err := walkSegment(seg, i == len(segs)-1, "fresh", func(r Record, frame []byte) error {
+			valid, err := walkSegment(seg, i == len(segs)-1, "fresh", idInterner{}, func(r Record, frame []byte) error {
 				want = append(want, r)
 				frames = append(frames, frame...)
 				return nil
@@ -579,4 +580,95 @@ func TestDiskWalkOnce(t *testing.T) {
 			t.Fatalf("Replay after Compact: %d records, want %d", len(got), len(want))
 		}
 	})
+}
+
+// TestDiskCompactKeepsSegmentMode: the startup compaction renames a
+// temporary file over segment 0, and every segment must afterwards have
+// the mode the log creates segments with, not the temporary file's 0600.
+func TestDiskCompactKeepsSegmentMode(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir, DiskOptions{Sync: SyncNone, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN := func(d *Disk, n int) {
+		for i := 0; i < n; i++ {
+			if err := d.Append(rec(KindEvent, fmt.Sprintf("job-%d", i%2), fmt.Sprintf(`{"seq":%d,"pad":"%s"}`, i, strings.Repeat("p", 48)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendN(d, 6)
+	d.Close()
+	fi, err := os.Stat(filepath.Join(dir, "wal-000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fi.Mode().Perm()
+	if want&0o044 == 0 {
+		t.Skipf("segments are created %v under this umask: a 0600 compaction would not show", want)
+	}
+
+	d, err = Open(dir, DiskOptions{Sync: SyncNone, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(func(Record) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	appendN(d, 4) // roll new segments past the compacted one
+	d.Close()
+	segs, err := d.segments()
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("segments %v (%v), want >= 2", segs, err)
+	}
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fi.Mode().Perm(); got != want {
+			t.Errorf("%s has mode %v after compaction, want %v", filepath.Base(seg), got, want)
+		}
+	}
+}
+
+// TestDiskInternsJobIDs: the records one job left in the log share one id
+// string after a restart, whether replay reads Open's frames or the disk.
+func TestDiskInternsJobIDs(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir, DiskOptions{Sync: SyncNone, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := d.Append(rec(KindEvent, fmt.Sprintf("job-%d", i%2), fmt.Sprintf(`{"seq":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Close()
+	d, err = Open(dir, DiskOptions{Sync: SyncNone, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	check := func(from string) {
+		ids := map[string]*byte{}
+		err := d.Replay(func(r Record) error {
+			p := unsafe.StringData(r.JobID)
+			if q, ok := ids[r.JobID]; ok && q != p {
+				t.Errorf("%s: two records of %s carry separate id strings", from, r.JobID)
+			}
+			ids[r.JobID] = p
+			return nil
+		})
+		if err != nil || len(ids) != 2 {
+			t.Fatalf("%s: replay saw ids %v (%v), want 2", from, ids, err)
+		}
+	}
+	check("Open's frames")
+	if err := d.Append(rec(KindEvent, "job-0", `{"seq":8}`)); err != nil {
+		t.Fatal(err)
+	}
+	check("the disk")
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // RecordVersion tags every encoded record. Bump it when the envelope or any
-// payload schema changes incompatibly; Decode rejects versions from the
+// payload schema changes incompatibly; decode rejects versions from the
 // future so an old binary never misreads a new log.
 const RecordVersion = 1
 
@@ -64,7 +64,7 @@ func (k Kind) String() string {
 // Record is one log entry: the envelope the store understands plus an opaque
 // payload owned by the writer.
 type Record struct {
-	// Version is RecordVersion for records this build writes; Decode carries
+	// Version is RecordVersion for records this build writes; decode carries
 	// the on-log version through so a reader can branch on old schemas.
 	Version uint8
 	// Kind discriminates the payload schema.
@@ -72,7 +72,7 @@ type Record struct {
 	// JobID scopes the record to one job ("job-000042").
 	JobID string
 	// Payload is the writer-owned body (the service uses JSON). A record
-	// handed out by Decode, Replay or Compact aliases the buffer it was read
+	// handed out by decode, Replay or Compact aliases the buffer it was read
 	// from, so its payload must not be modified.
 	Payload []byte
 }
@@ -111,13 +111,28 @@ func (r Record) Encode() ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses an unframed record body. It never panics: every length is
-// bounds-checked before use, and unknown versions/kinds are errors, not
-// crashes. The payload aliases body rather than copying it (its capacity
-// ends at the body's end, so an append cannot write past it): replay and
-// compaction read each payload once, and a copy per record would allocate
-// the whole log again on every pass.
-func Decode(body []byte) (Record, error) {
+// idInterner hands out one string per distinct job id over a walk of the
+// log, so the records of one job share their id instead of each allocating
+// a copy.
+type idInterner map[string]string
+
+func (ids idInterner) intern(b []byte) string {
+	if s, ok := ids[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	ids[s] = s
+	return s
+}
+
+// decode parses an unframed record body, taking the job id from ids when
+// it is non-nil. It never panics: every length is bounds-checked before
+// use, and unknown versions/kinds are errors, not crashes. The payload
+// aliases body rather than copying it (its capacity ends at the body's
+// end, so an append cannot write past it): replay and compaction read each
+// payload once, and a copy per record would allocate the whole log again
+// on every pass.
+func decode(body []byte, ids idInterner) (Record, error) {
 	if len(body) < recordHeaderLen {
 		return Record{}, fmt.Errorf("jobstore: record body %d bytes, want >= %d", len(body), recordHeaderLen)
 	}
@@ -135,7 +150,11 @@ func Decode(body []byte) (Record, error) {
 	if recordHeaderLen+idLen > len(body) {
 		return Record{}, fmt.Errorf("jobstore: job id length %d overruns %d-byte body", idLen, len(body))
 	}
-	r.JobID = string(body[recordHeaderLen : recordHeaderLen+idLen])
+	if id := body[recordHeaderLen : recordHeaderLen+idLen]; ids != nil {
+		r.JobID = ids.intern(id)
+	} else {
+		r.JobID = string(id)
+	}
 	if rest := body[recordHeaderLen+idLen:]; len(rest) > 0 {
 		r.Payload = rest[:len(rest):len(rest)]
 	}

@@ -91,7 +91,7 @@ func (m *Mem) Append(r Record) error {
 	if m.frozen {
 		return nil
 	}
-	dec, err := Decode(body)
+	dec, err := decode(body, nil)
 	if err != nil {
 		m.stats.AppendErrors++
 		return err

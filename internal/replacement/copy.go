@@ -13,9 +13,7 @@ import "fmt"
 func Copy(dst, src Policy) {
 	switch d := dst.(type) {
 	case *LRUPolicy:
-		s := src.(*LRUPolicy)
-		copy(d.ages, s.ages)
-		copy(d.ticks, s.ticks)
+		copy(d.words, src.(*LRUPolicy).words)
 	case *treePLRU:
 		s := src.(*treePLRU)
 		for i := range d.bits {

@@ -6,7 +6,10 @@
 // paper §VII-A); tree-PLRU and random are provided as alternatives.
 package replacement
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Policy decides which way of a cache set to evict.
 //
@@ -52,47 +55,74 @@ func New(kind Kind, sets, ways int, seed uint64) (Policy, error) {
 	}
 }
 
-// LRUPolicy implements true least-recently-used via per-set age stamps.
+// LRUPolicy implements true least-recently-used with one packed recency
+// word per set: a stack of 4-bit way numbers, nibble 0 the most recently
+// used way and nibble ways-1 the victim. Touch moves a way's nibble to the
+// front, so it reads and writes one word instead of an age stamp and a
+// per-set clock, and Victim is one shift instead of a scan over the ways.
 // The concrete type is exported so hot callers (the cache lookup path) can
 // devirtualize Touch — a direct, inlinable call instead of an interface
 // dispatch per hit.
 type LRUPolicy struct {
-	ways  int
-	ages  []uint64 // sets*ways age stamps
-	ticks []uint64 // per-set logical clock
+	words []uint64 // per-set recency stacks
+	cold  uint64   // a never-touched set's stack (see NewLRU)
+	shift uint     // 4*(ways-1): the victim nibble's offset
 }
 
-// NewLRU returns a true LRU policy.
+// maxLRUWays is the widest set a packed recency word holds.
+const maxLRUWays = 16
+
+// nibbleOnes has a 1 in every nibble; nibbleHighs has every nibble's top bit.
+const (
+	nibbleOnes  = 0x1111111111111111
+	nibbleHighs = 0x8888888888888888
+)
+
+// NewLRU returns a true LRU policy. A set holds at most 16 ways (one nibble
+// each), so wider sets panic, as tree-PLRU panics on ways that are not a
+// power of two. A never-touched set's stack lists the ways from ways-1 down
+// to 0, so way 0 is the first victim and untouched ways go in index order:
+// the lowest-way tie-break of age stamps that all start at zero.
 func NewLRU(sets, ways int) Policy {
 	checkGeom(sets, ways)
-	return &LRUPolicy{ways: ways, ages: make([]uint64, sets*ways), ticks: make([]uint64, sets)}
+	if ways > maxLRUWays {
+		panic(fmt.Sprintf("replacement: lru holds at most %d ways, got %d", maxLRUWays, ways))
+	}
+	l := &LRUPolicy{words: make([]uint64, sets), shift: uint(4 * (ways - 1))}
+	for i := 0; i < ways; i++ {
+		l.cold |= uint64(ways-1-i) << (4 * i)
+	}
+	l.Reset()
+	return l
 }
 
 // Name implements Policy.
 func (l *LRUPolicy) Name() string { return string(LRU) }
 
-// Touch implements Policy.
+// Touch implements Policy: the way's nibble moves to the front and the
+// nibbles in front of it shift back one place. XOR with the way in every
+// nibble zeroes exactly the way's nibble; the lowest zero nibble is found
+// with the borrow test, which is exact for the lowest match (nibbles past
+// the set's ways are zero and above every way's nibble, so they never
+// come first).
 func (l *LRUPolicy) Touch(set, way int) {
-	l.ticks[set]++
-	l.ages[set*l.ways+way] = l.ticks[set]
+	w := l.words[set]
+	x := w ^ uint64(way)*nibbleOnes
+	pos := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHighs)) &^ 3
+	below := uint64(1)<<pos - 1
+	l.words[set] = w&^(below|0xF<<pos) | (w&below)<<4 | uint64(way)
 }
 
 // Reset implements Policy.
 func (l *LRUPolicy) Reset() {
-	clear(l.ages)
-	clear(l.ticks)
+	for i := range l.words {
+		l.words[i] = l.cold
+	}
 }
 
 // Victim implements Policy.
 func (l *LRUPolicy) Victim(set int) int {
-	base := set * l.ways
-	victim, oldest := 0, l.ages[base]
-	for w := 1; w < l.ways; w++ {
-		if a := l.ages[base+w]; a < oldest {
-			victim, oldest = w, a
-		}
-	}
-	return victim
+	return int(l.words[set] >> l.shift & 0xF)
 }
 
 // treePLRU implements the classic binary-tree pseudo-LRU. Ways must be a

@@ -138,3 +138,97 @@ func TestNewByKind(t *testing.T) {
 		t.Error("unknown kind must error")
 	}
 }
+
+// ageLRU is the age-stamp LRU model the packed recency word replaced: each
+// touch stamps the way with the set's next tick, and the victim is the
+// way with the oldest stamp, the lowest such way on a tie.
+type ageLRU struct {
+	ways  int
+	ages  []uint64
+	ticks []uint64
+}
+
+func newAgeLRU(sets, ways int) *ageLRU {
+	return &ageLRU{ways: ways, ages: make([]uint64, sets*ways), ticks: make([]uint64, sets)}
+}
+
+func (a *ageLRU) touch(set, way int) {
+	a.ticks[set]++
+	a.ages[set*a.ways+way] = a.ticks[set]
+}
+
+func (a *ageLRU) victim(set int) int {
+	base := set * a.ways
+	victim, oldest := 0, a.ages[base]
+	for w := 1; w < a.ways; w++ {
+		if age := a.ages[base+w]; age < oldest {
+			victim, oldest = w, age
+		}
+	}
+	return victim
+}
+
+func (a *ageLRU) reset() {
+	clear(a.ages)
+	clear(a.ticks)
+}
+
+func (a *ageLRU) copyFrom(src *ageLRU) {
+	copy(a.ages, src.ages)
+	copy(a.ticks, src.ticks)
+}
+
+// TestLRUMatchesAgeStamps drives the packed LRU and the age-stamp model in
+// lockstep over every width from 1 to 16 ways with seeded random touches,
+// resets and snapshot copies, and requires the same victim in every set
+// after every operation.
+func TestLRUMatchesAgeStamps(t *testing.T) {
+	const sets = 4
+	for ways := 1; ways <= maxLRUWays; ways++ {
+		p, q := NewLRU(sets, ways), newAgeLRU(sets, ways)
+		saved, savedModel := NewLRU(sets, ways), newAgeLRU(sets, ways)
+		s := uint64(ways)*0x9E3779B97F4A7C15 + 1
+		next := func(n int) int {
+			s ^= s << 13
+			s ^= s >> 7
+			s ^= s << 17
+			return int(s % uint64(n))
+		}
+		for op := 0; op < 5000; op++ {
+			switch r := next(100); {
+			case r == 0:
+				p.Reset()
+				q.reset()
+			case r == 1:
+				Copy(saved, p)
+				savedModel.copyFrom(q)
+			case r == 2:
+				Copy(p, saved)
+				q.copyFrom(savedModel)
+			default:
+				// Skew touches toward low ways so recency orders repeat
+				// and reach the front of the stack as well as the back.
+				set, way := next(sets), next(ways)
+				if r%2 == 0 {
+					way = next(way + 1)
+				}
+				p.Touch(set, way)
+				q.touch(set, way)
+			}
+			for set := 0; set < sets; set++ {
+				if got, want := p.Victim(set), q.victim(set); got != want {
+					t.Fatalf("ways=%d op %d set %d: victim %d, age-stamp model %d", ways, op, set, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestLRUTooManyWays(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewLRU accepted 17 ways")
+		}
+	}()
+	NewLRU(1, maxLRUWays+1)
+}

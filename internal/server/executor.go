@@ -42,7 +42,9 @@ func isRetryable(err error) bool {
 
 // inProcExecutor is a coordinator-local executor: one per -workers slot,
 // each owning a private machine pool (pooled machines are Reset between
-// legs; the golden tests prove reuse is invisible in results).
+// legs; the golden tests prove reuse is invisible in results). The legs of
+// one job share the job's run memo across executors, so a baseline run
+// that several legs need is simulated once; remote legs run without it.
 type inProcExecutor struct {
 	s    *Server
 	pool *machine.Pool
@@ -60,6 +62,7 @@ func (e *inProcExecutor) runLeg(ctx context.Context, j *job, leg int) (*stats.Ta
 	opts.Spans = j.trace
 	opts.Now = e.s.clk.Now
 	opts.Account = account
+	opts.Memo = j.runMemo()
 
 	ps0 := e.pool.Stats()
 	tab, err := harness.RunJobLeg(j.spec.harnessJob(), leg, opts)

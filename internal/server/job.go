@@ -315,6 +315,10 @@ type job struct {
 	legs     []legState
 	legsDone int
 	attempt  int
+	// memo lets the job's in-process legs share machine runs (see
+	// harness.RunMemo); runMemo creates it on first use and finish drops
+	// it, so it lives exactly as long as the job runs.
+	memo *harness.RunMemo
 
 	events *eventLog
 	doneCh chan struct{}
@@ -345,6 +349,18 @@ func (j *job) initLegs(n int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.legs = make([]legState, n)
+}
+
+// runMemo returns the job's run memo, creating it on first use, or nil once
+// the job is terminal: a stale executor still running a leg of a finished
+// job simulates alone.
+func (j *job) runMemo() *harness.RunMemo {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.memo == nil && !j.state.Terminal() {
+		j.memo = &harness.RunMemo{}
+	}
+	return j.memo
 }
 
 // leased reports whether the executor that claimed leg under epoch still

@@ -2,11 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"timecache/internal/defense"
+	"timecache/internal/harness"
 )
 
 // TestMatrixGoldenEquivalence runs the full defense×attack matrix over HTTP
@@ -111,5 +115,63 @@ func TestMatrixProgress(t *testing.T) {
 	}
 	if progress == 0 {
 		t.Error("matrix job emitted no SSE progress events")
+	}
+}
+
+// TestJobRunMemo: the legs of one job share its run memo across executors.
+// The ablation's seven legs all normalize against one baseline run, so the
+// job simulates seven runs, not thirteen: its account equals an in-process
+// RunJob's, six runs are memo hits on /metrics, and each hit is a leg span
+// marked memo: true in the job's trace.
+func TestJobRunMemo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	_, ts := startServer(t, Config{Workers: 4})
+	spec := Spec{Experiment: "ablation", Pairs: []string{"2Xgobmk"}, InstrsPerProc: 20_000, WarmupInstrs: 10_000}
+	st, _ := submit(t, ts, spec)
+	if final := waitTerminal(t, ts, st.ID, 2*time.Minute); final.State != StateDone {
+		t.Fatalf("ablation job %s: %s", final.State, final.Error)
+	}
+	account := &harness.ResourceAccount{}
+	opts := spec.options()
+	opts.Account = account
+	want, err := harness.RunJob(spec.harnessJob(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fetchCSV(t, ts, st.ID); string(got) != want.CSV() {
+		t.Errorf("HTTP ablation diverged from RunJob\n--- want ---\n%s--- got ---\n%s", want.CSV(), got)
+	}
+	kinds := len(defense.Kinds())
+	if res := account.Snapshot(); res.Legs != uint64(kinds) {
+		t.Errorf("RunJob accounted %d runs, want %d", res.Legs, kinds)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var result struct {
+		Resources *JobResources `json:"resources"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&result)
+	resp.Body.Close()
+	if err != nil || result.Resources == nil {
+		t.Fatalf("result JSON resources: %v", err)
+	}
+	if result.Resources.Resources != account.Snapshot() {
+		t.Errorf("HTTP resources = %+v, RunJob's = %+v", result.Resources.Resources, account.Snapshot())
+	}
+	if got := scrapeMetric(t, ts, "timecache_run_memo_hits_total"); got != float64(kinds-1) {
+		t.Errorf("timecache_run_memo_hits_total = %v, want %d", got, kinds-1)
+	}
+	hits := 0
+	for _, ev := range getTrace(t, ts, st.ID).TraceEvents {
+		if ev.Cat == "leg" && ev.Args["memo"] == true {
+			hits++
+		}
+	}
+	if hits != kinds-1 {
+		t.Errorf("trace has %d memo leg spans, want %d", hits, kinds-1)
 	}
 }

@@ -34,6 +34,9 @@ type metrics struct {
 	poolEvictions  atomic.Uint64
 	snapshotHits   atomic.Uint64
 	snapshotMisses atomic.Uint64
+	// memoHits counts machine runs a job's legs took from the job's run
+	// memo instead of simulating, folded in when the job finishes.
+	memoHits atomic.Uint64
 
 	// cacheBypass counts no_cache submissions. The hit/miss/coalesced/
 	// eviction counters live in the resultcache itself and are folded into
@@ -143,6 +146,7 @@ func (m *metrics) render(cs resultcache.Stats) string {
 	gauge("timecache_pool_idle_cap", "Per-config bound on each worker pool's idle machine list.", int64(machine.DefaultIdleCap))
 	counter("timecache_snapshot_hits_total", "Experiment legs forked from a shelved warm snapshot.", m.snapshotHits.Load())
 	counter("timecache_snapshot_misses_total", "Snapshot-shelf lookups that found no matching warm state.", m.snapshotMisses.Load())
+	counter("timecache_run_memo_hits_total", "Machine runs a job took from its own run memo instead of simulating again.", m.memoHits.Load())
 
 	counter("timecache_result_cache_hits_total", "Submissions answered from the result cache without simulating.", cs.Hits)
 	counter("timecache_result_cache_misses_total", "Submissions that led a new simulation for their fingerprint.", cs.Misses)

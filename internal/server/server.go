@@ -599,9 +599,10 @@ func terminalState(ctx context.Context, err error) (State, string) {
 // finish is the one terminal transition: every path that ends a job goes
 // through it, and the first caller wins. Under j.mu it builds the result
 // from the job as it stands, finished now, and lets outcome set the state
-// and whatever else ended the job. It appends the result record, the
-// commit point a restart replays, and applies it; only then does it publish
-// the terminal state event, end the SSE stream and close doneCh.
+// and whatever else ended the job, and drops the job's run memo. It
+// appends the result record, the commit point a restart replays, and
+// applies it; only then does it publish the terminal state event, end the
+// SSE stream and close doneCh.
 func (s *Server) finish(j *job, outcome func(r *jobResult)) (jobResult, bool) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -613,6 +614,10 @@ func (s *Server) finish(j *job, outcome func(r *jobResult)) (jobResult, bool) {
 		Started: j.started, Finished: s.now(),
 	}}
 	outcome(&r)
+	if j.memo != nil {
+		s.metrics.memoHits.Add(j.memo.Hits())
+		j.memo = nil
+	}
 	if s.cfg.Store != nil {
 		rec := resultRecord{resultHead: r.resultHead, Res: r.res}
 		if r.State == StateDone && r.table != nil {
