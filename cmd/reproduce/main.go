@@ -116,7 +116,7 @@ func run(args []string, stdout io.Writer) error {
 		only    = fs.String("only", "", "run a single experiment")
 		instrs  = fs.Uint64("instrs", 0, "override measured instructions per process")
 		warmup  = fs.Uint64("warmup", 0, "override warmup instructions per process")
-		jobs    = fs.Int("j", runtime.GOMAXPROCS(0), "concurrent simulation runs (-j1 = sequential); output is byte-identical at any -j")
+		jobs    = fs.Int("j", runtime.GOMAXPROCS(0), "legs in flight (-j1 = one at a time; at most GOMAXPROCS machine runs simulate at once); output is byte-identical at any -j")
 		timeout = fs.Duration("timeout", 0, "overall deadline (e.g. 90s); on expiry the sweep stops cleanly and completed experiments keep their CSVs")
 
 		cohCheck = fs.Bool("coherence-check", false, "cross-check the LLC sharer directory against brute-force L1 probes on every coherence event (debug; slow)")

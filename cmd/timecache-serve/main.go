@@ -78,7 +78,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "in-process leg executors (one pooled machine set each)")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "in-process leg executors, i.e. legs in flight (one pooled machine set each; at most GOMAXPROCS machine runs simulate at once)")
 		queue      = flag.Int("queue", 64, "admission queue depth; a full queue answers 429")
 		jobTimeout = flag.Duration("job-timeout", 0, "default per-job deadline (0 = unbounded; jobs may set timeout_ms)")
 		drainGrace = flag.Duration("drain-grace", 2*time.Minute, "how long a graceful drain may wait for in-flight jobs")

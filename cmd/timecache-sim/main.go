@@ -59,7 +59,7 @@ func run(fs *flag.FlagSet, args []string) error {
 		compare   = fs.Bool("compare", false, "run the baseline (defense none) and the -defense kind and report normalized time")
 		gate      = fs.Bool("gatelevel", false, "use the gate-level bit-serial comparator")
 		cohCheck  = fs.Bool("coherence-check", false, "cross-check the LLC sharer directory against brute-force L1 probes on every coherence event (debug; slow)")
-		jobs      = fs.Int("j", runtime.GOMAXPROCS(0), "concurrent legs for -llc-sweep and -matrix (-j1 = sequential)")
+		jobs      = fs.Int("j", runtime.GOMAXPROCS(0), "legs in flight for -llc-sweep and -matrix (-j1 = one at a time; at most GOMAXPROCS machine runs simulate at once)")
 		timeout   = fs.Duration("timeout", 0, "overall deadline (e.g. 30s); on expiry the run stops cleanly mid-simulation")
 
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this path")

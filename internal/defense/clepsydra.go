@@ -9,15 +9,16 @@ import "timecache/internal/cache"
 // eviction-set construction is disrupted. The TTL is randomized per line so
 // expiries do not phase-lock with victim activity.
 //
-// The simulator models the TTL table beside the hierarchy, keyed by line
-// address: the per-access hook lazily expires the accessed line before the
-// access is served (the modeled hardware evicts in the background, so no
-// latency is charged to the access that observes the expiry) and assigns a
-// fresh deadline when the line is (re)filled by that access. A line that is
+// The simulator models the TTL table beside the hierarchy, indexed by
+// physical line number: the per-access hook lazily expires the accessed
+// line before the access is served (the modeled hardware evicts in the
+// background, so no latency is charged to the access that observes the
+// expiry) and assigns a fresh deadline when the line is (re)filled by that
+// access. A line that is
 // capacity-evicted and refilled within one TTL window keeps its original
 // deadline — the line's clock does not reset on refill, which is the
 // conservative reading for the attacker. Only the accessed line is
-// inspected, so the hook is O(1), decisions never iterate the map, and the
+// inspected, so the hook is O(1), decisions never iterate the table, and the
 // jitter stream is derived from the access stream — fully deterministic.
 const (
 	// clepsydraBaseTTL is the minimum line lifetime in cycles. It is sized
@@ -33,32 +34,35 @@ const (
 
 type clepsydraDefense struct {
 	h *cache.Hierarchy
-	// deadline maps a line address to the cycle its TTL expires.
-	deadline map[uint64]uint64
+	// deadline holds, per physical line number, the cycle the line's TTL
+	// expires; 0 means never assigned (a real deadline is at least
+	// clepsydraBaseTTL). It grows on demand to the highest line accessed.
+	deadline []uint64
 	// nonce counts deadline assignments, decorrelating the jitter of
 	// successive TTLs on the same line.
 	nonce uint64
 }
 
 func newClepsydra(h *cache.Hierarchy) cache.Defense {
-	return &clepsydraDefense{
-		h:        h,
-		deadline: make(map[uint64]uint64),
-	}
+	return &clepsydraDefense{h: h}
 }
 
 func (d *clepsydraDefense) Name() string { return Clepsydra }
 
 func (d *clepsydraDefense) OnAccess(r *cache.Request) {
 	lineAddr := r.Addr &^ (cache.LineSize - 1)
-	if dl, ok := d.deadline[lineAddr]; ok {
+	line := int(r.Addr >> cache.LineShift)
+	if line >= len(d.deadline) {
+		d.deadline = append(d.deadline, make([]uint64, line+1-len(d.deadline))...)
+	}
+	if dl := d.deadline[line]; dl != 0 {
 		if r.Now < dl {
 			return
 		}
 		d.h.EvictLine(lineAddr)
 	}
 	d.nonce++
-	d.deadline[lineAddr] = r.Now + clepsydraBaseTTL + d.jitter(lineAddr)
+	d.deadline[line] = r.Now + clepsydraBaseTTL + d.jitter(lineAddr)
 }
 
 // jitter hashes (lineAddr, nonce) to a bounded TTL extension.
@@ -75,7 +79,7 @@ func (d *clepsydraDefense) OnSwitch(corei, outPID, inPID int, now uint64) uint64
 }
 
 func (d *clepsydraDefense) Reset() {
-	clear(d.deadline)
+	d.deadline = d.deadline[:0]
 	d.nonce = 0
 }
 
@@ -84,9 +88,6 @@ func (d *clepsydraDefense) CopyFrom(src cache.Defense) {
 	if !ok {
 		panic("defense: clepsydra CopyFrom from a different defense kind")
 	}
-	clear(d.deadline)
-	for k, v := range s.deadline {
-		d.deadline[k] = v
-	}
+	d.deadline = append(d.deadline[:0], s.deadline...)
 	d.nonce = s.nonce
 }

@@ -15,10 +15,11 @@ import (
 // Ownership is tracked per (core, line): the per-access hook stamps the
 // accessed line with the PID currently running on the accessing core, and
 // the switch hook evicts the core's L1 lines whose stamp differs from the
-// incoming PID, visiting lines in cache index order (deterministic — map
-// lookups decide, map iteration never does). Lines resident but never
-// demand-accessed since fill (next-line prefetches) carry no stamp and are
-// flushed conservatively. With SMT the stamp is the core's most recently
+// incoming PID, visiting lines in cache index order (deterministic). A stamp
+// is keyed by physical line number, not by cache slot, so it survives the
+// line's eviction and refill. Lines resident but never demand-accessed
+// since fill (next-line prefetches) carry no stamp and are flushed
+// conservatively. With SMT the stamp is the core's most recently
 // switched-in PID, a model simplification the SMT attack scenario measures.
 // The switch charge uses core.SelectiveFlushCost: a fixed walk setup plus a
 // small per-invalidated-line increment.
@@ -27,23 +28,18 @@ type faseDefense struct {
 	// cur is the PID most recently switched in on each core (0 before the
 	// first switch).
 	cur []int32
-	// owner maps faseKey(core, lineAddr) to the last PID that touched the
-	// line on that core.
-	owner map[uint64]int32
+	// owner holds, per core and physical line number, the last PID that
+	// touched the line on that core; 0 means none (PIDs start at 1). Each
+	// core's table grows on demand to the highest line it accessed.
+	owner [][]int32
 }
 
 func newFASE(h *cache.Hierarchy) cache.Defense {
 	return &faseDefense{
 		h:     h,
 		cur:   make([]int32, h.Config().Cores),
-		owner: make(map[uint64]int32),
+		owner: make([][]int32, h.Config().Cores),
 	}
-}
-
-// faseKey tags a line address with its core; physical line addresses are
-// far below 2^48, so the tag cannot collide.
-func faseKey(corei int, lineAddr uint64) uint64 {
-	return lineAddr | uint64(corei+1)<<48
 }
 
 func (d *faseDefense) Name() string { return FASE }
@@ -54,7 +50,12 @@ func (d *faseDefense) OnAccess(r *cache.Request) {
 	if pid == 0 {
 		return // no process has been switched in yet (cold boot accesses)
 	}
-	d.owner[faseKey(corei, r.Addr&^(cache.LineSize-1))] = pid
+	own, line := d.owner[corei], int(r.Addr>>cache.LineShift)
+	if line >= len(own) {
+		own = append(own, make([]int32, line+1-len(own))...)
+		d.owner[corei] = own
+	}
+	own[line] = pid
 }
 
 func (d *faseDefense) OnSwitch(corei, outPID, inPID int, now uint64) uint64 {
@@ -62,16 +63,19 @@ func (d *faseDefense) OnSwitch(corei, outPID, inPID int, now uint64) uint64 {
 		return 0 // deschedule with nothing incoming: defer to the next switch-in
 	}
 	d.cur[corei] = int32(inPID)
-	in := int32(inPID)
+	in, own := int32(inPID), d.owner[corei]
 	flushed := d.h.EvictCoreL1(corei, func(lineAddr uint64) bool {
-		return d.owner[faseKey(corei, lineAddr)] == in
+		line := int(lineAddr >> cache.LineShift)
+		return line < len(own) && own[line] == in
 	})
 	return core.SelectiveFlushCost(flushed)
 }
 
 func (d *faseDefense) Reset() {
 	clear(d.cur)
-	clear(d.owner)
+	for c := range d.owner {
+		d.owner[c] = d.owner[c][:0]
+	}
 }
 
 func (d *faseDefense) CopyFrom(src cache.Defense) {
@@ -80,8 +84,7 @@ func (d *faseDefense) CopyFrom(src cache.Defense) {
 		panic("defense: fase CopyFrom from a different defense kind")
 	}
 	copy(d.cur, s.cur)
-	clear(d.owner)
-	for k, v := range s.owner {
-		d.owner[k] = v
+	for c := range d.owner {
+		d.owner[c] = append(d.owner[c][:0], s.owner[c]...)
 	}
 }

@@ -85,9 +85,9 @@ type kind struct {
 	canonical func(Job) Job
 	// legs is the leg count of a canonical job.
 	legs func(Job) int
-	// runLeg runs one leg of a canonical job — its machine runs one after
-	// another on pool, in a fixed order — and renders that leg's rows under
-	// the experiment's full header.
+	// runLeg runs one leg of a canonical job — its independent machine
+	// runs concurrently on pool (see eachRun) — and renders that leg's rows
+	// under the experiment's full header.
 	runLeg func(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error)
 }
 
@@ -345,13 +345,12 @@ func llcSweepLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table
 		return nil, err
 	}
 	opts.LLCSize = j.LLCSizes[leg]
-	norms := make([]float64, len(pairs))
-	for i, p := range pairs {
-		r, err := runSpecPair(pool, p, opts)
-		if err != nil {
-			return nil, err
-		}
-		norms[i] = r.Normalized
+	norms, err := eachRun(opts, len(pairs), func(o Options, i int) (float64, error) {
+		r, err := runSpecPair(pool, pairs[i], o)
+		return r.Normalized, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	gm := stats.GeoMean(norms)
 	tab := stats.NewTable("llc", "geomean-normalized", "overhead-pct")
@@ -369,18 +368,18 @@ func ablationLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table
 		return nil, err
 	}
 	configs := ablationConfigs()
-	baseline, err := runDefense(pool, pair, configs[0].kind, configs[0].name, opts)
+	runs := []ablationConfig{configs[0]}
+	if leg != 0 {
+		runs = append(runs, configs[leg])
+	}
+	cycles, err := eachRun(opts, len(runs), func(o Options, i int) (uint64, error) {
+		return runDefense(pool, pair, runs[i].kind, runs[i].name, o)
+	})
 	if err != nil {
 		return nil, err
 	}
-	cycles, cfg := baseline, configs[leg]
-	if leg != 0 {
-		if cycles, err = runDefense(pool, pair, cfg.kind, cfg.name, opts); err != nil {
-			return nil, err
-		}
-	}
 	tab := stats.NewTable("defense", "normalized-time")
-	tab.Add(cfg.name, stats.Normalized(cycles, baseline))
+	tab.Add(configs[leg].name, stats.Normalized(cycles[len(cycles)-1], cycles[0]))
 	return tab, nil
 }
 
@@ -403,35 +402,42 @@ func bookkeepingLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Ta
 }
 
 // securityLeg runs the §VI-A security evaluation (microbenchmark and RSA
-// flush+reload under baseline and TimeCache): four short sequential runs.
+// flush+reload under baseline and TimeCache): four short concurrent runs,
+// one table row each.
 func securityLeg(j Job, _ int, _ *machine.Pool, opts Options) (*stats.Table, error) {
-	tab := stats.NewTable("experiment", "mode", "result")
-	for _, leg := range pairedLegs {
-		if err := opts.ctx().Err(); err != nil {
-			return nil, err
-		}
-		start := opts.legStart()
-		mb, err := attack.RunMicrobenchmark(machine.Config{Defense: leg.kind})
-		if err != nil {
-			return nil, err
-		}
-		opts.finishLeg("microbenchmark/"+leg.name, start, nil)
-		tab.Add("microbenchmark (§VI-A1)", leg.name,
-			fmt.Sprintf("%d/%d lines hit", mb.Hits, mb.Lines))
+	experiments := []struct {
+		row, span string
+		run       func(cfg machine.Config) (string, error)
+	}{
+		{"microbenchmark (§VI-A1)", "microbenchmark", func(cfg machine.Config) (string, error) {
+			mb, err := attack.RunMicrobenchmark(cfg)
+			return fmt.Sprintf("%d/%d lines hit", mb.Hits, mb.Lines), err
+		}},
+		{"RSA flush+reload (§VI-A2)", "rsa", func(cfg machine.Config) (string, error) {
+			rsa, err := attack.RunRSAConfig(cfg, j.KeyBits, j.Seed)
+			return fmt.Sprintf("%.0f%% of key bits, %d hits, victim correct=%v",
+				rsa.Accuracy*100, rsa.Hits, rsa.VictimCorrect), err
+		}},
 	}
-	for _, leg := range pairedLegs {
-		if err := opts.ctx().Err(); err != nil {
-			return nil, err
-		}
-		start := opts.legStart()
-		rsa, err := attack.RunRSAConfig(machine.Config{Defense: leg.kind}, j.KeyBits, j.Seed)
-		if err != nil {
-			return nil, err
-		}
-		opts.finishLeg("rsa/"+leg.name, start, nil)
-		tab.Add("RSA flush+reload (§VI-A2)", leg.name,
-			fmt.Sprintf("%.0f%% of key bits, %d hits, victim correct=%v",
-				rsa.Accuracy*100, rsa.Hits, rsa.VictimCorrect))
+	n := len(pairedLegs)
+	results, err := eachRun(opts, len(experiments)*n, func(o Options, i int) (string, error) {
+		e, leg := experiments[i/n], pairedLegs[i%n]
+		return withSlot(o, func() (string, error) {
+			start := o.legStart()
+			r, err := e.run(machine.Config{Defense: leg.kind})
+			if err != nil {
+				return "", err
+			}
+			o.finishLeg(e.span+"/"+leg.name, start, nil)
+			return r, nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	tab := stats.NewTable("experiment", "mode", "result")
+	for i, r := range results {
+		tab.Add(experiments[i/n].row, pairedLegs[i%n].name, r)
 	}
 	return tab, nil
 }

@@ -44,12 +44,14 @@ type Options struct {
 	// configured output paths are suffixed with the workload label and mode
 	// so one config fans out over a whole sweep.
 	Telemetry *telemetry.Config
-	// Jobs is the number of legs RunJob executes concurrently (see
-	// JobLegs: a job's parallelism is bounded by its leg count, e.g. the
-	// number of sizes of an llc-sweep). Each worker draws machines from its
-	// own pool, so results are bit-identical to sequential execution; see
-	// internal/runner. Zero or negative selects runtime.GOMAXPROCS(0); 1 is
-	// strictly sequential. RunJobLeg runs one leg and ignores it.
+	// Jobs is the number of legs RunJob keeps in flight (see JobLegs, e.g.
+	// the number of sizes of an llc-sweep). Each worker draws machines from
+	// its own pool, so results are bit-identical to sequential execution;
+	// see internal/runner. Zero or negative selects runtime.GOMAXPROCS(0);
+	// 1 runs one leg at a time. Jobs does not bound machine runs: every leg
+	// runs its independent runs concurrently, and at most GOMAXPROCS runs
+	// simulate at once in the process whatever Jobs says. RunJobLeg runs
+	// one leg and ignores it.
 	Jobs int
 	// Progress, when non-nil, is called by RunJob after each completed leg
 	// with (done, total). Calls are serialized. RunJobLeg ignores it.
@@ -351,14 +353,19 @@ type machineRun struct {
 // otherwise it routes through the snapshot shelf per opts.Snapshot.
 // Telemetry runs bypass the memo and always take the cold path: a collector
 // observes the whole run, warmup included, so a forked or memoized run
-// would change its outputs.
+// would change its outputs. A simulation holds a run slot from before it
+// takes a machine from the pool until it ends; waiting on the memo holds
+// none.
 func runMachine(pool *machine.Pool, opts Options, l machineRun) (measurement, error) {
-	if opts.Memo == nil || opts.Telemetry != nil {
-		return runShelf(pool, opts, l)
+	shelf := func() (measurement, error) {
+		return withSlot(opts, func() (measurement, error) { return runShelf(pool, opts, l) })
 	}
-	return opts.Memo.run(opts, l,
-		func() (measurement, error) { return runShelf(pool, opts, l) },
-		func() (measurement, error) { return runQuietCold(pool, opts, l) })
+	if opts.Memo == nil || opts.Telemetry != nil {
+		return shelf()
+	}
+	return opts.Memo.run(opts, l, shelf, func() (measurement, error) {
+		return withSlot(opts, func() (measurement, error) { return runQuietCold(pool, opts, l) })
+	})
 }
 
 // runShelf executes one run cold, from a snapshot fork, or cold-with-capture
@@ -607,15 +614,12 @@ func result(label string, mb, mt measurement) pairResult {
 // spans, telemetry suffixes and the security table have always used.
 var pairedLegs = [2]ablationConfig{{"baseline", defense.None}, {"timecache", defense.TimeCache}}
 
-// runPaired measures one row: a workload under the baseline and then under
-// TimeCache, once per leg.
-func runPaired(label string, once func(ablationConfig) (measurement, error)) (pairResult, error) {
-	var m [2]measurement
-	for i, leg := range pairedLegs {
-		var err error
-		if m[i], err = once(leg); err != nil {
-			return pairResult{}, err
-		}
+// runPaired measures one row: a workload under the baseline and under
+// TimeCache, the two runs concurrently.
+func runPaired(label string, opts Options, once func(Options, ablationConfig) (measurement, error)) (pairResult, error) {
+	m, err := eachRun(opts, len(pairedLegs), func(o Options, i int) (measurement, error) { return once(o, pairedLegs[i]) })
+	if err != nil {
+		return pairResult{}, err
 	}
 	return result(label, m[0], m[1]), nil
 }
@@ -625,9 +629,9 @@ func runPaired(label string, once func(ablationConfig) (measurement, error)) (pa
 // calls).
 func runSpecPair(pool *machine.Pool, pair workload.Pair, opts Options) (pairResult, error) {
 	opts = opts.withDefaults()
-	return runPaired(pair.Label, func(leg ablationConfig) (measurement, error) {
-		return runSpec(pool, pair, leg.kind, leg.name, opts,
-			func(k *kernel.Kernel) *telemetry.Collector { return opts.attachTelemetry(k, pair.Label, leg.name) })
+	return runPaired(pair.Label, opts, func(o Options, leg ablationConfig) (measurement, error) {
+		return runSpec(pool, pair, leg.kind, leg.name, o,
+			func(k *kernel.Kernel) *telemetry.Collector { return o.attachTelemetry(k, pair.Label, leg.name) })
 	})
 }
 
@@ -669,7 +673,9 @@ func runParsecOnce(pool *machine.Pool, name string, leg ablationConfig, opts Opt
 // runParsec measures one Fig. 9 row on machines drawn from pool.
 func runParsec(pool *machine.Pool, name string, opts Options) (pairResult, error) {
 	opts = opts.withDefaults()
-	return runPaired(name, func(leg ablationConfig) (measurement, error) { return runParsecOnce(pool, name, leg, opts) })
+	return runPaired(name, opts, func(o Options, leg ablationConfig) (measurement, error) {
+		return runParsecOnce(pool, name, leg, o)
+	})
 }
 
 // ablationConfig names one ablation row: the registry kind that configures

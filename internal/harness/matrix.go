@@ -76,10 +76,11 @@ func matrixAttackByName(name string) *matrixAttack {
 
 // matrixLeg renders one matrix row: a leaked-bits column per attack (the
 // binary-channel capacity of the attacker's recovery, 0 = defended) and a
-// normalized-slowdown column per workload pair. The leg mounts its attacks,
-// then asks for the pairs under "none" for the normalization baseline, then
-// runs them under its own defense (the "none" row reuses its baseline
-// runs). Legs that share the job's RunMemo simulate each baseline once.
+// normalized-slowdown column per workload pair. The leg's units — its
+// attacks, the pairs under "none" for the normalization baseline, and the
+// pairs under its own defense (the "none" row reuses its baseline runs) —
+// run concurrently and are reported in that order. Legs that share the
+// job's RunMemo simulate each baseline once.
 func matrixLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error) {
 	pairs, err := selectPairs(j.Pairs)
 	if err != nil {
@@ -93,51 +94,66 @@ func matrixLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, 
 	for _, p := range pairs {
 		header = append(header, "slowdown-"+p.Label)
 	}
+	// Units [0, A) are the attacks, [A, A+P) the baselines and, unless
+	// the row is "none", [A+P, A+2P) the defended runs.
+	na, np := len(j.Attacks), len(pairs)
+	units := na + np
+	if d != defense.None {
+		units += np
+	}
+	cells, err := eachRun(opts, units, func(o Options, i int) (matrixCell, error) {
+		switch {
+		case i < na:
+			acc, err := runMatrixAttack(d, j.Attacks[i], j.AttackBits, j.Seed, o)
+			return matrixCell{acc: acc}, err
+		case i < na+np:
+			cycles, err := runDefense(pool, pairs[i-na], defense.None, "matrix-"+defense.None, o)
+			return matrixCell{cycles: cycles}, err
+		default:
+			cycles, err := runDefense(pool, pairs[i-na-np], d, "matrix-"+d, o)
+			return matrixCell{cycles: cycles}, err
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	row := make([]any, 0, len(header))
 	row = append(row, d)
-	for _, a := range j.Attacks {
-		acc, err := runMatrixAttack(d, a, j.AttackBits, j.Seed, opts)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, stats.BinaryChannelBits(j.AttackBits, acc))
+	for _, c := range cells[:na] {
+		row = append(row, stats.BinaryChannelBits(j.AttackBits, c.acc))
 	}
-	base := make([]uint64, len(pairs))
+	base, defended := cells[na:na+np], cells[units-np:]
 	for i, p := range pairs {
-		if base[i], err = runDefense(pool, p, defense.None, "matrix-"+defense.None, opts); err != nil {
-			return nil, err
-		}
-		if base[i] == 0 {
+		if base[i].cycles == 0 {
 			return nil, fmt.Errorf("harness: matrix baseline run of %s produced zero cycles", p.Label)
 		}
-	}
-	for i, p := range pairs {
-		cycles := base[i]
-		if d != defense.None {
-			if cycles, err = runDefense(pool, p, d, "matrix-"+d, opts); err != nil {
-				return nil, err
-			}
-		}
-		row = append(row, float64(cycles)/float64(base[i]))
+		row = append(row, float64(defended[i].cycles)/float64(base[i].cycles))
 	}
 	tab := stats.NewTable(header...)
 	tab.Add(row...)
 	return tab, nil
 }
 
-// runMatrixAttack mounts one attack under one defense. The attack scenarios
-// assemble their own machines, so the run is accounted by count and span
-// only, like the security experiment's.
+// matrixCell is one unit of a matrix row: an attack's accuracy or a perf
+// run's measured cycles.
+type matrixCell struct {
+	acc    float64
+	cycles uint64
+}
+
+// runMatrixAttack mounts one attack under one defense, holding a run slot
+// while it builds and runs its machines. The attack scenarios assemble
+// their own machines, so the run is accounted by count and span only, like
+// the security experiment's.
 func runMatrixAttack(def, att string, bits int, seed uint64, opts Options) (float64, error) {
-	if err := opts.ctx().Err(); err != nil {
-		return 0, err
-	}
-	start := opts.legStart()
-	cfg := machineConfig(def, 1, opts, 0)
-	acc, err := matrixAttackByName(att).run(cfg, bits, seed)
-	if err != nil {
-		return 0, err
-	}
-	opts.finishLeg("matrix/"+def+"/"+att, start, nil)
-	return acc, nil
+	return withSlot(opts, func() (float64, error) {
+		start := opts.legStart()
+		cfg := machineConfig(def, 1, opts, 0)
+		acc, err := matrixAttackByName(att).run(cfg, bits, seed)
+		if err != nil {
+			return 0, err
+		}
+		opts.finishLeg("matrix/"+def+"/"+att, start, nil)
+		return acc, nil
+	})
 }

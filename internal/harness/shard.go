@@ -22,11 +22,12 @@
 //	matrix       one defense row          (runs the attack columns, then the
 //	                                       none perf baseline, then its own
 //	                                       perf runs)
-//	security     the whole experiment     (four short sequential runs)
+//	security     the whole experiment     (four short attack runs)
 //
-// A leg runs its machine runs sequentially, so a job's parallelism is its
-// leg count, and a job's resource account is the sum of its legs' accounts
-// however the legs are scheduled. Legs that share one RunMemo charge each
+// A leg runs its independent machine runs concurrently (eachRun), under one
+// process-wide bound of GOMAXPROCS simulating runs, and a job's resource
+// account is the sum of its legs' accounts however the legs and their runs
+// are scheduled. Legs that share one RunMemo charge each
 // distinct machine run once, to whichever leg simulated it.
 package harness
 

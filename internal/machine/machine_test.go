@@ -110,6 +110,28 @@ func runWorkloadPair(t testing.TB, m *Machine) string {
 	return fp
 }
 
+// TestResetAllocFree: resetting a machine whose physical memory grew during
+// its run allocates nothing. Each measured Reset runs on its own freshly
+// grown machine (AllocsPerRun's warm-up call takes the first), so a Reset
+// that rebuilt a free list as long as the frame table would count here.
+func TestResetAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	ms := make([]*Machine, 5)
+	for i := range ms {
+		ms[i] = New(Config{Defense: defense.TimeCache, PhysFrames: 8192})
+		runWorkloadPair(t, ms[i])
+	}
+	next := 0
+	if n := testing.AllocsPerRun(len(ms)-1, func() {
+		ms[next].Reset()
+		next++
+	}); n != 0 {
+		t.Fatalf("Reset of a grown machine made %v allocations, want 0", n)
+	}
+}
+
 // TestResetDeterminism is the core pooling contract: a machine that ran a
 // workload and was Reset must replay the same workload with exactly the
 // cycles and counters a fresh machine produces. The golden experiment tests

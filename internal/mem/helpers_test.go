@@ -15,7 +15,7 @@ func (p *Physical) allocated() int {
 
 // LoadByte reads the byte at physical address pa.
 func (p *Physical) LoadByte(pa uint64) byte {
-	return p.info(FrameOf(pa)).data[pa&(PageSize-1)]
+	return p.contents(FrameOf(pa))[pa&(PageSize-1)]
 }
 
 // StoreByte writes the byte at physical address pa.

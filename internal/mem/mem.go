@@ -29,16 +29,23 @@ func FrameOf(pa uint64) Frame { return Frame(pa >> PageShift) }
 // Physical is a physical memory: a set of allocated frames with contents and
 // reference counts. The zero value is not usable; use NewPhysical.
 type Physical struct {
-	frames   []*frameInfo
-	free     []Frame
+	frames []*frameInfo
+	// free holds frames released by Unref, reused last-in first-out.
+	free []Frame
+	// next is the reuse cursor: every frame at index next or above is free
+	// and not on the free list (Reset rewinds it to 0 instead of rebuilding
+	// the free list, so a Reset allocates nothing).
+	next     int
 	capacity int
 
 	// DRAMLatency is the cycles charged for a request serviced by memory.
 	DRAMLatency uint64
 }
 
-// frameInfo is one frame's contents and bookkeeping. A shared frame's data
-// buffer is aliased by a machine snapshot (or by the snapshot's source) and
+// frameInfo is one frame's contents and bookkeeping. A nil data buffer is
+// a demand-zero frame: it reads as zeros and gets a buffer on its first
+// store, so a mapped region the run never writes costs no host memory. A
+// shared frame's data buffer is aliased by a machine snapshot (or by the snapshot's source) and
 // must never be written in place: every mutation goes through writable,
 // which swaps in a private buffer on first write (host-level copy-on-write).
 // This sharing is invisible to the simulation — frame numbers, refcounts,
@@ -60,43 +67,47 @@ func NewPhysical(capacityFrames int, dramLatency uint64) *Physical {
 	return &Physical{capacity: capacityFrames, DRAMLatency: dramLatency}
 }
 
-// Alloc allocates a zeroed frame with refcount 1.
+// Alloc allocates a zeroed frame with refcount 1: a frame freed by Unref
+// first, then the frames a Reset freed in ascending order, then a new one.
+// A new frame is demand-zero. A reused frame keeps a private buffer, which
+// is cleared; a buffer still aliased by a snapshot is dropped instead, since
+// zeroing it in place would corrupt the frozen copy.
 func (p *Physical) Alloc() (Frame, error) {
-	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
-		p.free = p.free[:n-1]
-		fi := p.frames[f]
-		fi.refs = 1
-		if fi.shared {
-			// The old buffer is still aliased by a snapshot; zeroing it in
-			// place would corrupt the frozen copy. Swap in a private one.
-			fi.data = make([]byte, PageSize)
-			fi.shared = false
-			return f, nil
-		}
-		for i := range fi.data {
-			fi.data[i] = 0
-		}
-		return f, nil
-	}
-	if len(p.frames) >= p.capacity {
+	var f Frame
+	switch {
+	case len(p.free) > 0:
+		f = p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
+	case p.next < len(p.frames):
+		f = Frame(p.next)
+		p.next++
+	case len(p.frames) >= p.capacity:
 		return 0, fmt.Errorf("mem: out of physical memory (%d frames)", p.capacity)
+	default:
+		p.frames = append(p.frames, &frameInfo{refs: 1})
+		p.next = len(p.frames)
+		return Frame(len(p.frames) - 1), nil
 	}
-	f := Frame(len(p.frames))
-	p.frames = append(p.frames, &frameInfo{data: make([]byte, PageSize), refs: 1})
+	fi := p.frames[f]
+	fi.refs = 1
+	if fi.shared {
+		fi.data, fi.shared = nil, false
+	} else {
+		clear(fi.data)
+	}
 	return f, nil
 }
 
 // Reset frees every frame without releasing backing storage, restoring the
-// allocation order of a fresh Physical: the free list is rebuilt descending
-// so successive Allocs pop frames 0, 1, 2, ... exactly as first-time append
-// allocation numbered them. Frame contents are zeroed lazily by Alloc.
+// allocation order of a fresh Physical: successive Allocs take frames 0, 1,
+// 2, ... exactly as first-time allocation numbered them. Frame contents are
+// zeroed lazily by Alloc.
 func (p *Physical) Reset() {
-	p.free = p.free[:0]
-	for i := len(p.frames) - 1; i >= 0; i-- {
-		p.frames[i].refs = 0
-		p.free = append(p.free, Frame(i))
+	for _, fi := range p.frames {
+		fi.refs = 0
 	}
+	p.free = p.free[:0]
+	p.next = 0
 }
 
 // Ref increments the reference count of f (e.g. when a second address space
@@ -132,17 +143,29 @@ func (p *Physical) info(f Frame) *frameInfo {
 }
 
 // writable is the host-COW write barrier: it returns f's frameInfo with a
-// buffer that is private to this Physical, breaking buffer sharing with any
-// snapshot on the first store to a shared frame.
+// buffer that is private to this Physical, allocating a demand-zero frame's
+// buffer and breaking buffer sharing with any snapshot on the first store.
 func (p *Physical) writable(f Frame) *frameInfo {
 	fi := p.info(f)
-	if fi.shared {
+	if fi.data == nil || fi.shared {
 		data := make([]byte, PageSize)
 		copy(data, fi.data)
 		fi.data = data
 		fi.shared = false
 	}
 	return fi
+}
+
+// zeroPage is what a demand-zero frame reads as.
+var zeroPage [PageSize]byte
+
+// contents returns f's bytes for reading: its buffer, or the zero page for
+// a demand-zero frame. Callers must not write through it.
+func (p *Physical) contents(f Frame) []byte {
+	if d := p.info(f).data; d != nil {
+		return d
+	}
+	return zeroPage[:]
 }
 
 // Page returns the contents of frame f. The returned slice aliases the
@@ -158,7 +181,7 @@ func (p *Physical) ReadU64(pa uint64) uint64 {
 	if off > PageSize-8 {
 		panic(fmt.Sprintf("mem: unaligned cross-page read at %#x", pa))
 	}
-	return binary.LittleEndian.Uint64(p.info(FrameOf(pa)).data[off:])
+	return binary.LittleEndian.Uint64(p.contents(FrameOf(pa))[off:])
 }
 
 // WriteU64 writes the 8-byte little-endian word v at physical address pa.
@@ -177,7 +200,9 @@ func (p *Physical) CopyFrame(src Frame) (Frame, error) {
 	if err != nil {
 		return 0, err
 	}
-	copy(p.frames[dst].data, p.info(src).data)
+	if data := p.info(src).data; data != nil {
+		copy(p.writable(dst).data, data)
+	}
 	return dst, nil
 }
 
@@ -185,14 +210,14 @@ func (p *Physical) CopyFrame(src Frame) (Frame, error) {
 // deduplication scanner to find identical pages.
 func (p *Physical) HashFrame(f Frame) uint64 {
 	h := fnv.New64a()
-	h.Write(p.info(f).data)
+	h.Write(p.contents(f))
 	return h.Sum64()
 }
 
 // SameContents reports whether two frames hold identical bytes. Dedup must
 // confirm equality after a hash match before merging.
 func (p *Physical) SameContents(a, b Frame) bool {
-	return bytes.Equal(p.info(a).data, p.info(b).data)
+	return bytes.Equal(p.contents(a), p.contents(b))
 }
 
 // Seal marks every frame's buffer as shared, so the next store to any frame
@@ -225,4 +250,5 @@ func (p *Physical) CopyFrom(src *Physical) {
 		df.shared = true
 	}
 	p.free = append(p.free[:0], src.free...)
+	p.next = src.next
 }

@@ -14,6 +14,7 @@ import (
 
 	"timecache/internal/harness"
 	"timecache/internal/promtext"
+	"timecache/internal/resultcache"
 )
 
 // checkMonotonic compares two scrapes (before, after) and returns an error
@@ -381,3 +382,74 @@ func (s *syncBuffer) String() string {
 }
 
 var _ io.Writer = (*syncBuffer)(nil)
+
+// TestMetricsCountJobOnceDone: a job's metrics are folded in before the job
+// turns terminal, so a client that polls a job until it reads done and then
+// scrapes /metrics always finds it finished, its simulation accounted and
+// no job still running. The first part pins the order: it holds the server
+// mutex, which finalize takes after the terminal transition, and reads the
+// metrics once the job reads done. The second repeats the client's view
+// over HTTP, since the window it closes is a race.
+func TestMetricsCountJobOnceDone(t *testing.T) {
+	spec := Spec{Experiment: "table2", Pairs: []string{"2Xlbm"}, InstrsPerProc: 2_000, WarmupInstrs: 1_000}
+
+	s, ts := startServer(t, Config{})
+	gate := make(chan struct{})
+	startGatedExecutor(s, gate)
+	st, resp := submit(t, ts, spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	waitRunning(t, ts, st.ID)
+	j := jobByID(t, s, st.ID)
+	s.mu.Lock()
+	close(gate)
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		j.mu.Lock()
+		state := j.state
+		j.mu.Unlock()
+		if state.Terminal() {
+			break
+		}
+		if time.Now().After(deadline) {
+			s.mu.Unlock()
+			t.Fatal("job never finished")
+		}
+	}
+	m, err := promtext.Parse(strings.NewReader(s.metrics.render(resultcache.Stats{})))
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := m.Sample("timecache_jobs_finished_total", promtext.Label{Name: "state", Value: "done"}); done == nil || done.Value != 1 {
+		t.Fatalf("job reads done, metrics count %v done jobs: the job turned terminal before its metrics were folded in", done)
+	}
+	if n := m.Sample("timecache_sim_cycles_total"); n == nil || n.Value == 0 {
+		t.Fatalf("job reads done, metrics account %v simulated cycles", n)
+	}
+
+	_, ts = startServer(t, Config{Workers: 1})
+	var cycles float64
+	for i := 1; i <= 50; i++ {
+		st, resp := submit(t, ts, spec)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: %s", i, resp.Status)
+		}
+		if final := waitTerminal(t, ts, st.ID, time.Minute); final.State != StateDone {
+			t.Fatalf("job %d: %s (%s)", i, final.State, final.Error)
+		}
+		m := scrapeMetrics(t, ts)
+		done := m.Sample("timecache_jobs_finished_total", promtext.Label{Name: "state", Value: "done"})
+		if done == nil || done.Value != float64(i) {
+			t.Fatalf("after %d jobs read done, /metrics counts %v done", i, done)
+		}
+		if s := m.Sample("timecache_jobs_running"); s == nil || s.Value != 0 {
+			t.Fatalf("job %d reads done, /metrics says %v jobs running", i, s)
+		}
+		s := m.Sample("timecache_sim_cycles_total")
+		if s == nil || s.Value <= cycles {
+			t.Fatalf("job %d reads done, simulated cycles did not grow past %v: %v", i, cycles, s)
+		}
+		cycles = s.Value
+	}
+}

@@ -457,7 +457,7 @@ func (s *Server) resumeJob(rj *replayedJob) {
 	j.log = s.log.With("job", j.id, "experiment", j.spec.Experiment)
 	s.journalEvents(j)
 	if entry := s.admit(j, rj.spec.cacheKey, (*resultcache.Cache).Readmit); entry != nil {
-		s.finishFromEntry(j, entry)
+		s.finishFromEntry(j, entry, nil)
 		j.log.Info("replayed job served from result cache", "key", entry.Key)
 		return
 	}
@@ -473,7 +473,7 @@ func (s *Server) resumeJob(rj *replayedJob) {
 		// address space changed under the log. Fail the job explicitly.
 		s.finish(j, func(r *jobResult) {
 			r.State, r.Error = StateFailed, fmt.Sprintf("replay: leg count: %v", err)
-		})
+		}, nil)
 		return
 	}
 	j.mu.Lock()

@@ -557,18 +557,19 @@ func (s *Server) finalize(j *job, runErr error) {
 			s.cfg.Cache.Complete(j.flight, nil,
 				fmt.Errorf("leader job %s %s: %s", j.id, r.State, r.Error))
 		}
+	}, func(r *jobResult) {
+		if !r.Started.IsZero() { // markRunning counted the job as running
+			s.running.Add(-1)
+			s.metrics.jobsRunning.Store(s.running.Load())
+		}
+		s.metrics.finish(r.State, j.spec.Experiment, r.Finished.Sub(started))
+		s.metrics.addJob(*r.res)
 	})
 	if !ok {
 		return
 	}
 	s.releaseQueueSlot(j)
-	if !r.Started.IsZero() { // markRunning counted the job as running
-		s.running.Add(-1)
-		s.metrics.jobsRunning.Store(s.running.Load())
-	}
 	res := *r.res
-	s.metrics.finish(r.State, j.spec.Experiment, r.Finished.Sub(started))
-	s.metrics.addJob(res)
 	log := j.log.With("state", r.State, "duration", r.Finished.Sub(started),
 		"legs", res.Legs, "sim_cycles", res.SimCycles,
 		"pool_hits", res.PoolHits, "pool_misses", res.PoolMisses)
@@ -601,9 +602,12 @@ func terminalState(ctx context.Context, err error) (State, string) {
 // from the job as it stands, finished now, and lets outcome set the state
 // and whatever else ended the job, and drops the job's run memo. It
 // appends the result record, the commit point a restart replays, and
-// applies it; only then does it publish the terminal state event, end the
-// SSE stream and close doneCh.
-func (s *Server) finish(j *job, outcome func(r *jobResult)) (jobResult, bool) {
+// applies it. fold, when non-nil, then folds the job into the server's
+// metrics, still under j.mu: a client that sees the job terminal, by
+// polling its status or on doneCh, finds it counted in /metrics. Only then
+// does finish publish the terminal state event, end the SSE stream and
+// close doneCh.
+func (s *Server) finish(j *job, outcome, fold func(r *jobResult)) (jobResult, bool) {
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
@@ -626,6 +630,9 @@ func (s *Server) finish(j *job, outcome func(r *jobResult)) (jobResult, bool) {
 		s.appendRecord(jobstore.KindResult, j.id, rec)
 	}
 	j.applyResult(&r)
+	if fold != nil {
+		fold(&r)
+	}
 	j.mu.Unlock()
 	s.publishState(j)
 	j.events.close()
@@ -636,8 +643,8 @@ func (s *Server) finish(j *job, outcome func(r *jobResult)) (jobResult, bool) {
 // finishFromEntry finishes a job with a cached result: it publishes the
 // entry's progress, then turns the job done with the entry's table,
 // resources and progress — byte-identical to a cold run by the simulator's
-// determinism.
-func (s *Server) finishFromEntry(j *job, e *resultcache.Entry) (jobResult, bool) {
+// determinism. fold is finish's.
+func (s *Server) finishFromEntry(j *job, e *resultcache.Entry, fold func(r *jobResult)) (jobResult, bool) {
 	var meta cachedMeta
 	if err := json.Unmarshal(e.Meta, &meta); err != nil {
 		j.log.Warn("cache entry metadata unreadable; serving result without resources", "error", err)
@@ -646,7 +653,7 @@ func (s *Server) finishFromEntry(j *job, e *resultcache.Entry) (jobResult, bool)
 	return s.finish(j, func(r *jobResult) {
 		r.State, r.table, r.res = StateDone, e.Table, meta.Resources
 		r.Done, r.Total = meta.Done, meta.Total
-	})
+	}, fold)
 }
 
 // register makes the job visible: found by id, listed in submission order.
@@ -830,12 +837,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case entry != nil:
 		s.attachPersistence(j)
-		r, _ := s.finishFromEntry(j, entry)
+		r, _ := s.finishFromEntry(j, entry, func(r *jobResult) {
+			s.metrics.finish(StateDone, spec.Experiment, r.Finished.Sub(reqStart))
+		})
 		s.mu.Lock()
 		s.register(j)
 		s.mu.Unlock()
 		j.trace.Lifecycle("cache-hit", reqStart, r.Finished, map[string]any{"key": entry.Key})
-		s.metrics.finish(StateDone, spec.Experiment, r.Finished.Sub(reqStart))
 		j.log.Info("job served from result cache", "key", entry.Key)
 	case disp == cacheCoalesced:
 		s.armJob(j)
@@ -948,21 +956,21 @@ func (s *Server) waitCoalesced(j *job) {
 		flightErr = context.Cause(j.ctx)
 	}
 
+	// No addJob: this job consumed no simulation resources of its own.
+	fold := func(r *jobResult) { s.metrics.finish(r.State, j.spec.Experiment, r.Finished.Sub(waitStart)) }
 	var r jobResult
 	var ok bool
 	if entry != nil && flightErr == nil {
-		r, ok = s.finishFromEntry(j, entry)
+		r, ok = s.finishFromEntry(j, entry, fold)
 	} else {
 		err := fmt.Errorf("coalesced onto job %s, which did not complete: %v", j.flight.LeaderTag(), flightErr)
-		r, ok = s.finish(j, func(r *jobResult) { r.State, r.Error = terminalState(j.ctx, err) })
+		r, ok = s.finish(j, func(r *jobResult) { r.State, r.Error = terminalState(j.ctx, err) }, fold)
 	}
 	if !ok {
 		return
 	}
 	j.trace.Lifecycle("coalesced-wait", waitStart, r.Finished,
 		map[string]any{"leader": j.flight.LeaderTag(), "key": j.flight.Key()})
-	// No addJob: this job consumed no simulation resources of its own.
-	s.metrics.finish(r.State, j.spec.Experiment, r.Finished.Sub(waitStart))
 	log := j.log.With("state", r.State, "leader", j.flight.LeaderTag(), "wait", r.Finished.Sub(waitStart))
 	switch r.State {
 	case StateDone:
