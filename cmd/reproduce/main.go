@@ -121,7 +121,6 @@ func run(args []string, stdout io.Writer) error {
 
 		cohCheck = fs.Bool("coherence-check", false, "cross-check the LLC sharer directory against brute-force L1 probes on every coherence event (debug; slow)")
 
-		snapshot  = fs.String("snapshot", "auto", "warm-state snapshot/fork reuse across legs: auto | on | off (results are identical in every mode)")
 		snapCheck = fs.Bool("snapshot-check", false, "cross-run every snapshot-forked leg from cold and fail on any counter divergence (debug; slow)")
 
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this path")
@@ -163,16 +162,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	opts.Jobs = *jobs
 	opts.CoherenceCheck = *cohCheck
-	switch *snapshot {
-	case "auto":
-		opts.Snapshot = harness.SnapshotAuto
-	case "on":
-		opts.Snapshot = harness.SnapshotOn
-	case "off":
-		opts.Snapshot = harness.SnapshotOff
-	default:
-		return fmt.Errorf("-snapshot must be auto, on, or off (got %q)", *snapshot)
-	}
 	opts.SnapshotCheck = *snapCheck
 	if *resources != "" {
 		opts.Account = &harness.ResourceAccount{}

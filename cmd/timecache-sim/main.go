@@ -1,13 +1,16 @@
 // Command timecache-sim runs a mix of workload models on a simulated
-// machine and prints per-cache statistics, normalized against an optional
-// baseline run.
+// machine and prints per-cache statistics, or runs one harness job.
 //
 // Usage:
 //
 //	timecache-sim -defense timecache -workloads lbm,wrf -instrs 300000
 //	timecache-sim -defense none      -workloads 2Xperlbench
-//	timecache-sim -compare -workloads 2Xlbm   # run none AND the -defense kind
+//	timecache-sim -compare -defense fase -workloads 2Xlbm   # table2: none vs fase
 //	timecache-sim -llc-sweep 512K,1M,2M,4M -workloads 2Xlbm -j4
+//
+// -compare, -llc-sweep and -matrix run one harness job each (table2,
+// llc-sweep, matrix) and print its table: -workloads then names pairs
+// ("2Xlbm", "leslie+gobmk"), and warm-up is excluded from the measurement.
 //
 // Telemetry outputs (any may be combined; see internal/telemetry):
 //
@@ -15,7 +18,9 @@
 //	timecache-sim -defense timecache -trace-json t.json    # load in Perfetto
 //	timecache-sim -defense timecache -manifest run.json -hist
 //
-// In -compare mode the telemetry outputs come from the defended leg.
+// -compare and -llc-sweep write one set of telemetry files per pair and
+// leg, suffixed with both; -matrix writes none. Only a single run prints
+// sparklines and -hist.
 package main
 
 import (
@@ -56,10 +61,10 @@ func run(fs *flag.FlagSet, args []string) error {
 		attacks   = fs.String("attacks", "", "comma-separated attack names for -matrix (default: the full corpus)")
 		attackBit = fs.Int("attack-bits", 0, "secret length each -matrix attack transmits (default 32)")
 		cores     = fs.Int("cores", 1, "number of cores")
-		compare   = fs.Bool("compare", false, "run the baseline (defense none) and the -defense kind and report normalized time")
+		compare   = fs.Bool("compare", false, "run table2 on the -workloads pairs: the baseline (defense none) against the -defense kind, warm-up excluded")
 		gate      = fs.Bool("gatelevel", false, "use the gate-level bit-serial comparator")
 		cohCheck  = fs.Bool("coherence-check", false, "cross-check the LLC sharer directory against brute-force L1 probes on every coherence event (debug; slow)")
-		jobs      = fs.Int("j", runtime.GOMAXPROCS(0), "legs in flight for -llc-sweep and -matrix (-j1 = one at a time; at most GOMAXPROCS machine runs simulate at once)")
+		jobs      = fs.Int("j", runtime.GOMAXPROCS(0), "legs in flight for -compare, -llc-sweep and -matrix (-j1 = one at a time; at most GOMAXPROCS machine runs simulate at once)")
 		timeout   = fs.Duration("timeout", 0, "overall deadline (e.g. 30s); on expiry the run stops cleanly mid-simulation")
 
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this path")
@@ -71,7 +76,7 @@ func run(fs *flag.FlagSet, args []string) error {
 		manifest    = fs.String("manifest", "", "write a JSON run manifest to this path")
 		sampleEvery = fs.Uint64("sample-every", 0, "interval sampler period in instructions (default 10000)")
 		traceAcc    = fs.Bool("trace-accesses", false, "add per-access instant events to the trace (verbose)")
-		showHist    = fs.Bool("hist", false, "print latency histograms after the run")
+		showHist    = fs.Bool("hist", false, "print latency histograms after a single run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,6 +106,9 @@ func run(fs *flag.FlagSet, args []string) error {
 		}()
 	}
 
+	if *cores < 1 {
+		return fmt.Errorf("-cores must be at least 1, got %d", *cores)
+	}
 	tcfg := telemetry.Config{
 		SampleEvery:   *sampleEvery,
 		TraceAccesses: *traceAcc,
@@ -109,7 +117,6 @@ func run(fs *flag.FlagSet, args []string) error {
 		TraceJSON:     *traceJSON,
 		ManifestJSON:  *manifest,
 	}
-	telemetryOn := tcfg != (telemetry.Config{}) || *showHist
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -118,62 +125,59 @@ func run(fs *flag.FlagSet, args []string) error {
 		defer cancel()
 	}
 
-	// -matrix and -llc-sweep dispatch harness jobs — the same job kinds
-	// cmd/reproduce and the job service's POST /v1/jobs run.
-	jobOpts := harness.Options{InstrsPerProc: *instrs, GateLevel: *gate, CoherenceCheck: *cohCheck, Jobs: *jobs, Ctx: ctx}
-	if *matrixRun {
-		j := harness.Job{
+	// -matrix, -llc-sweep and -compare dispatch harness jobs: the same job
+	// kinds cmd/reproduce and the job service's POST /v1/jobs run.
+	var (
+		title string
+		j     harness.Job
+	)
+	switch {
+	case *matrixRun:
+		title = "Defense × attack matrix (leaked bits per attack; slowdown vs none):"
+		j = harness.Job{
 			Experiment: harness.ExpMatrix,
 			Pairs:      splitList(*workloads),
 			Defenses:   splitList(*defenses),
 			Attacks:    splitList(*attacks),
 			AttackBits: *attackBit,
 		}
-		if err := runJob("Defense × attack matrix (leaked bits per attack; slowdown vs none):", j, jobOpts); err != nil {
-			return ctxErr(err, *timeout)
-		}
-		return nil
-	}
-	if *llcSweep != "" {
-		if *cores != 1 {
-			return fmt.Errorf("-llc-sweep runs each pair on one core; -cores %d is not supported", *cores)
-		}
+	case (*llcSweep != "" || *compare) && *cores != 1:
+		return fmt.Errorf("-llc-sweep and -compare run each pair on one core; -cores %d is not supported", *cores)
+	case *llcSweep != "":
 		sizes, err := parseSizes(*llcSweep)
 		if err != nil {
 			return err
 		}
-		j := harness.Job{Experiment: harness.ExpLLCSweep, Pairs: splitList(*workloads), LLCSizes: sizes}
-		title := fmt.Sprintf("LLC sweep (%s, %d instrs/proc, warm-up excluded):", *workloads, *instrs)
-		if err := runJob(title, j, jobOpts); err != nil {
-			return ctxErr(err, *timeout)
-		}
-		return nil
+		title = fmt.Sprintf("LLC sweep (%s, %d instrs/proc, warm-up excluded):", *workloads, *instrs)
+		j = harness.Job{Experiment: harness.ExpLLCSweep, Pairs: splitList(*workloads), LLCSizes: sizes}
+	case *compare:
+		title = fmt.Sprintf("Table II, %s vs %s (%s, %d instrs/proc, warm-up excluded):", kind, defense.None, *workloads, *instrs)
+		j = harness.Job{Experiment: harness.ExpTableII, Pairs: splitList(*workloads), Defenses: []string{kind.String()}}
+	default:
+		cfg := timecache.Config{Defense: kind.String(), LLCSize: *llc, Cores: *cores, GateLevel: *gate, CoherenceCheck: *cohCheck}
+		return ctxErr(runOnce(ctx, cfg, *workloads, *instrs, tcfg, *showHist), *timeout)
 	}
-	if *compare {
-		if err := runCompare(ctx, kind.String(), *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn, *showHist); err != nil {
-			return ctxErr(err, *timeout)
-		}
-		return nil
+	opts := harness.Options{
+		InstrsPerProc: *instrs, LLCSize: *llc, GateLevel: *gate, CoherenceCheck: *cohCheck,
+		Jobs: *jobs, Ctx: ctx,
 	}
-	cycles, st, col, err := runOnce(ctx, kind.String(), *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn)
+	if tcfg != (telemetry.Config{}) {
+		opts.Telemetry = &tcfg
+	}
+	tab, err := harness.RunJob(j, opts)
 	if err != nil {
 		return ctxErr(err, *timeout)
 	}
-	printStats(kind.String(), cycles, st)
-	reportTelemetry(col, *showHist)
+	fmt.Println(title)
+	fmt.Print(tab.String())
 	return nil
 }
 
 // expand turns "2Xlbm" into ["lbm","lbm"] and passes other names through.
 func expand(list string) []string {
 	var out []string
-	for _, w := range strings.Split(list, ",") {
-		w = strings.TrimSpace(w)
-		if w == "" {
-			continue
-		}
-		if strings.HasPrefix(w, "2X") {
-			name := strings.TrimPrefix(w, "2X")
+	for _, w := range splitList(list) {
+		if name, ok := strings.CutPrefix(w, "2X"); ok {
 			out = append(out, name, name)
 		} else {
 			out = append(out, w)
@@ -182,45 +186,52 @@ func expand(list string) []string {
 	return out
 }
 
-func runOnce(ctx context.Context, kind, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry bool) (uint64, timecache.Stats, *telemetry.Collector, error) {
-	sys, err := timecache.New(timecache.Config{
-		Defense: kind, LLCSize: llc, Cores: cores, GateLevel: gate,
-		CoherenceCheck: cohCheck,
-	})
+// runOnce runs the workload mix once on a machine built from cfg and prints
+// its statistics and, with telemetry on, the interval sparklines.
+func runOnce(ctx context.Context, cfg timecache.Config, workloads string, instrs uint64, tcfg telemetry.Config, showHist bool) error {
+	sys, err := timecache.New(cfg)
 	if err != nil {
-		return 0, timecache.Stats{}, nil, err
+		return err
 	}
 	var col *telemetry.Collector
-	if withTelemetry {
+	if tcfg != (telemetry.Config{}) || showHist {
 		col = sys.AttachTelemetry(tcfg)
 		col.SetMeta("workloads", workloads)
 		col.SetMeta("instrs_per_proc", instrs)
-		col.SetMeta("defense", kind)
+		col.SetMeta("defense", cfg.Defense)
 	}
 	names := expand(workloads)
 	if len(names) == 0 {
-		return 0, timecache.Stats{}, nil, fmt.Errorf("no workloads given")
+		return fmt.Errorf("no workloads given")
 	}
 	for i, name := range names {
-		if _, err := sys.SpawnSpec(name, i%cores, instrs, uint64(1001+i*1001)); err != nil {
-			return 0, timecache.Stats{}, nil, err
+		if _, err := sys.SpawnSpec(name, i%cfg.Cores, instrs, uint64(1001+i*1001)); err != nil {
+			return err
 		}
 	}
 	cycles := sys.RunContext(ctx, 1<<62)
 	if err := ctx.Err(); err != nil {
-		return 0, timecache.Stats{}, nil, fmt.Errorf("stopped after %d cycles: %w", cycles, err)
+		return fmt.Errorf("stopped after %d cycles: %w", cycles, err)
 	}
 	if !sys.AllExited() {
-		return 0, timecache.Stats{}, nil, fmt.Errorf("workloads did not finish")
+		return fmt.Errorf("workloads did not finish")
 	}
 	if col != nil {
 		if err := col.Finish(); err != nil {
-			return 0, timecache.Stats{}, nil, err
+			return err
 		}
 	}
 	st := sys.Stats()
 	sys.Release()
-	return cycles, st, col, nil
+	fmt.Printf("defense=%s cycles=%d switches=%d syscalls=%d bookkeeping=%d cycles\n\n",
+		cfg.Defense, cycles, st.ContextSwitches, st.Syscalls, st.BookkeepingCycles)
+	tb := stats.NewTable("cache", "accesses", "hits", "misses", "first-access", "evictions")
+	for _, c := range st.Caches {
+		tb.Add(c.Name, c.Accesses, c.Hits, c.Misses, c.FirstAccess, c.Evictions)
+	}
+	fmt.Print(tb.String())
+	reportTelemetry(col, showHist)
+	return nil
 }
 
 // parseSize parses a byte size with an optional K/KB/M/MB/G/GB suffix.
@@ -271,36 +282,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// runJob runs a harness job and prints its table under title.
-func runJob(title string, j harness.Job, opts harness.Options) error {
-	tab, err := harness.RunJob(j, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(title)
-	fmt.Print(tab.String())
-	return nil
-}
-
-func runCompare(ctx context.Context, kind, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry, showHist bool) error {
-	bCycles, _, _, err := runOnce(ctx, defense.None, workloads, instrs, llc, cores, gate, cohCheck, telemetry.Config{}, false)
-	if err != nil {
-		return err
-	}
-	tCycles, st, col, err := runOnce(ctx, kind, workloads, instrs, llc, cores, gate, cohCheck, tcfg, withTelemetry)
-	if err != nil {
-		return err
-	}
-	printStats(kind, tCycles, st)
-	reportTelemetry(col, showHist)
-	norm := float64(tCycles) / float64(bCycles)
-	fmt.Printf("\n%-16s: %d\n", "baseline cycles", bCycles)
-	fmt.Printf("%-16s: %d\n", kind+" cycles", tCycles)
-	fmt.Printf("normalized time : %.4f (%.2f%% overhead, cold start included)\n",
-		norm, (norm-1)*100)
-	return nil
-}
-
 // reportTelemetry prints the interval-series sparklines, a one-line summary
 // of what was written, and (with -hist) the latency histograms.
 func reportTelemetry(col *telemetry.Collector, showHist bool) {
@@ -315,16 +296,6 @@ func reportTelemetry(col *telemetry.Collector, showHist bool) {
 	}
 	fmt.Printf("\ntelemetry: %d samples, %d accesses observed, %d trace events\n",
 		len(col.Sampler().Samples()), col.Histograms().Total(), col.Trace().Len())
-}
-
-func printStats(kind string, cycles uint64, st timecache.Stats) {
-	fmt.Printf("defense=%s cycles=%d switches=%d syscalls=%d bookkeeping=%d cycles\n\n",
-		kind, cycles, st.ContextSwitches, st.Syscalls, st.BookkeepingCycles)
-	tb := stats.NewTable("cache", "accesses", "hits", "misses", "first-access", "evictions")
-	for _, c := range st.Caches {
-		tb.Add(c.Name, c.Accesses, c.Hits, c.Misses, c.FirstAccess, c.Evictions)
-	}
-	fmt.Print(tb.String())
 }
 
 func fatal(err error) {

@@ -64,8 +64,10 @@ type Job struct {
 	// Seed seeds the security and matrix experiments' secret generation
 	// (default 12345).
 	Seed uint64
-	// Defenses selects the matrix experiment's rows by registry kind
-	// (defense.Kinds). Empty selects every registered defense.
+	// Defenses names registry kinds (defense.Kinds): the matrix
+	// experiment's rows, every registered defense when empty, or the one
+	// defended leg of each table2, parsec and llc-sweep row, TimeCache
+	// when empty.
 	Defenses []string
 	// Attacks selects the matrix experiment's leakage columns
 	// (MatrixAttacks). Empty selects the full attack corpus.
@@ -93,7 +95,7 @@ type kind struct {
 
 // kinds is the experiment registry, keyed by Exp* name.
 var kinds = map[string]kind{
-	ExpTableII: {
+	ExpTableII: paired(kind{
 		validate:  validatePairs,
 		canonical: func(j Job) Job { return Job{Experiment: ExpTableII, Pairs: orDefault(j.Pairs, specPairLabels)} },
 		legs:      func(j Job) int { return len(j.Pairs) },
@@ -102,10 +104,10 @@ var kinds = map[string]kind{
 			if err != nil {
 				return nil, err
 			}
-			return pairTable(runSpecPair(pool, pair, opts))
+			return pairTable(runSpecPair(pool, pair, defendedKind(j), opts))
 		},
-	},
-	ExpParsec: {
+	}),
+	ExpParsec: paired(kind{
 		validate: func(j Job) error {
 			for _, name := range j.Workloads {
 				if _, err := workload.Parsec(name); err != nil {
@@ -119,10 +121,10 @@ var kinds = map[string]kind{
 		},
 		legs: func(j Job) int { return len(j.Workloads) },
 		runLeg: func(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error) {
-			return pairTable(runParsec(pool, j.Workloads[leg], opts))
+			return pairTable(runParsec(pool, j.Workloads[leg], defendedKind(j), opts))
 		},
-	},
-	ExpLLCSweep: {
+	}),
+	ExpLLCSweep: paired(kind{
 		validate: validatePairs,
 		canonical: func(j Job) Job {
 			return Job{
@@ -134,7 +136,7 @@ var kinds = map[string]kind{
 		},
 		legs:   func(j Job) int { return len(j.LLCSizes) },
 		runLeg: llcSweepLeg,
-	},
+	}),
 	ExpAblation: {
 		validate: func(j Job) error {
 			if err := validatePairs(j); err != nil {
@@ -168,13 +170,8 @@ var kinds = map[string]kind{
 	},
 	ExpMatrix: {
 		validate: func(j Job) error {
-			if err := validatePairs(j); err != nil {
+			if err := cmp.Or(validatePairs(j), validateDefenses(j)); err != nil {
 				return err
-			}
-			for _, d := range j.Defenses {
-				if !defense.Valid(d) {
-					return fmt.Errorf("harness: unknown defense %q (want one of %v)", d, defense.Kinds())
-				}
 			}
 			for _, a := range j.Attacks {
 				if matrixAttackByName(a) == nil {
@@ -303,6 +300,38 @@ func validatePairs(j Job) error {
 	return err
 }
 
+// validateDefenses checks that every named defense is a registry kind.
+func validateDefenses(j Job) error {
+	for _, d := range j.Defenses {
+		if !defense.Valid(d) {
+			return fmt.Errorf("harness: unknown defense %q (want one of %v)", d, defense.Kinds())
+		}
+	}
+	return nil
+}
+
+// paired makes k a paired experiment, whose rows run the baseline against
+// the one defended kind Job.Defenses names (see defendedKind). TimeCache,
+// named or by default, canonicalizes to nil, so those jobs keep the
+// fingerprint they had before the defended leg was selectable.
+func paired(k kind) kind {
+	validate, canonical := k.validate, k.canonical
+	k.validate = func(j Job) error {
+		if len(j.Defenses) > 1 {
+			return fmt.Errorf("harness: %s takes at most one defense, got %v", j.Experiment, j.Defenses)
+		}
+		return cmp.Or(validate(j), validateDefenses(j))
+	}
+	k.canonical = func(j Job) Job {
+		c := canonical(j)
+		if len(j.Defenses) == 1 && j.Defenses[0] != defense.TimeCache {
+			c.Defenses = []string{j.Defenses[0]}
+		}
+		return c
+	}
+	return k
+}
+
 // pairAt resolves the i-th pair label.
 func pairAt(labels []string, i int) (workload.Pair, error) {
 	pairs, err := selectPairs(labels[i : i+1])
@@ -346,7 +375,7 @@ func llcSweepLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table
 	}
 	opts.LLCSize = j.LLCSizes[leg]
 	norms, err := eachRun(opts, len(pairs), func(o Options, i int) (float64, error) {
-		r, err := runSpecPair(pool, pairs[i], o)
+		r, err := runSpecPair(pool, pairs[i], defendedKind(j), o)
 		return r.Normalized, err
 	})
 	if err != nil {
@@ -392,7 +421,7 @@ var bookkeepingPair = workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
 // toward realistic 1–10 ms scheduler quanta.
 func bookkeepingLeg(j Job, leg int, pool *machine.Pool, opts Options) (*stats.Table, error) {
 	opts.SliceCycles = j.SliceCycles[leg]
-	r, err := runSpecPair(pool, bookkeepingPair, opts)
+	r, err := runSpecPair(pool, bookkeepingPair, defense.TimeCache, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -419,9 +448,10 @@ func securityLeg(j Job, _ int, _ *machine.Pool, opts Options) (*stats.Table, err
 				rsa.Accuracy*100, rsa.Hits, rsa.VictimCorrect), err
 		}},
 	}
-	n := len(pairedLegs)
+	legs := pairedLegs(defense.TimeCache)
+	n := len(legs)
 	results, err := eachRun(opts, len(experiments)*n, func(o Options, i int) (string, error) {
-		e, leg := experiments[i/n], pairedLegs[i%n]
+		e, leg := experiments[i/n], legs[i%n]
 		return withSlot(o, func() (string, error) {
 			start := o.legStart()
 			r, err := e.run(machine.Config{Defense: leg.kind})
@@ -437,7 +467,7 @@ func securityLeg(j Job, _ int, _ *machine.Pool, opts Options) (*stats.Table, err
 	}
 	tab := stats.NewTable("experiment", "mode", "result")
 	for i, r := range results {
-		tab.Add(experiments[i/n].row, pairedLegs[i%n].name, r)
+		tab.Add(experiments[i/n].row, legs[i%n].name, r)
 	}
 	return tab, nil
 }

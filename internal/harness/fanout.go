@@ -1,5 +1,5 @@
 // Run fan-out: the machine runs inside one leg — a paired row's baseline and
-// TimeCache runs, a matrix row's attack cells and perf runs — share no
+// defended runs, a matrix row's attack cells and perf runs — share no
 // state, so a leg simulates them concurrently. One process-wide bound keeps
 // the machines simulating at once to GOMAXPROCS however many legs, jobs and
 // service workers are in flight.

@@ -1,5 +1,5 @@
 // Package harness runs the paper's experiments end to end: it builds paired
-// (baseline, TimeCache) machines, executes the calibrated workloads, and
+// (baseline, defended) machines, executes the calibrated workloads, and
 // reduces the counters to the quantities each table and figure reports.
 package harness
 
@@ -138,7 +138,7 @@ func (o Options) newPool() *machine.Pool {
 }
 
 // attachTelemetry attaches a collector for a run labeled label/leg (leg is
-// the paired row's display name, "baseline" or "timecache"), or returns nil
+// the paired row's display name, "baseline" or the defended kind), or returns nil
 // when telemetry is off.
 func (o Options) attachTelemetry(k *kernel.Kernel, label, leg string) *telemetry.Collector {
 	if o.Telemetry == nil {
@@ -149,14 +149,6 @@ func (o Options) attachTelemetry(k *kernel.Kernel, label, leg string) *telemetry
 	col.SetMeta("workload", label)
 	col.SetMeta("mode", leg)
 	return col
-}
-
-// finishTelemetry writes a run's telemetry outputs (nil-safe).
-func finishTelemetry(col *telemetry.Collector) error {
-	if col == nil {
-		return nil
-	}
-	return col.Finish()
 }
 
 // wallNow reads the injected wall clock (time.Now when unset).
@@ -270,7 +262,9 @@ type levelMPKI struct {
 	L1I, L1D, LLC float64
 }
 
-// pairResult is one workload row across both configurations.
+// pairResult is one workload row across both legs (see pairedLegs). The
+// TimeCache-named fields describe the defended leg, which is TimeCache
+// unless the job names another kind (see defendedKind).
 type pairResult struct {
 	Label string
 
@@ -283,14 +277,14 @@ type pairResult struct {
 	// per kilo-instruction, Table II's last two columns.
 	MPKIBase, MPKITC float64
 
-	// FirstAccess is the delayed-access MPKI per level under TimeCache
-	// (Fig. 8 / 9b).
+	// FirstAccess is the delayed-access MPKI per level under the defended
+	// leg (Fig. 8 / 9b).
 	FirstAccess levelMPKI
 
-	// BookkeepingPct is the share of total TimeCache cycles spent on s-bit
-	// save/restore (the paper reports ~0.02%).
+	// BookkeepingPct is the share of the defended leg's cycles spent on
+	// s-bit save/restore (the paper reports ~0.02% for TimeCache).
 	BookkeepingPct float64
-	// ContextSwitches under the TimeCache run.
+	// ContextSwitches under the defended leg.
 	ContextSwitches uint64
 }
 
@@ -368,8 +362,14 @@ func runMachine(pool *machine.Pool, opts Options, l machineRun) (measurement, er
 	})
 }
 
-// runShelf executes one run cold, from a snapshot fork, or cold-with-capture
-// depending on opts.Snapshot.
+// runShelf executes one run per opts.Snapshot: forked from the shelf when it
+// holds the run's warm state (runFork), otherwise from cold on a pooled
+// machine, subtracting the counters at the warm point. Unless the mode is
+// SnapshotOff a cold run pauses at the warm point (Interrupt stops Run
+// between scheduler steps within a poll stride) and shelves a snapshot for
+// later same-key runs, then either resumes in place (SnapshotAuto: the pause
+// and capture are invisible to the simulation) or measures on a fork of the
+// snapshot just taken (SnapshotOn).
 func runShelf(pool *machine.Pool, opts Options, l machineRun) (measurement, error) {
 	mode := opts.Snapshot
 	if opts.SnapshotCheck && mode != SnapshotOff {
@@ -378,18 +378,12 @@ func runShelf(pool *machine.Pool, opts Options, l machineRun) (measurement, erro
 	if opts.Telemetry != nil {
 		mode = SnapshotOff
 	}
-	if mode == SnapshotOff {
-		return runCold(pool, opts, l)
+	capture := mode != SnapshotOff
+	if capture {
+		if s := pool.Snapshot(l.key); s != nil {
+			return runFork(pool, opts, l, s)
+		}
 	}
-	if s := pool.Snapshot(l.key); s != nil {
-		return runFork(pool, opts, l, s)
-	}
-	return runCapture(pool, opts, l, mode)
-}
-
-// runCold is the pre-snapshot behavior: pooled machine, full run, warm
-// subtraction.
-func runCold(pool *machine.Pool, opts Options, l machineRun) (measurement, error) {
 	legStart := opts.legStart()
 	m := pool.Get(l.mcfg)
 	defer pool.Put(m)
@@ -400,6 +394,9 @@ func runCold(pool *machine.Pool, opts Options, l machineRun) (measurement, error
 		warmed++
 		if warmed == targets {
 			warm = snapCounters(k)
+			if capture {
+				k.Interrupt()
+			}
 		}
 	}
 	n, err := l.spawn(k, onWarm)
@@ -411,9 +408,35 @@ func runCold(pool *machine.Pool, opts Options, l machineRun) (measurement, error
 	if l.attach != nil {
 		col = l.attach(k)
 	}
-	k.RunCtx(opts.ctx(), 1<<62)
-	if err := opts.ctx().Err(); err != nil {
+	run := func() error {
+		k.RunCtx(opts.ctx(), 1<<62)
+		return opts.ctx().Err()
+	}
+	if err := run(); err != nil {
 		return measurement{}, err
+	}
+	if capture {
+		var snap *machine.Snapshot
+		if warmed == targets && !k.AllExited() {
+			// A process that cannot be snapshotted (no sim.Forker) just
+			// skips the shelf; the leg still measures normally.
+			if s, err := m.Snapshot(); err == nil {
+				s.Tag = warm
+				pool.PutSnapshot(l.key, s)
+				snap = s
+			}
+		}
+		k.ClearInterrupt()
+		if mode == SnapshotOn && snap != nil {
+			// The warm machine goes back to the pool mid-run (the deferred
+			// Put; forking resets nothing it does not overwrite) and the
+			// measurement happens on a fork, exercising the exact path a
+			// shelf hit takes.
+			return runFork(pool, opts, l, snap)
+		}
+		if err := run(); err != nil {
+			return measurement{}, err
+		}
 	}
 	if !k.AllExited() {
 		return measurement{}, fmt.Errorf("harness: %s did not finish", l.label)
@@ -421,68 +444,10 @@ func runCold(pool *machine.Pool, opts Options, l machineRun) (measurement, error
 	if warmed != targets {
 		return measurement{}, fmt.Errorf("harness: %s never reached steady state", l.label)
 	}
-	if err := finishTelemetry(col); err != nil {
-		return measurement{}, err
-	}
-	opts.finishLeg(l.label, legStart, k)
-	return snapCounters(k).sub(warm), nil
-}
-
-// runCapture is the shelf-miss path: run from cold, pause at the warm
-// point (Interrupt stops Run between scheduler steps within a poll stride),
-// shelve a snapshot for later same-key legs, then either resume in place
-// (SnapshotAuto — the pause and capture are invisible to the simulation) or
-// measure on a fork of the snapshot just taken (SnapshotOn).
-func runCapture(pool *machine.Pool, opts Options, l machineRun, mode SnapshotMode) (measurement, error) {
-	legStart := opts.legStart()
-	m := pool.Get(l.mcfg)
-	defer pool.Put(m)
-	k := m.Kernel()
-	var warm measurement
-	warmed, targets := 0, -1
-	onWarm := func() {
-		warmed++
-		if warmed == targets {
-			warm = snapCounters(k)
-			k.Interrupt()
+	if col != nil {
+		if err := col.Finish(); err != nil {
+			return measurement{}, err
 		}
-	}
-	n, err := l.spawn(k, onWarm)
-	if err != nil {
-		return measurement{}, err
-	}
-	targets = n
-	k.RunCtx(opts.ctx(), 1<<62)
-	if err := opts.ctx().Err(); err != nil {
-		return measurement{}, err
-	}
-	var snap *machine.Snapshot
-	if warmed == targets && !k.AllExited() {
-		// A process that cannot be snapshotted (no sim.Forker) just skips
-		// the shelf; the leg still measures normally.
-		if s, err := m.Snapshot(); err == nil {
-			s.Tag = warm
-			pool.PutSnapshot(l.key, s)
-			snap = s
-		}
-	}
-	k.ClearInterrupt()
-	if mode == SnapshotOn && snap != nil {
-		// The warm machine goes back to the pool mid-run (the deferred
-		// Put; forking resets nothing it does not overwrite) and the
-		// measurement happens on a fork, exercising the exact path a
-		// shelf hit takes.
-		return runFork(pool, opts, l, snap)
-	}
-	k.RunCtx(opts.ctx(), 1<<62)
-	if err := opts.ctx().Err(); err != nil {
-		return measurement{}, err
-	}
-	if !k.AllExited() {
-		return measurement{}, fmt.Errorf("harness: %s did not finish", l.label)
-	}
-	if warmed != targets {
-		return measurement{}, fmt.Errorf("harness: %s never reached steady state", l.label)
 	}
 	opts.finishLeg(l.label, legStart, k)
 	return snapCounters(k).sub(warm), nil
@@ -529,7 +494,7 @@ func runQuietCold(pool *machine.Pool, opts Options, l machineRun) (measurement, 
 	opts.Telemetry = nil
 	opts.Spans = nil
 	opts.Account = nil
-	return runCold(pool, opts, l)
+	return runShelf(pool, opts, l)
 }
 
 // runSpec runs one Fig. 7 workload (two processes, one core) on a machine
@@ -610,26 +575,39 @@ func result(label string, mb, mt measurement) pairResult {
 	return res
 }
 
-// pairedLegs are a paired row's two legs, under the display names its
-// spans, telemetry suffixes and the security table have always used.
-var pairedLegs = [2]ablationConfig{{"baseline", defense.None}, {"timecache", defense.TimeCache}}
+// pairedLegs returns a paired row's two legs: the baseline, under the
+// display name its spans, telemetry suffixes and the security table have
+// always used, and the defended registry kind under its own name.
+func pairedLegs(kind string) [2]ablationConfig {
+	return [2]ablationConfig{{"baseline", defense.None}, {kind, kind}}
+}
 
-// runPaired measures one row: a workload under the baseline and under
-// TimeCache, the two runs concurrently.
-func runPaired(label string, opts Options, once func(Options, ablationConfig) (measurement, error)) (pairResult, error) {
-	m, err := eachRun(opts, len(pairedLegs), func(o Options, i int) (measurement, error) { return once(o, pairedLegs[i]) })
+// defendedKind is the defended leg of the canonical paired job j: the one
+// kind j.Defenses names, TimeCache when it names none (see paired).
+func defendedKind(j Job) string {
+	if len(j.Defenses) == 1 {
+		return j.Defenses[0]
+	}
+	return defense.TimeCache
+}
+
+// runPaired measures one row: a workload under the baseline and under the
+// defended kind, the two runs concurrently.
+func runPaired(label, kind string, opts Options, once func(Options, ablationConfig) (measurement, error)) (pairResult, error) {
+	legs := pairedLegs(kind)
+	m, err := eachRun(opts, len(legs), func(o Options, i int) (measurement, error) { return once(o, legs[i]) })
 	if err != nil {
 		return pairResult{}, err
 	}
 	return result(label, m[0], m[1]), nil
 }
 
-// runSpecPair measures one Fig. 7 / Table II row on machines drawn from pool
-// (nil builds fresh; a shared pool also enables warm-snapshot reuse across
-// calls).
-func runSpecPair(pool *machine.Pool, pair workload.Pair, opts Options) (pairResult, error) {
+// runSpecPair measures one Fig. 7 / Table II row, defended by kind, on
+// machines drawn from pool (nil builds fresh; a shared pool also enables
+// warm-snapshot reuse across calls).
+func runSpecPair(pool *machine.Pool, pair workload.Pair, kind string, opts Options) (pairResult, error) {
 	opts = opts.withDefaults()
-	return runPaired(pair.Label, opts, func(o Options, leg ablationConfig) (measurement, error) {
+	return runPaired(pair.Label, kind, opts, func(o Options, leg ablationConfig) (measurement, error) {
 		return runSpec(pool, pair, leg.kind, leg.name, o,
 			func(k *kernel.Kernel) *telemetry.Collector { return o.attachTelemetry(k, pair.Label, leg.name) })
 	})
@@ -670,10 +648,11 @@ func runParsecOnce(pool *machine.Pool, name string, leg ablationConfig, opts Opt
 	return runMachine(pool, opts, l)
 }
 
-// runParsec measures one Fig. 9 row on machines drawn from pool.
-func runParsec(pool *machine.Pool, name string, opts Options) (pairResult, error) {
+// runParsec measures one Fig. 9 row, defended by kind, on machines drawn
+// from pool.
+func runParsec(pool *machine.Pool, name, kind string, opts Options) (pairResult, error) {
 	opts = opts.withDefaults()
-	return runPaired(name, opts, func(o Options, leg ablationConfig) (measurement, error) {
+	return runPaired(name, kind, opts, func(o Options, leg ablationConfig) (measurement, error) {
 		return runParsecOnce(pool, name, leg, o)
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 
+	"timecache/internal/defense"
 	"timecache/internal/machine"
 	"timecache/internal/stats"
 	"timecache/internal/telemetry"
@@ -18,7 +19,7 @@ func smallOpts() Options {
 
 func TestRunSpecPairProducesSaneRow(t *testing.T) {
 	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
-	r, err := runSpecPair(nil, pair, smallOpts())
+	r, err := runSpecPair(nil, pair, defense.TimeCache, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +45,11 @@ func TestRunSpecPairProducesSaneRow(t *testing.T) {
 }
 
 func TestStreamingPairHasHigherMPKI(t *testing.T) {
-	low, err := runSpecPair(nil, workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, smallOpts())
+	low, err := runSpecPair(nil, workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, defense.TimeCache, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := runSpecPair(nil, workload.Pair{Label: "2Xlbm", A: "lbm", B: "lbm"}, smallOpts())
+	high, err := runSpecPair(nil, workload.Pair{Label: "2Xlbm", A: "lbm", B: "lbm"}, defense.TimeCache, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestStreamingPairHasHigherMPKI(t *testing.T) {
 }
 
 func TestRunParsecNoL1FirstAccesses(t *testing.T) {
-	r, err := runParsec(nil, "blackscholes", smallOpts())
+	r, err := runParsec(nil, "blackscholes", defense.TimeCache, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +166,13 @@ func TestSbitCostMatchesPaper(t *testing.T) {
 func TestGateLevelMatchesFastPath(t *testing.T) {
 	pair := workload.Pair{Label: "2Xspecrand", A: "specrand", B: "specrand"}
 	opts := Options{InstrsPerProc: 30_000, WarmupInstrs: 50_000}
-	fast, err := runSpecPair(nil, pair, opts)
+	fast, err := runSpecPair(nil, pair, defense.TimeCache, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gopts := opts
 	gopts.GateLevel = true
-	gate, err := runSpecPair(nil, pair, gopts)
+	gate, err := runSpecPair(nil, pair, defense.TimeCache, gopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestSnapshotShelfReuse(t *testing.T) {
 	pool := machine.NewPool()
 	opts := smallOpts()
 
-	first, err := runSpecPair(pool, pair, opts)
+	first, err := runSpecPair(pool, pair, defense.TimeCache, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestSnapshotShelfReuse(t *testing.T) {
 	if s.SnapshotHits != 0 {
 		t.Fatalf("first run already hit the shelf: %+v", s)
 	}
-	second, err := runSpecPair(pool, pair, opts)
+	second, err := runSpecPair(pool, pair, defense.TimeCache, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestSnapshotModesAgree(t *testing.T) {
 	for _, mode := range []SnapshotMode{SnapshotOff, SnapshotAuto, SnapshotOn} {
 		opts := base
 		opts.Snapshot = mode
-		r, err := runSpecPair(nil, pair, opts)
+		r, err := runSpecPair(nil, pair, defense.TimeCache, opts)
 		if err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
@@ -233,7 +234,7 @@ func TestSnapshotModesAgree(t *testing.T) {
 	}
 	check := base
 	check.SnapshotCheck = true
-	r, err := runSpecPair(nil, pair, check)
+	r, err := runSpecPair(nil, pair, defense.TimeCache, check)
 	if err != nil {
 		t.Fatalf("snapshot-check: %v", err)
 	}
@@ -255,7 +256,7 @@ func TestSnapshotTelemetryForcesCold(t *testing.T) {
 	opts.Snapshot = SnapshotOn
 	opts.Telemetry = &telemetry.Config{}
 
-	if _, err := runSpecPair(pool, pair, opts); err != nil {
+	if _, err := runSpecPair(pool, pair, defense.TimeCache, opts); err != nil {
 		t.Fatal(err)
 	}
 	if s := pool.Stats(); s.SnapshotHits != 0 || s.SnapshotMisses != 0 {

@@ -165,7 +165,7 @@ func TestRunMemoTelemetryBypass(t *testing.T) {
 	opts.Telemetry = &telemetry.Config{}
 	opts.Memo = &RunMemo{}
 	for i := 0; i < 2; i++ {
-		if _, err := runSpecPair(nil, pair, opts); err != nil {
+		if _, err := runSpecPair(nil, pair, defense.TimeCache, opts); err != nil {
 			t.Fatal(err)
 		}
 	}

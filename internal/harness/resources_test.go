@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"timecache/internal/defense"
 	"timecache/internal/workload"
 )
 
@@ -29,7 +30,7 @@ func TestResourceAccountOnRun(t *testing.T) {
 		account := &ResourceAccount{}
 		opts := smallOpts()
 		opts.Account = account
-		if _, err := runSpecPair(nil, pair, opts); err != nil {
+		if _, err := runSpecPair(nil, pair, defense.TimeCache, opts); err != nil {
 			t.Fatal(err)
 		}
 		return account.Snapshot()

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"timecache/internal/clock"
+	"timecache/internal/harness"
 	"timecache/internal/jobstore"
+	"timecache/internal/resultcache"
 )
 
 // multiLegSpec is a three-pair table2 job: three independent legs at the
@@ -176,6 +178,60 @@ func TestReplayLegacyJobsField(t *testing.T) {
 	}
 	if gotCSV := fetchCSV(t, ts, "job-000007"); !bytes.Equal(gotCSV, wantCSV) {
 		t.Errorf("legacy job CSV diverged\n--- want ---\n%s--- got ---\n%s", wantCSV, gotCSV)
+	}
+}
+
+// TestReplayKeyMismatchReruns: replay trusts a job's journaled work only
+// under the key it was admitted with. A log written before accepted records
+// carried the key holds a done table2 job defended by fase and an
+// unfinished one with a leg recorded; that build ran TimeCache for both.
+// After a restart the done job seeds no cache entry, so resubmitting its
+// spec is a miss that runs fase, and the unfinished job re-runs its
+// recorded leg.
+func TestReplayKeyMismatchReruns(t *testing.T) {
+	done := Spec{Experiment: "table2", Pairs: []string{"2Xlbm"}, Defenses: []string{"fase"},
+		InstrsPerProc: 20_000, WarmupInstrs: 10_000}
+	resumed := done
+	resumed.Pairs = []string{"2Xnamd"}
+	store := jobstore.NewMem()
+	for _, r := range []struct {
+		kind    jobstore.Kind
+		id, rec string
+	}{
+		{jobstore.KindAccepted, "job-000001", `{"spec":` + string(mustJSON(done)) + `,"created":"2026-01-02T03:04:05Z","cache":"miss"}`},
+		{jobstore.KindResult, "job-000001", `{"state":"done","done":1,"total":1,"started":"2026-01-02T03:04:05Z",` +
+			`"finished":"2026-01-02T03:04:06Z","header":["workload","normalized"],"rows":[["2Xlbm","1.0782"]]}`},
+		{jobstore.KindAccepted, "job-000002", `{"spec":` + string(mustJSON(resumed)) + `,"created":"2026-01-02T03:04:07Z","cache":"miss"}`},
+		{jobstore.KindLeg, "job-000002", `{"leg":0,"header":["workload","normalized"],"rows":[["2Xnamd","1.0001"]]}`},
+	} {
+		if err := store.Append(jobstore.Record{Kind: r.kind, JobID: r.id, Payload: []byte(r.rec)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, ts := startServer(t, Config{Workers: 1, Cache: resultcache.New(), Store: store})
+
+	want := func(spec Spec) string {
+		tab, err := harness.RunJob(spec.harnessJob(), spec.options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab.CSV()
+	}
+	if final := waitTerminal(t, ts, "job-000002", time.Minute); final.State != StateDone {
+		t.Fatalf("resumed job: %s (%s), want done", final.State, final.Error)
+	}
+	if got, want := string(fetchCSV(t, ts, "job-000002")), want(resumed); got != want {
+		t.Errorf("resumed job kept its recorded leg\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+	st, hdr := submitHdr(t, ts, done)
+	if hdr != "miss" {
+		t.Fatalf("resubmitted fase spec: disposition %q, want miss", hdr)
+	}
+	if final := waitTerminal(t, ts, st.ID, time.Minute); final.State != StateDone {
+		t.Fatalf("resubmitted job: %s (%s), want done", final.State, final.Error)
+	}
+	if got, want := string(fetchCSV(t, ts, st.ID)), want(done); got != want {
+		t.Errorf("resubmitted fase job\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 }
 

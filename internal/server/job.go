@@ -40,9 +40,11 @@ type Spec struct {
 	// (Seed also seeds the matrix experiment's secrets).
 	KeyBits int    `json:"key_bits,omitempty"`
 	Seed    uint64 `json:"seed,omitempty"`
-	// Defenses selects the matrix experiment's rows by registry kind
-	// ("none", "timecache", "ftm", "dawg-lite", "flush-on-switch",
-	// "clepsydra", "fase"). Empty runs every registered defense.
+	// Defenses names registry kinds ("none", "timecache", "ftm",
+	// "dawg-lite", "flush-on-switch", "clepsydra", "fase"): the matrix
+	// experiment's rows, every registered defense when empty, or the one
+	// defended leg of each table2, parsec or llc-sweep row, TimeCache when
+	// empty (see harness.Job.Defenses).
 	Defenses []string `json:"defenses,omitempty"`
 	// Attacks selects the matrix experiment's leakage columns. Empty runs
 	// the full attack corpus.
@@ -270,6 +272,9 @@ func (r JobResources) add(o JobResources) JobResources {
 type job struct {
 	id   string
 	spec Spec
+	// key is the spec's cacheKey, which admission and the accepted record
+	// use; written once before any request can reach the job.
+	key string
 
 	ctx    context.Context
 	cancel context.CancelCauseFunc

@@ -153,7 +153,7 @@ func checkRecordDecoders(t *testing.T, data []byte) {
 	t.Helper()
 	in := newReplayInterner()
 
-	rs, created, cache, gerr := in.accepted(data)
+	rs, created, cache, keyMatch, gerr := in.accepted(data)
 	var a struct {
 		Spec    rawRef    `json:"spec"`
 		Created time.Time `json:"created"`
@@ -169,6 +169,17 @@ func checkRecordDecoders(t *testing.T, data []byte) {
 	}
 	if gerr == nil && (!reflect.DeepEqual(rs.spec, spec) || !reflect.DeepEqual(created, a.Created) || cache != a.Cache) {
 		t.Fatalf("accepted: one-pass %+v %v %q, encoding/json %+v %v %q", rs.spec, created, cache, spec, a.Created, a.Cache)
+	}
+	// The key is compared as raw bytes: a match must be the key encoding/json
+	// reads. An escaped spelling of the key reads as a mismatch, which costs
+	// a re-run and never a wrong cache entry.
+	if keyMatch {
+		var k struct {
+			Key string `json:"key"`
+		}
+		if err := json.Unmarshal(data, &k); err != nil || k.Key != rs.spec.cacheKey() {
+			t.Fatalf("accepted: key matched, encoding/json reads %q (%v), want %q", k.Key, err, rs.spec.cacheKey())
+		}
 	}
 
 	ev, gerr := decodeEvent(data)

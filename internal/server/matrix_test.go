@@ -175,3 +175,22 @@ func TestJobRunMemo(t *testing.T) {
 		t.Errorf("trace has %d memo leg spans, want %d", hits, kinds-1)
 	}
 }
+
+// TestTable2DefenseOverHTTP: a table2 job that names fase as its defended
+// leg renders RunJob's bytes.
+func TestTable2DefenseOverHTTP(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 2})
+	spec := smallSpec()
+	spec.Defenses = []string{defense.FASE}
+	st, _ := submit(t, ts, spec)
+	if final := waitTerminal(t, ts, st.ID, time.Minute); final.State != StateDone {
+		t.Fatalf("table2 fase job %s: %s", final.State, final.Error)
+	}
+	want, err := harness.RunJob(spec.harnessJob(), spec.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fetchCSV(t, ts, st.ID); string(got) != want.CSV() {
+		t.Errorf("HTTP table2 fase diverged from RunJob\n--- want ---\n%s--- got ---\n%s", want.CSV(), got)
+	}
+}

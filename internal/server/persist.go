@@ -26,6 +26,9 @@ type acceptedRecord struct {
 	Spec    Spec      `json:"spec"`
 	Created time.Time `json:"created"`
 	Cache   string    `json:"cache,omitempty"`
+	// Key is the result-cache key the job was admitted under (see
+	// replayedJob.keyMatch); a log written before the field has none.
+	Key string `json:"key,omitempty"`
 }
 
 type stateRecord struct {
@@ -98,7 +101,7 @@ func (s *Server) attachPersistence(j *job) {
 		return
 	}
 	j.mu.Lock()
-	rec := acceptedRecord{Spec: j.spec, Created: j.created, Cache: j.cacheDisp}
+	rec := acceptedRecord{Spec: j.spec, Created: j.created, Cache: j.cacheDisp, Key: j.key}
 	j.mu.Unlock()
 	s.appendRecord(jobstore.KindAccepted, j.id, rec)
 	s.journalEvents(j)
@@ -133,6 +136,11 @@ func (rs *replayedSpec) cacheKey() string {
 type replayedJob struct {
 	j    *job
 	spec *replayedSpec // nil until the accepted record
+	// keyMatch: the accepted record journals the key this build computes
+	// for the spec. Otherwise the job's journaled work may belong to
+	// another key: a done job seeds no cache entry, and an unfinished one
+	// re-runs every leg.
+	keyMatch bool
 	// rawLegs are the job's leg record payloads. Only a job that resumes
 	// reads them, so replay decodes them (into legs) for such jobs alone.
 	rawLegs [][]byte
@@ -224,24 +232,33 @@ func (in *replayInterner) resources(raw []byte) (*JobResources, error) {
 // jsonNull is the value of an absent member.
 var jsonNull = []byte("null")
 
-// accepted decodes an acceptedRecord.
-func (in *replayInterner) accepted(payload []byte) (rs *replayedSpec, created time.Time, cache string, err error) {
+// accepted decodes an acceptedRecord, and reports whether its key is the
+// spec's key under this build. A key is hex, so its JSON text is the key in
+// quotes, and the raw comparison allocates nothing.
+func (in *replayInterner) accepted(payload []byte) (rs *replayedSpec, created time.Time, cache string, keyMatch bool, err error) {
 	spec := jsonNull
-	err = walkObject(payload, func(key, val []byte) error {
-		switch string(key) {
+	var key []byte
+	err = walkObject(payload, func(k, val []byte) error {
+		switch string(k) {
 		case "spec":
 			spec = val
 		case "created":
 			return created.UnmarshalJSON(val)
 		case "cache":
 			return decodeString(val, &cache)
+		case "key":
+			key = val
 		}
 		return nil
 	})
 	if err == nil {
 		rs, err = in.spec(spec)
 	}
-	return rs, created, cache, err
+	if err == nil {
+		k := rs.cacheKey()
+		keyMatch = len(key) == len(k)+2 && key[0] == '"' && string(key[1:len(key)-1]) == k
+	}
+	return rs, created, cache, keyMatch, err
 }
 
 // decodeEvent decodes an eventRecord. Its data is copied, so the job's
@@ -351,11 +368,11 @@ func (s *Server) replay() {
 		}
 		switch r.Kind {
 		case jobstore.KindAccepted:
-			rs, created, cache, err := in.accepted(r.Payload)
+			rs, created, cache, keyMatch, err := in.accepted(r.Payload)
 			if err != nil {
 				return fmt.Errorf("job %s accepted record: %w", r.JobID, err)
 			}
-			rj.spec = rs
+			rj.spec, rj.keyMatch = rs, keyMatch
 			rj.j.applyAccepted(rs.spec, created, cache)
 		case jobstore.KindEvent:
 			ev, err := decodeEvent(r.Payload)
@@ -374,10 +391,11 @@ func (s *Server) replay() {
 		}
 		return nil
 	})
-	// Leg records matter only to jobs that resume. Decode theirs before any
-	// job is rebuilt, so a corrupt one still fails the whole replay.
+	// Leg records matter only to jobs that resume under the key they were
+	// computed for. Decode theirs before any job is rebuilt, so a corrupt
+	// one still fails the whole replay.
 	for _, rj := range order {
-		if err != nil || rj.spec == nil || rj.j.state.Terminal() {
+		if err != nil || rj.spec == nil || rj.j.state.Terminal() || !rj.keyMatch {
 			continue
 		}
 		rj.legs = make([]legRecord, len(rj.rawLegs))
@@ -438,7 +456,7 @@ func (s *Server) restoreTerminal(rj *replayedJob, in *replayInterner) {
 	}
 	j.events.close()
 	close(j.doneCh)
-	if j.state == StateDone && s.cfg.Cache != nil && !j.spec.NoCache {
+	if j.state == StateDone && s.cfg.Cache != nil && !j.spec.NoCache && rj.keyMatch {
 		s.cfg.Cache.Seed(in.entry(entryIdentity{
 			key: rj.spec.cacheKey(), table: j.table, res: j.resources, done: j.done, total: j.total,
 		}))
@@ -456,7 +474,8 @@ func (s *Server) resumeJob(rj *replayedJob) {
 	j := rj.j
 	j.log = s.log.With("job", j.id, "experiment", j.spec.Experiment)
 	s.journalEvents(j)
-	if entry := s.admit(j, rj.spec.cacheKey, (*resultcache.Cache).Readmit); entry != nil {
+	j.key = rj.spec.cacheKey()
+	if entry := s.admit(j, (*resultcache.Cache).Readmit); entry != nil {
 		s.finishFromEntry(j, entry, nil)
 		j.log.Info("replayed job served from result cache", "key", entry.Key)
 		return

@@ -667,8 +667,8 @@ func (s *Server) register(j *job) {
 // on a hit; otherwise the job leads a new flight for its key (miss) or
 // joins the one in progress (coalesced). resolve is the cache's Begin for a
 // new submission and Readmit for a replayed one, so only a submission moves
-// the admission counters. key is computed only when the cache is consulted.
-func (s *Server) admit(j *job, key func() string,
+// the admission counters. The key is j.key.
+func (s *Server) admit(j *job,
 	resolve func(*resultcache.Cache, string) (*resultcache.Entry, *resultcache.Flight, bool)) *resultcache.Entry {
 	switch {
 	case s.cfg.Cache == nil:
@@ -677,7 +677,7 @@ func (s *Server) admit(j *job, key func() string,
 		j.cacheDisp = cacheBypass
 		return nil
 	}
-	entry, flight, leader := resolve(s.cfg.Cache, key())
+	entry, flight, leader := resolve(s.cfg.Cache, j.key)
 	switch {
 	case entry != nil:
 		j.cacheDisp = cacheHit
@@ -823,6 +823,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
 	j := newJob(id, spec, reqStart)
+	j.key = spec.cacheKey()
 	j.trace = telemetry.NewSpanRecorder(s.clk.Now)
 	j.log = s.log.With("job", id, "experiment", spec.Experiment)
 	j.trace.Lifecycle("validate", reqStart, s.now(), map[string]any{"experiment": spec.Experiment})
@@ -832,7 +833,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// no queue slot, worker, deadline timer or simulation metric. A miss
 	// makes this job the leader of a singleflight; concurrent identical
 	// submissions become followers finished from the leader's flight.
-	entry := s.admit(j, spec.cacheKey, (*resultcache.Cache).Begin)
+	entry := s.admit(j, (*resultcache.Cache).Begin)
 	disp := j.cacheDisp
 	switch {
 	case entry != nil:
